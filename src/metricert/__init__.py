@@ -47,6 +47,7 @@ from .bounds import (
     RobustnessQuery,
     bhc_simulate,
     bound_value,
+    cell_stats,
     empirical_epsilon,
     epsilon_theoretical,
     pseudo_robust_count,

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, LossSpec, MetricModel, metric_matrix, pair_loss_matrix
+from . import core
+from .core import Dataset, LossSpec, MetricModel, metric_columns, metric_matrix, metric_rows
 from .cover import Partition, assign_cells
 
 FAMILIES = (
@@ -115,32 +116,93 @@ class EpsilonEstimate:
         return self.value
 
 
-def _cell_extrema(ids1, ids2, L, K):
-    """Per cell-pair min/max of the loss matrix L, keyed by id1*K + id2.
+def _loss_blocks(m: MetricModel, ls: LossSpec, X: np.ndarray, labels: np.ndarray):
+    """Pair losses of the points X against themselves, BLOCK_ROWS rows at a
+    time: yields (start, losses of X[start:start + BLOCK_ROWS] against all
+    of X); `labels` holds one label index per point."""
+    columns = metric_columns(m, X)
+    for start in range(0, len(X), core.BLOCK_ROWS):
+        rows = slice(start, start + core.BLOCK_ROWS)
+        F = metric_rows(m, X[rows], columns)
+        Y = np.where(labels[rows, None] == labels[None, :], 1.0, -1.0)
+        yield start, ls.g(Y * (1.0 - F))
 
-    Rows/columns with id -1 (out of cover) are dropped by the caller.
+
+def _probe_extrema(m: MetricModel, ls: LossSpec, p: Partition, X: np.ndarray, ids: np.ndarray):
+    """Per-cell-pair min and max of the probe pair loss.
+
+    Returns the occupied cell ids (ascending) and two tables indexed by
+    their positions.  Points are sorted by cell, so every cell is a run of
+    rows and columns and each row block reduces with `reduceat` on both
+    axes; a cell whose run straddles two blocks is merged into the table.
     """
-    keys = (ids1[:, None] * K + ids2[None, :]).ravel()
-    vals = L.ravel()
-    lo = np.full(K * K, np.inf)
-    hi = np.full(K * K, -np.inf)
-    np.minimum.at(lo, keys, vals)
-    np.maximum.at(hi, keys, vals)
-    return lo, hi
+    order = np.argsort(ids, kind="stable")
+    X, ids = X[order], ids[order]
+    cells, starts = np.unique(ids, return_index=True)
+    labels = ids // p.centers.shape[0]
+    lo = np.full((len(cells), len(cells)), np.inf)
+    hi = np.full((len(cells), len(cells)), -np.inf)
+    for start, L in _loss_blocks(m, ls, X, labels):
+        # runs of the block's rows: local starts and their positions in `cells`
+        first = np.searchsorted(starts, start, side="right") - 1
+        last = np.searchsorted(starts, min(start + core.BLOCK_ROWS, len(ids)), side="left")
+        local = np.maximum(starts[first:last] - start, 0)
+        at = slice(first, last)
+        lo[at] = np.minimum(lo[at], np.minimum.reduceat(
+            np.minimum.reduceat(L, starts, axis=1), local, axis=0))
+        hi[at] = np.maximum(hi[at], np.maximum.reduceat(
+            np.maximum.reduceat(L, starts, axis=1), local, axis=0))
+    return cells, lo, hi
 
 
-def _pair_cell_data(m, ls, p, ds, probe):
+def cell_stats(
+    m: MetricModel,
+    ls: LossSpec,
+    p: Partition,
+    ds: Dataset,
+    probe: Dataset,
+    epsilon: float,
+) -> tuple[EpsilonEstimate, int]:
+    """Empirical robustness and the pseudo-robust count from one pass.
+
+    A training pair (i, j) is matched when some kept probe pair shares its
+    cell pair; its deviation is the larger of L_ij minus the probe minimum
+    and the probe maximum minus L_ij over that cell pair.  The estimate is
+    the largest deviation over matched pairs (0 when none match), which is
+    the max over cell pairs of hi_train - lo_probe and hi_probe - lo_train;
+    the count is the number of pairs that are unmatched or deviate by at
+    most `epsilon`.  Probe points outside the cover are excluded and
+    counted; training points outside it are an error.  The loss is
+    evaluated in row blocks, so memory is O(block * n) plus the
+    cell-pair tables of the probe.
+    """
     ids_tr = assign_cells(p, ds.X, ds.y)
     if (ids_tr < 0).any():
         raise ValueError("training points outside the cover")
     ids_pr = assign_cells(p, probe.X, probe.y)
     keep = ids_pr >= 0
     excluded = int((~keep).sum())
-    L_tr = pair_loss_matrix(m, ls, ds)
-    sub = Dataset(probe.X[keep], [probe.y[i] for i in np.flatnonzero(keep)],
-                  probe.R, probe.labels) if keep.any() else None
-    L_pr = pair_loss_matrix(m, ls, sub) if sub is not None else None
-    return ids_tr, L_tr, (ids_pr[keep] if sub is not None else None), L_pr, excluded
+    n = ds.n
+    if not keep.any():
+        return EpsilonEstimate(0.0, excluded), n * n
+    cells, lo_p, hi_p = _probe_extrema(m, ls, p, probe.X[keep], ids_pr[keep])
+    # each training cell's position among the probe cells; a cell the probe
+    # does not occupy points at an appended row and column of empty extrema
+    # (+inf, -inf), whose deviation is -inf
+    pos = np.searchsorted(cells, ids_tr)
+    pos[cells[np.minimum(pos, len(cells) - 1)] != ids_tr] = len(cells)
+    lo_p = np.pad(lo_p, (0, 1), constant_values=np.inf)
+    hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
+    labels = ids_tr // p.centers.shape[0]
+    worst, count = 0.0, 0
+    for start, L in _loss_blocks(m, ls, ds.X, labels):
+        row_pos = pos[start : start + len(L)]
+        lo = lo_p[row_pos][:, pos]
+        hi = hi_p[row_pos][:, pos]
+        dev = np.maximum(L - lo, hi - L)
+        worst = max(worst, float(dev.max()))
+        count += int((dev <= epsilon + 1e-12).sum())
+    return EpsilonEstimate(worst, excluded), count
 
 
 def empirical_epsilon(
@@ -155,16 +217,7 @@ def empirical_epsilon(
     Exhaustive over all n^2 training pairs and all matched probe pairs;
     probe points outside the cover are excluded and counted.
     """
-    ids_tr, L_tr, ids_pr, L_pr, excluded = _pair_cell_data(m, ls, p, ds, probe)
-    if ids_pr is None or len(ids_pr) == 0:
-        return EpsilonEstimate(0.0, excluded)
-    lo_t, hi_t = _cell_extrema(ids_tr, ids_tr, L_tr, p.K)
-    lo_p, hi_p = _cell_extrema(ids_pr, ids_pr, L_pr, p.K)
-    both = np.isfinite(hi_t) & np.isfinite(hi_p)
-    if not both.any():
-        return EpsilonEstimate(0.0, excluded)
-    dev = np.maximum(hi_t[both] - lo_p[both], hi_p[both] - lo_t[both])
-    return EpsilonEstimate(float(max(dev.max(), 0.0)), excluded)
+    return cell_stats(m, ls, p, ds, probe, 0.0)[0]
 
 
 def pseudo_robust_count(
@@ -177,16 +230,7 @@ def pseudo_robust_count(
 ) -> int:
     """Number of training pairs whose every cell-matched probe pair deviates
     by at most epsilon (vacuously robust pairs count)."""
-    ids_tr, L_tr, ids_pr, L_pr, _ = _pair_cell_data(m, ls, p, ds, probe)
-    n = ds.n
-    if ids_pr is None or len(ids_pr) == 0:
-        return n * n
-    lo_p, hi_p = _cell_extrema(ids_pr, ids_pr, L_pr, p.K)
-    keys = ids_tr[:, None] * p.K + ids_tr[None, :]
-    matched = np.isfinite(hi_p[keys])
-    dev = np.maximum(L_tr - lo_p[keys], hi_p[keys] - L_tr)
-    ok = ~matched | (dev <= epsilon + 1e-12)
-    return int(ok.sum())
+    return cell_stats(m, ls, p, ds, probe, epsilon)[1]
 
 
 def empirical_epsilon_triplet(
@@ -234,6 +278,8 @@ def empirical_epsilon_triplet(
 # ---------------------------------------------------------------------------
 # Bretagnolle-Huber-Carol simulation
 
+_BHC_CHUNK = 4096  # trials drawn at a time; bounds memory at _BHC_CHUNK * K counts
+
 
 @dataclass(frozen=True)
 class BhcResult:
@@ -261,9 +307,14 @@ def bhc_simulate(
     if lam <= 0:
         raise ValueError("lambda must be positive")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, mu, size=trials)
-    stat = np.abs(counts / n - mu[None, :]).sum(axis=1)
-    tail = float((stat >= lam).mean())
+    # successive draws from one generator continue its stream, so chunks
+    # give the rows a single trials x K draw would
+    hits = 0
+    for start in range(0, trials, _BHC_CHUNK):
+        counts = rng.multinomial(n, mu, size=min(_BHC_CHUNK, trials - start))
+        stat = np.abs(counts / n - mu[None, :]).sum(axis=1)
+        hits += int((stat >= lam).sum())
+    tail = hits / trials
     cap = float(2.0**K * math.exp(-n * lam * lam / 2.0))
     se = math.sqrt(max(tail * (1.0 - tail), 1.0 / trials) / trials)
     return BhcResult(tail, cap, se, tail > cap + 3.0 * se)

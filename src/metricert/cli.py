@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io
 from .bounds import BoundQuery, bhc_simulate, bound_value
-from .core import LossSpec, build_pairs, build_triplets
+from .core import Dataset, LossSpec, build_pairs, build_triplets
 from .cover import CoverConfig
 from .harness import (
     ExperimentConfig,
@@ -154,9 +154,10 @@ def _cmd_train(args) -> int:
 def _cmd_audit(args) -> int:
     ds = io.dataset_from_csv(args.data, R=args.radius)
     probe = io.dataset_from_csv(args.probe, R=args.radius) if args.probe else ds
+    # one common radius; the constructor checks the norms against it again
     R = max(ds.R, probe.R)
-    ds = io.dataset_from_csv(args.data, R=R)
-    probe = io.dataset_from_csv(args.probe, R=R) if args.probe else ds
+    ds = Dataset(ds.X, ds.y, R)
+    probe = Dataset(probe.X, probe.y, R) if args.probe else ds
     anchors = ds if args.family == "kernel-rbf" else None
     model = io.load_model(args.model, anchors=anchors)
     report = certify(

@@ -14,6 +14,12 @@ import numpy as np
 
 ATOL = 1e-8
 
+# Rows per block wherever an all-pairs array is evaluated in pieces (cover
+# distances, certification losses, k-NN): a block holds BLOCK_ROWS * m values
+# for m columns, so memory grows linearly in the sample size, not with its
+# square.  Read at call time, so tests can shrink it to force many blocks.
+BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class LabeledExample:
@@ -230,20 +236,31 @@ def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
 def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
     """All-pairs metric values f(x1_i, x2_j), vectorized."""
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    X2 = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+    return metric_rows(m, X1, metric_columns(m, X1 if X2 is None else X2))
+
+
+def metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
+    """Column side of metric_matrix(m, ., X2): the column features (X2, or
+    its kernel features) and, for squared-distance metrics, their quadratic
+    terms (None for bilinear).  Computed once, it serves every row block
+    passed to metric_rows."""
+    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
     if m.kind == "bilinear":
-        return X1 @ m.M @ X2.T
-    if m.kind == "kernelized":
-        F1, F2 = kernel_coords(m, X1), kernel_coords(m, X2)
-        return _sq_form_matrix(m.A, F1, F2)
-    return _sq_form_matrix(m.M, X1, X2)
+        return X2, None
+    F2, Q = (kernel_coords(m, X2), m.A) if m.kind == "kernelized" else (X2, m.M)
+    return F2, np.einsum("ij,jk,ik->i", F2, Q, F2)
 
 
-def _sq_form_matrix(M: np.ndarray, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
-    # (f1_i - f2_j)^T M (f1_i - f2_j) for symmetric M
-    G = F1 @ M @ F2.T
-    q1 = np.einsum("ij,jk,ik->i", F1, M, F1)
-    q2 = np.einsum("ij,jk,ik->i", F2, M, F2)
+def metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
+    """metric_matrix(m, X1, X2) from the metric_columns(m, X2) of X2."""
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    F2, q2 = columns
+    if m.kind == "bilinear":
+        return X1 @ m.M @ F2.T
+    # (f1_i - f2_j)^T Q (f1_i - f2_j) for symmetric Q
+    F1, Q = (kernel_coords(m, X1), m.A) if m.kind == "kernelized" else (X1, m.M)
+    G = F1 @ Q @ F2.T
+    q1 = np.einsum("ij,jk,ik->i", F1, Q, F1)
     return q1[:, None] + q2[None, :] - 2.0 * G
 
 

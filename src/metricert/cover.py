@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import Dataset, LabeledExample
 
 _COUNT_LIMIT = 1e18
@@ -41,18 +42,31 @@ def _dists(points: np.ndarray, centers: np.ndarray, norm: str) -> np.ndarray:
 
 def greedy_cover(points, radius: float, norm: str = "l2") -> np.ndarray:
     """Greedy sweep in input order: keep a point as a new center whenever it
-    is farther than `radius` from every center chosen so far."""
+    is farther than `radius` from every center chosen so far.
+
+    Candidates go a block at a time against every center chosen before the
+    block; only the block's survivors are then swept one by one against the
+    centers added inside it, so the centers are the point-by-point sweep's.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return np.zeros((0, points.shape[1] if points.ndim == 2 else 0))
-    centers = [points[0]]
-    for p in points[1:]:
-        d = _dists(p[None, :], np.asarray(centers), norm)[0]
-        if d.min() > radius:
-            centers.append(p)
-    return np.asarray(centers)
+    centers = np.empty_like(points)
+    count = 0
+    for start in range(0, len(points), core.BLOCK_ROWS):
+        block = points[start : start + core.BLOCK_ROWS]
+        if count:
+            block = block[_dists(block, centers[:count], norm).min(axis=1) > radius]
+        first_new = count
+        for p in block:
+            if count == first_new or (
+                _dists(p[None, :], centers[first_new:count], norm).min() > radius
+            ):
+                centers[count] = p
+                count += 1
+    return centers[:count].copy()
 
 
 def covering_number_upper_bound(R: float, gamma_half: float, d: int, norm: str = "l2") -> int:
@@ -118,9 +132,14 @@ def assign_cells(p: Partition, X: np.ndarray, y: list) -> np.ndarray:
     than gamma/2 from every center get id -1 (out of cover).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = _dists(X, p.centers, p.norm)
-    nearest = d.argmin(axis=1)  # argmin takes the lowest index on ties
-    ok = d[np.arange(len(X)), nearest] <= p.radius + 1e-12
+    nearest = np.empty(len(X), dtype=int)
+    ok = np.empty(len(X), dtype=bool)
+    for start in range(0, len(X), core.BLOCK_ROWS):
+        rows = slice(start, start + core.BLOCK_ROWS)
+        d = _dists(X[rows], p.centers, p.norm)
+        near = d.argmin(axis=1)  # argmin takes the lowest index on ties
+        nearest[rows] = near
+        ok[rows] = d[np.arange(len(near)), near] <= p.radius + 1e-12
     lookup = {lab: i for i, lab in enumerate(p.labels)}
     li = np.array([lookup[lab] for lab in y], dtype=int)
     ids = li * p.centers.shape[0] + nearest

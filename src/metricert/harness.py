@@ -12,11 +12,11 @@ from .bounds import (
     BoundReport,
     RobustnessQuery,
     bound_value,
-    empirical_epsilon,
+    cell_stats,
     empirical_epsilon_triplet,
     epsilon_theoretical,
-    pseudo_robust_count,
 )
+from . import core
 from .core import (
     Dataset,
     KernelSpec,
@@ -27,7 +27,8 @@ from .core import (
     empirical_loss,
     empirical_triplet_loss,
     loss_bound_B,
-    metric_matrix,
+    metric_columns,
+    metric_rows,
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
 from .solver import SolverConfig, solve, solve_kernel, solve_triplet
@@ -213,12 +214,13 @@ def certify(
         sigma=sigma if family == "kernel-rbf" else 0.0,
     )
     eps_theo = epsilon_theoretical(q)
+    pseudo_eps = pseudo_eps_scale * eps_theo
     if is_triplet:
         ts = triplets if triplets is not None else build_triplets(ds)
         est = empirical_epsilon_triplet(model, part, ds, probe, ts)
         B = TRIPLET_G0 + 4.0 * ds.R**2 * TRIPLET_G0 / c
     else:
-        est = empirical_epsilon(model, ls, part, ds, probe)
+        est, p_hat = cell_stats(model, ls, part, ds, probe, pseudo_eps)
         bkind = {
             "bilinear": "bilinear",
             "kernel-rbf": "kernelized",
@@ -232,16 +234,12 @@ def certify(
     n = ds.n
     bq = BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="pair")
     bound_pair = bound_value(bq)
-    bound_triplet = None
+    bound_triplet = bound_pseudo = None
     if is_triplet:
         bound_triplet = bound_value(
             BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="triplet")
         )
-    pseudo_eps = pseudo_eps_scale * eps_theo
-    if is_triplet:
-        bound_pseudo = None
     else:
-        p_hat = pseudo_robust_count(model, ls, part, ds, probe, pseudo_eps)
         bound_pseudo = bound_value(
             BoundQuery(
                 epsilon=pseudo_eps, B=B, K=K_theo, n=n, delta=delta,
@@ -342,24 +340,34 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
 def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     """k-nearest-neighbor accuracy under the learned metric.
 
-    Bilinear similarities rank by largest value; neighbor ties go to the
-    lowest training index, vote ties to the smallest label in sort order.
+    Every family ranks neighbors by smallest f: training pushes f down for
+    same-label pairs, bilinear similarities included.  Neighbor ties go to
+    the lowest training index, vote ties to the smallest label in sort
+    order.  Test points go in row blocks, so memory is O(block * n).
     """
     if k < 1 or k > train.n:
         raise ValueError("k must satisfy 1 <= k <= train size")
     if test.n == 0:
         raise ValueError("empty test set")
-    F = metric_matrix(m, test.X, train.X)
-    if m.kind == "bilinear":
-        F = -F
-    order = np.argsort(F, axis=1, kind="stable")[:, :k]
     label_order = sorted(set(train.y), key=str)
+    lookup = {lab: i for i, lab in enumerate(label_order)}
+    train_lab = np.array([lookup[lab] for lab in train.y])
+    test_lab = np.array([lookup.get(lab, -1) for lab in test.y])
+    columns = metric_columns(m, train.X)
     correct = 0
-    for i in range(test.n):
-        votes = {}
-        for j in order[i]:
-            votes[train.y[j]] = votes.get(train.y[j], 0) + 1
-        top = max(votes.values())
-        winner = next(lab for lab in label_order if votes.get(lab, 0) == top)
-        correct += winner == test.y[i]
+    for start in range(0, test.n, core.BLOCK_ROWS):
+        rows = slice(start, start + core.BLOCK_ROWS)
+        F = metric_rows(m, test.X[rows], columns)
+        # the k smallest under a stable sort: every value below the k-th,
+        # then the lowest-index ties at the k-th value
+        kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
+        below = F < kth
+        ties = F == kth
+        need = k - below.sum(axis=1, keepdims=True)
+        chosen = below | (ties & (np.cumsum(ties, axis=1) <= need))
+        r, j = np.nonzero(chosen)
+        votes = np.bincount(
+            r * len(label_order) + train_lab[j], minlength=len(F) * len(label_order)
+        ).reshape(len(F), len(label_order))
+        correct += int((votes.argmax(axis=1) == test_lab[rows]).sum())
     return correct / test.n

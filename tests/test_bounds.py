@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from metricert import bounds, core
 from metricert.bounds import (
     BoundQuery,
     RobustnessQuery,
     bhc_simulate,
     bound_value,
+    cell_stats,
     empirical_epsilon,
     epsilon_theoretical,
     pseudo_robust_count,
@@ -174,23 +176,68 @@ class TestPseudoRobustCount:
     def test_midrange_matches_oracle(self):
         model, part, ds, probe = self._setup(seed=17)
         eps = 0.5 * empirical_epsilon(model, LS, part, ds, probe).value
-        ids_tr = assign_cells(part, ds.X, ds.y)
-        ids_pr = assign_cells(part, probe.X, probe.y)
-        count = 0
-        for i in range(ds.n):
-            for j in range(ds.n):
-                ok = True
-                lt = pair_loss(model, LS, ds[i], ds[j])
-                for a in range(probe.n):
-                    for b in range(probe.n):
-                        if ids_pr[a] < 0 or ids_pr[b] < 0:
-                            continue
-                        if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
-                            lp = pair_loss(model, LS, probe[a], probe[b])
-                            if abs(lt - lp) > eps + 1e-12:
-                                ok = False
-                count += ok
+        count = brute_force_count(model, part, ds, probe, eps)
         assert pseudo_robust_count(model, LS, part, ds, probe, eps) == count
+
+
+def brute_force_count(model, part, ds, probe, eps):
+    """Independent double-loop oracle for the pseudo-robust count."""
+    ids_tr = assign_cells(part, ds.X, ds.y)
+    ids_pr = assign_cells(part, probe.X, probe.y)
+    count = 0
+    for i in range(ds.n):
+        for j in range(ds.n):
+            ok = True
+            lt = pair_loss(model, LS, ds[i], ds[j])
+            for a in range(probe.n):
+                for b in range(probe.n):
+                    if ids_pr[a] < 0 or ids_pr[b] < 0:
+                        continue
+                    if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
+                        lp = pair_loss(model, LS, probe[a], probe[b])
+                        if abs(lt - lp) > eps + 1e-12:
+                            ok = False
+            count += ok
+    return count
+
+
+class TestCellStats:
+    def test_blocks_split_cells_match_oracles(self, monkeypatch):
+        # blocks of 2 rows against runs of several points per cell: runs
+        # straddle block boundaries in both the probe and the training pass
+        monkeypatch.setattr(core, "BLOCK_ROWS", 2)
+        rng = np.random.default_rng(19)
+        for trial in range(4):
+            n, m = 14, 11
+            Xtr = rng.uniform(-1, 1, size=(n, 2))
+            Xpr = np.vstack([rng.uniform(-1, 1, size=(m - 1, 2)), [[2.5, 0.0]]])
+            R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+            ds = make_ds(Xtr, rng.choice(["a", "b"], size=n), R=R)
+            probe = make_ds(Xpr, rng.choice(["a", "b"], size=m), R=R)
+            part = build_partition(ds, CoverConfig(gamma=1.6))  # the last probe is uncovered
+            ids = np.sort(assign_cells(part, probe.X, probe.y))
+            ids = ids[ids >= 0]
+            assert any(ids[i - 1] == ids[i] for i in range(2, len(ids), 2))
+            A = rng.standard_normal((2, 2))
+            model = (
+                MetricModel("bilinear", M=A)
+                if trial % 2
+                else MetricModel("mahalanobis", M=A @ A.T)
+            )
+            eps_oracle = brute_force_epsilon(model, part, ds, probe)
+            for scale in (0.0, 0.4, 1.0):
+                est, p_hat = cell_stats(model, LS, part, ds, probe, scale * eps_oracle)
+                assert est.value == pytest.approx(eps_oracle, abs=1e-12)
+                assert est.excluded_probes == int((assign_cells(part, probe.X, probe.y) < 0).sum())
+                assert p_hat == brute_force_count(model, part, ds, probe, scale * eps_oracle)
+
+    def test_no_covered_probe(self):
+        ds = make_ds([[0.0, 0.0], [0.1, 0.0]], "ab", R=5.0)
+        probe = make_ds([[3.0, 0.0]], "a", R=5.0)
+        part = build_partition(ds, CoverConfig(gamma=0.5))
+        model = MetricModel("mahalanobis", M=np.eye(2))
+        est, p_hat = cell_stats(model, LS, part, ds, probe, 0.0)
+        assert (est.value, est.excluded_probes, p_hat) == (0.0, 1, ds.n**2)
 
 
 class TestBoundValue:
@@ -247,6 +294,17 @@ class TestBhc:
             for n in (50, 100, 200, 400)
         ]
         assert all(b <= a + 0.01 for a, b in zip(tails, tails[1:]))
+
+    def test_chunks_match_one_draw(self, monkeypatch):
+        # 2500 trials in chunks of 1000: the last chunk is partial
+        monkeypatch.setattr(bounds, "_BHC_CHUNK", 1000)
+        mu = np.full(5, 0.2)
+        res = bhc_simulate(5, mu, 40, 0.35, trials=2500, seed=4)
+        counts = np.random.default_rng(4).multinomial(40, mu, size=2500)
+        tail = float((np.abs(counts / 40 - mu[None, :]).sum(axis=1) >= 0.35).mean())
+        assert 0.0 < tail < 1.0
+        assert res.empirical_tail == tail
+        assert res.std_error == math.sqrt(tail * (1.0 - tail) / 2500)
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from metricert import core
 from metricert.core import Dataset, LabeledExample
 from metricert.cover import (
     CoverConfig,
@@ -92,6 +93,53 @@ class TestGreedyCover:
             big = len(greedy_cover(pts, 0.5))
             small = len(greedy_cover(pts, 0.25))
             assert small >= big
+
+
+def point_by_point_cover(points, radius, norm):
+    """The greedy sweep one point at a time, with the library's distance
+    formula: the reference the blocked sweep must reproduce exactly."""
+    centers = [points[0]]
+    for p in points[1:]:
+        diff = p[None, :] - np.asarray(centers)
+        d = np.abs(diff).sum(axis=1) if norm == "l1" else np.sqrt((diff * diff).sum(axis=1))
+        if d.min() > radius:
+            centers.append(p)
+    return np.asarray(centers)
+
+
+class TestBlockedCover:
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_grid_points_at_the_radius(self, monkeypatch, norm):
+        # integer grid at radius 1: many points lie exactly at the radius,
+        # and 61 points split into blocks of 7 leave a partial block
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(9)
+        pts = rng.integers(-3, 4, size=(61, 2)).astype(float)
+        got = greedy_cover(pts, 1.0, norm)
+        assert np.array_equal(got, point_by_point_cover(pts, 1.0, norm))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_random_points_many_blocks(self, monkeypatch, norm):
+        rng = np.random.default_rng(10)
+        for block in (1, 5, 16):
+            monkeypatch.setattr(core, "BLOCK_ROWS", block)
+            for d in (1, 3, 10):
+                pts = rng.uniform(-1, 1, size=(83, d))
+                radius = float(rng.uniform(0.2, 0.8)) * np.sqrt(d)
+                got = greedy_cover(pts, radius, norm)
+                assert np.array_equal(got, point_by_point_cover(pts, radius, norm))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_assign_cells_blocks_match_one_block(self, monkeypatch, norm):
+        rng = np.random.default_rng(11)
+        ds = make_ds(rng.uniform(-1, 1, size=(50, 3)), rng.choice(["a", "b"], size=50))
+        p = build_partition(ds, CoverConfig(gamma=0.9, norm=norm))
+        X = rng.uniform(-1.2, 1.2, size=(45, 3))  # some outside the cover
+        y = list(rng.choice(["a", "b"], size=45))
+        whole = assign_cells(p, X, y)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+        assert np.array_equal(assign_cells(p, X, y), whole)
+        assert (whole < 0).any() and (whole >= 0).any()
 
 
 class TestCoveringNumberBound:

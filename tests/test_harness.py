@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from metricert.core import Dataset, LossSpec, MetricModel, build_pairs
+from metricert import core
+from metricert.core import Dataset, LossSpec, MetricModel, build_pairs, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
     ExperimentConfig,
@@ -198,6 +199,60 @@ class TestKnnEval:
             )
         assert min(wins) >= 0.0
         assert np.mean(wins) > 0.0
+
+    def test_blocks_match_stable_argsort_oracle(self, monkeypatch):
+        # integer grid under the identity metric: squared distances are
+        # exact integers, so many training points tie at the k-th distance
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+        rng = np.random.default_rng(12)
+        labels = ["a", "b", "c"]
+        train = Dataset(
+            rng.integers(-2, 3, size=(40, 2)).astype(float),
+            list(rng.choice(labels, size=40)), R=3.0,
+        )
+        test = Dataset(
+            rng.integers(-2, 3, size=(23, 2)).astype(float),
+            list(rng.choice(labels, size=23)), R=3.0,
+        )
+        m = MetricModel("mahalanobis", M=np.eye(2))
+        F = metric_matrix(m, test.X, train.X)
+        for k in (1, 2, 3, 5, 8, 40):
+            order = np.argsort(F, axis=1, kind="stable")[:, :k]
+            if k < train.n:  # ties straddle the k-th neighbour somewhere
+                srt = np.sort(F, axis=1)
+                assert (srt[:, k - 1] == srt[:, k]).any()
+            correct = 0
+            for i in range(test.n):
+                votes = {}
+                for j in order[i]:
+                    votes[train.y[j]] = votes.get(train.y[j], 0) + 1
+                top = max(votes.values())
+                winner = next(lab for lab in sorted(votes) if votes[lab] == top)
+                correct += winner == test.y[i]
+            assert knn_eval(m, train, test, k) == correct / test.n
+
+    def test_bilinear_ranks_by_smallest_similarity(self):
+        # the two-class mixture of the benchmark: balanced classes at
+        # +/- 0.5 e_1 with scale 0.3, resampled into the unit ball
+        from metricert.solver import solve
+
+        def mixture(rng, n):
+            lab = rng.permutation(n) % 2
+            means = np.array([[0.5, 0.0], [-0.5, 0.0]])
+            X = means[lab] + 0.3 * rng.standard_normal((n, 2))
+            out = np.linalg.norm(X, axis=1) > 1.0
+            while out.any():
+                X[out] = means[lab[out]] + 0.3 * rng.standard_normal((int(out.sum()), 2))
+                out = np.linalg.norm(X, axis=1) > 1.0
+            return Dataset(X, [f"c{v}" for v in lab], R=1.0)
+
+        rng = np.random.default_rng(1)
+        train, test = mixture(rng, 300), mixture(rng, 300)
+        m = solve(
+            train, build_pairs(train), LS, "fro", SolverConfig(c=0.1, max_iters=300),
+            kind="bilinear",
+        )
+        assert knn_eval(m, train, test, 3) >= 0.8
 
     def test_bad_k(self):
         ds = gen_synthetic(SyntheticSpec(n=5, seed=1))

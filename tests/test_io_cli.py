@@ -137,6 +137,34 @@ class TestCli:
         assert obj["epsilon_empirical"] <= obj["epsilon_theoretical"] + 1e-12
         assert obj["bound_pair"] > 0
 
+    def test_audit_reads_each_csv_once(self, tmp_path, monkeypatch):
+        # the probe has the larger radius, so both datasets take its R
+        from metricert import io
+        from metricert.harness import certify
+
+        data = self._gen(tmp_path, n=30, seed=1)
+        probe = tmp_path / "probe.csv"
+        ds_probe = Dataset(
+            np.array([[1.2, 0.0], [0.0, -0.4], [0.3, 0.3]]), ["c0", "c1", "c0"], R=1.2
+        )
+        dataset_to_csv(ds_probe, probe)
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--out", str(model), "--c", "0.5",
+                     "--iters", "30"]) == 0
+        reads = []
+        real = io.dataset_from_csv
+        monkeypatch.setattr(io, "dataset_from_csv", lambda p, R=None: reads.append(p) or real(p, R))
+        report = tmp_path / "report.json"
+        assert main(["audit", "--model", str(model), "--data", str(data), "--probe", str(probe),
+                     "--out", str(report), "--c", "0.5", "--gamma", "0.5"]) == 0
+        assert reads == [str(data), str(probe)]
+        R = max(real(data).R, 1.2)
+        expected = certify(
+            load_model(model), real(data, R=R), real(probe, R=R), "fro",
+            CoverConfig(gamma=0.5), c=0.5, delta=0.05,
+        )
+        assert report.read_text() == dumps(expected.to_json_dict())
+
     def test_train_triplet_family(self, tmp_path):
         data = self._gen(tmp_path, n=12)
         model = tmp_path / "t.json"
