@@ -233,45 +233,73 @@ def pseudo_robust_count(
     return cell_stats(m, ls, p, ds, probe, epsilon)[1]
 
 
+def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray) -> dict:
+    """Min and max of the triplet hinge over each cell triple, without
+    enumerating the triplets.
+
+    Returns {anchor cell: (same-label cells, other-label cells, lo, hi)}
+    with lo/hi indexed [same, other] over the occupied cells.  For one
+    anchor i, the hinge max(0, fl(1 - F_ik) + F_ij) is monotone in F_ij and
+    in fl(1 - F_ik), and fl(1 - x) is monotone in x, so its minimum over
+    j in cell b and k in cell c is the hinge of fl(1 - max_c F_ik) and
+    min_b F_ij (likewise for the maximum), bit for bit.
+    """
+    F = metric_matrix(m, X)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    F = F[np.ix_(order, order)]
+    cells, starts = np.unique(ids, return_index=True)
+    fmin = np.minimum.reduceat(F, starts, axis=1)
+    fmax = np.maximum.reduceat(F, starts, axis=1)
+    labels = cells // p.centers.shape[0]
+    out = {}
+    for a, rows in enumerate(np.split(np.arange(len(ids)), starts[1:])):
+        same, other = labels == labels[a], labels != labels[a]
+        if not other.any():
+            continue
+        lo = (1.0 - fmax[rows][:, None, other]) + fmin[rows][:, same, None]
+        hi = (1.0 - fmin[rows][:, None, other]) + fmax[rows][:, same, None]
+        out[cells[a]] = (
+            cells[same],
+            cells[other],
+            np.maximum(0.0, lo).min(axis=0),
+            np.maximum(0.0, hi).max(axis=0),
+        )
+    return out
+
+
 def empirical_epsilon_triplet(
     m: MetricModel,
     p: Partition,
     ds: Dataset,
     probe: Dataset,
-    triplets,
 ) -> EpsilonEstimate:
     """Triplet analogue of empirical_epsilon over the admissible training
-    triplets and cell-matched admissible probe triplets."""
+    triplets and cell-matched admissible probe triplets.
+
+    The triplets come from the labels; each side reduces to per-cell-triple
+    extrema, so time is O(n^2 + n C^2) for C occupied cells, not O(n^3).
+    """
     ids_tr = assign_cells(p, ds.X, ds.y)
     if (ids_tr < 0).any():
         raise ValueError("training points outside the cover")
     ids_pr = assign_cells(p, probe.X, probe.y)
-    keep = np.flatnonzero(ids_pr >= 0)
-    excluded = int(len(ids_pr) - len(keep))
-
-    def grouped(X, y, ids, trips):
-        F = metric_matrix(m, X)
-        out = {}
-        for i, j, k in trips:
-            loss = max(0.0, 1.0 - F[i, k] + F[i, j])
-            key = (ids[i], ids[j], ids[k])
-            lo, hi = out.get(key, (np.inf, -np.inf))
-            out[key] = (min(lo, loss), max(hi, loss))
-        return out
-
-    from .core import build_triplets  # local import avoids cycle at module load
-
-    tr = grouped(ds.X, ds.y, ids_tr, triplets.triplets)
-    if len(keep) == 0:
+    keep = ids_pr >= 0
+    excluded = int((~keep).sum())
+    if not keep.any():
         return EpsilonEstimate(0.0, excluded)
-    sub_y = [probe.y[i] for i in keep]
-    sub = Dataset(probe.X[keep], sub_y, probe.R, probe.labels)
-    pr = grouped(sub.X, sub.y, ids_pr[keep], build_triplets(sub).triplets)
+    tr = _triplet_cell_extrema(m, p, ds.X, ids_tr)
+    pr = _triplet_cell_extrema(m, p, probe.X[keep], ids_pr[keep])
     dev = 0.0
-    for key, (lo_t, hi_t) in tr.items():
-        if key in pr:
-            lo_p, hi_p = pr[key]
-            dev = max(dev, hi_t - lo_p, hi_p - lo_t)
+    for a, (same_t, other_t, lo_t, hi_t) in tr.items():
+        if a not in pr:
+            continue
+        same_p, other_p, lo_p, hi_p = pr[a]
+        _, bt, bp = np.intersect1d(same_t, same_p, return_indices=True)
+        _, ct, cp = np.intersect1d(other_t, other_p, return_indices=True)
+        if len(bt) and len(ct):
+            t, q = np.ix_(bt, ct), np.ix_(bp, cp)
+            dev = max(dev, float((hi_t[t] - lo_p[q]).max()), float((hi_p[q] - lo_t[t]).max()))
     return EpsilonEstimate(float(max(dev, 0.0)), excluded)
 
 

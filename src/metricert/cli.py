@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io
 from .bounds import BoundQuery, bhc_simulate, bound_value
-from .core import Dataset, LossSpec, build_pairs, build_triplets
+from .core import Dataset, LossSpec, build_pairs
 from .cover import CoverConfig
 from .harness import (
     ExperimentConfig,
@@ -139,7 +139,7 @@ def _train_model(ds, family, cfg, sigma):
         return solve(ds, ps, ls, "fro", cfg, kind="bilinear")
     if family == "kernel-rbf":
         return solve_kernel(ds, ps, ls, KernelSpec("rbf", sigma), cfg)
-    return solve_triplet(ds, build_triplets(ds), family.split("-")[1], cfg)
+    return solve_triplet(ds, family.split("-")[1], cfg)
 
 
 def _cmd_train(args) -> int:

@@ -158,6 +158,10 @@ class LossSpec:
         return np.maximum(0.0, self.margin - np.asarray(t, dtype=float))
 
 
+# zero-matrix triplet hinge loss: 1 - 0 + 0 on every admissible triplet
+TRIPLET_G0 = 1.0
+
+
 def hinge(t):
     return np.maximum(0.0, 1.0 - np.asarray(t, dtype=float))
 
@@ -300,14 +304,54 @@ def empirical_loss(m: MetricModel, ds: Dataset, ps: PairSet, ls: LossSpec) -> fl
     return float(L[idx[:, 0], idx[:, 1]].mean())
 
 
-def empirical_triplet_loss(m: MetricModel, ds: Dataset, ts: TripletSet) -> float:
-    """Mean triplet hinge loss over the admissible triplet sample."""
-    if not ts.triplets:
+def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Mean triplet hinge over every admissible (i, j, k) of an n x n metric
+    matrix F, without enumerating the triplets.
+
+    `labels` holds one label index per point.  For an anchor i, let
+    A_k = fl(1 - F_ik) over the other-label k and B_j = F_ij over the
+    same-label j (j = i included).  Triplet (i, j, k) is active when
+    A_k + B_j rounds above 0, which holds exactly when A_k > -B_j.  One
+    stable sort of the row [A, -B] (ties keep A first, so equality counts
+    as inactive) gives the integer counts Wp[i, j] = #active k and
+    Wn[i, k] = #active j; they equal the enumeration exactly.  Returns
+    (loss, Wp, Wn, nt) with nt the number of admissible triplets and loss
+    (sum Wn * (1 - F) + sum Wp * F) / nt.  Memory is O(n^2).
+    """
+    n = len(labels)
+    Wp = np.zeros((n, n))
+    Wn = np.zeros((n, n))
+    total, nt = 0.0, 0
+    for a in np.unique(labels):
+        same = np.flatnonzero(labels == a)
+        other = np.flatnonzero(labels != a)
+        if len(other) == 0:
+            continue
+        rows = F[same]
+        A = 1.0 - rows[:, other]
+        B = rows[:, same]
+        order = np.argsort(np.concatenate([A, -B], axis=1), axis=1, kind="stable")
+        is_b = order >= len(other)
+        # at a sorted A entry, the -F_ij values before it (active j); at a
+        # -F_ij value, the A entries after it (active k)
+        b_upto = np.cumsum(is_b, axis=1)
+        a_upto = np.arange(1, order.shape[1] + 1) - b_upto
+        sorted_counts = np.where(is_b, len(other) - a_upto, b_upto)
+        counts = np.empty_like(sorted_counts)
+        np.put_along_axis(counts, order, sorted_counts, axis=1)
+        cn, cp = counts[:, : len(other)], counts[:, len(other) :]
+        Wn[np.ix_(same, other)] = cn
+        Wp[np.ix_(same, same)] = cp
+        total += float((cn * A).sum() + (cp * B).sum())
+        nt += len(same) ** 2 * len(other)
+    if nt == 0:
         raise ValueError("empty triplet set (fewer than two labels?)")
-    F = metric_matrix(m, ds.X)
-    t = np.asarray(ts.triplets)
-    args = 1.0 - F[t[:, 0], t[:, 2]] + F[t[:, 0], t[:, 1]]
-    return float(np.maximum(0.0, args).mean())
+    return total / nt, Wp, Wn, nt
+
+
+def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
+    """Mean triplet hinge loss over all admissible triplets of the sample."""
+    return triplet_hinge(metric_matrix(m, ds.X), ds.label_indices())[0]
 
 
 def loss_bound_B(ls: LossSpec, R: float, c: float, kind: str = "mahalanobis") -> float:

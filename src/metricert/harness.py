@@ -22,8 +22,8 @@ from .core import (
     KernelSpec,
     LossSpec,
     MetricModel,
+    TRIPLET_G0,
     build_pairs,
-    build_triplets,
     empirical_loss,
     empirical_triplet_loss,
     loss_bound_B,
@@ -32,8 +32,6 @@ from .core import (
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
 from .solver import SolverConfig, solve, solve_kernel, solve_triplet
-
-TRIPLET_G0 = 1.0  # zero-matrix triplet hinge loss
 
 
 @dataclass(frozen=True)
@@ -179,14 +177,13 @@ class ExperimentConfig:
 def _solve_family(ds: Dataset, family: str, ls: LossSpec, cfg: SolverConfig, sigma: float):
     ps = build_pairs(ds)
     if family in ("fro", "l1", "l21"):
-        return solve(ds, ps, ls, family, cfg), ps, None
+        return solve(ds, ps, ls, family, cfg), ps
     if family == "bilinear":
-        return solve(ds, ps, ls, "fro", cfg, kind="bilinear"), ps, None
+        return solve(ds, ps, ls, "fro", cfg, kind="bilinear"), ps
     if family == "kernel-rbf":
-        return solve_kernel(ds, ps, ls, KernelSpec("rbf", sigma), cfg), ps, None
+        return solve_kernel(ds, ps, ls, KernelSpec("rbf", sigma), cfg), ps
     if family in ("triplet-fro", "triplet-l21"):
-        ts = build_triplets(ds)
-        return solve_triplet(ds, ts, family.split("-")[1], cfg), ps, ts
+        return solve_triplet(ds, family.split("-")[1], cfg), ps
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -202,7 +199,6 @@ def certify(
     seed: int = 0,
     gap: float | None = None,
     pseudo_eps_scale: float = 0.5,
-    triplets=None,
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities."""
     is_triplet = family.startswith("triplet")
@@ -216,8 +212,7 @@ def certify(
     eps_theo = epsilon_theoretical(q)
     pseudo_eps = pseudo_eps_scale * eps_theo
     if is_triplet:
-        ts = triplets if triplets is not None else build_triplets(ds)
-        est = empirical_epsilon_triplet(model, part, ds, probe, ts)
+        est = empirical_epsilon_triplet(model, part, ds, probe)
         B = TRIPLET_G0 + 4.0 * ds.R**2 * TRIPLET_G0 / c
     else:
         est, p_hat = cell_stats(model, ls, part, ds, probe, pseudo_eps)
@@ -276,11 +271,11 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     ls = LossSpec()
     scfg = replace(cfg.solver, seed=rep_seed)
     sigma = 1.0
-    model, ps, ts = _solve_family(ds, cfg.family, ls, scfg, sigma)
+    model, ps = _solve_family(ds, cfg.family, ls, scfg, sigma)
     probe_spec = replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000)
     probe = gen_synthetic(probe_spec)
     if cfg.family.startswith("triplet"):
-        l_emp = empirical_triplet_loss(model, ds, ts)
+        l_emp = empirical_triplet_loss(model, ds)
         true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
     else:
         l_emp = empirical_loss(model, ds, ps, ls)
@@ -290,7 +285,6 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
         model, ds, probe, cfg.family, cfg.cover, cfg.solver.c, cfg.delta,
         sigma=sigma, seed=rep_seed, gap=gap,
         pseudo_eps_scale=cfg.pseudo_eps_scale,
-        triplets=ts,
     )
     report.extra["empirical_loss"] = l_emp
     report.extra["true_loss_estimate"] = true_est

@@ -3,7 +3,9 @@
 Minimizes c*||M|| + mean hinge loss over the pair (or triplet) sample,
 with M constrained to the PSD cone for distance metrics.  Each iteration
 takes a subgradient step on the loss, applies the prox of the chosen norm,
-then projects onto the PSD cone.  The best iterate by objective is kept and
+then projects onto the PSD cone.  Each iterate is evaluated once, into
+buffers allocated once per solve: the same evaluation gives its loss and
+the subgradient of the next step.  The best iterate by objective is kept and
 the zero matrix is always a fallback, which guarantees the capacity bound
 ||M*|| <= g0/c used by the robustness constants.
 """
@@ -19,12 +21,11 @@ from .core import (
     KernelSpec,
     LossSpec,
     MetricModel,
+    TRIPLET_G0,
     PairSet,
-    TripletSet,
     empirical_loss,
-    empirical_triplet_loss,
     kernel_gram,
-    metric_matrix,
+    triplet_hinge,
 )
 
 REGULARIZERS = ("fro", "l1", "l21")
@@ -117,79 +118,127 @@ def prox(M: np.ndarray, tau: float, reg: str) -> np.ndarray:
     raise ValueError(f"unknown regularizer {reg!r}")
 
 
-def _pair_weights(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # active pairs: hinge argument y*(1-f) strictly below the margin;
-    # the kink itself contributes the 0-side subgradient
-    active = Y * (1.0 - F) < 1.0
-    return Y * active / F.shape[0] ** 2
+def _sq_dist_into(X: np.ndarray, M: np.ndarray, XM: np.ndarray, F: np.ndarray, G: np.ndarray):
+    # F = q_i + q_j - G_ij - G_ji with G = X M X^T and q = diag(G); XM and G
+    # are scratch buffers
+    np.matmul(np.matmul(X, M, out=XM), X.T, out=G)
+    q = G.diagonal().copy()
+    np.add(q[:, None], q[None, :], out=F)
+    np.subtract(F, G, out=F)
+    np.subtract(F, G.T, out=F)
 
 
-def _laplacian_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T
+def _laplacian_form(X: np.ndarray, W: np.ndarray, L: np.ndarray, XtL: np.ndarray, out: np.ndarray):
+    # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T = X^T (diag(r + c) - W - W^T) X,
+    # with the n x n middle factor built in the buffer L
     r = W.sum(axis=1)
     c = W.sum(axis=0)
-    return X.T @ (np.diag(r + c) - W - W.T) @ X
+    L.fill(0.0)
+    np.fill_diagonal(L, r + c)
+    np.subtract(L, W, out=L)
+    np.subtract(L, W.T, out=L)
+    return np.matmul(np.matmul(X.T, L, out=XtL), X, out=out)
+
+
+def _pair_eval(X: np.ndarray, Y: np.ndarray, kind: str):
+    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean hinge
+    over all n^2 ordered pairs, with labels Y_ij = +1 (same) / -1.
+
+    Every n x n intermediate goes into buffers allocated here, once per
+    solve, so an iteration allocates nothing of size n x n.  The returned
+    subgradient is one of those buffers: it is valid until the next call.
+    """
+    n, d = X.shape
+    XM, XtL, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
+    F, T = np.empty((n, n)), np.empty((n, n))
+    active = np.empty((n, n), dtype=bool)
+
+    def eval_fn(M):
+        if kind == "bilinear":
+            np.matmul(np.matmul(X, M, out=XM), X.T, out=F)
+        else:
+            _sq_dist_into(X, M, XM, F, T)
+        # hinge argument y(1 - f); active pairs sit strictly below the
+        # margin, the kink itself contributes the 0-side subgradient
+        np.subtract(1.0, F, out=T)
+        np.multiply(Y, T, out=T)
+        np.less(T, 1.0, out=active)
+        np.subtract(1.0, T, out=F)
+        loss = float(np.maximum(0.0, F, out=F).mean())
+        W = np.multiply(Y, active, out=F)
+        np.divide(W, n * n, out=W)
+        if kind == "bilinear":
+            np.matmul(np.matmul(X.T, W, out=XtL), X, out=grad)
+        else:
+            _laplacian_form(X, W, T, XtL, grad)
+        return loss, grad, np.count_nonzero(active) / (n * n)
+
+    return eval_fn
+
+
+def _triplet_eval(X: np.ndarray, labels: np.ndarray):
+    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean
+    triplet hinge over every admissible triplet, from the exact sorted
+    active-set counts of core.triplet_hinge; memory is O(n^2)."""
+    n, d = X.shape
+    XM, XtL, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
+    F, G = np.empty((n, n)), np.empty((n, n))
+
+    def eval_fn(M):
+        _sq_dist_into(X, M, XM, F, G)
+        loss, Wp, Wn, nt = triplet_hinge(F, labels)
+        active = Wp.sum() / nt
+        W = np.subtract(Wp, Wn, out=Wp)
+        np.divide(W, nt, out=W)
+        _laplacian_form(X, W, G, XtL, grad)
+        return loss, grad, float(active)
+
+    return eval_fn
+
+
+def _pair_signs(ds: Dataset) -> np.ndarray:
+    li = ds.label_indices()
+    return np.where(li[:, None] == li[None, :], 1.0, -1.0)
 
 
 def loss_subgradient(m: MetricModel, ds: Dataset, ps: PairSet, ls: LossSpec) -> np.ndarray:
-    """Subgradient of the mean hinge pair loss with respect to M."""
-    li = ds.label_indices()
-    Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
-    F = metric_matrix(m, ds.X)
-    W = _pair_weights(F, Y)
-    if m.kind == "bilinear":
-        return ds.X.T @ W @ ds.X
-    return _laplacian_form(ds.X, W)
+    """Subgradient of the mean hinge pair loss with respect to M, from the
+    solver's own pair evaluation."""
+    if m.kind not in ("mahalanobis", "bilinear"):
+        raise ValueError(f"loss_subgradient handles mahalanobis/bilinear, got {m.kind!r}")
+    return _pair_eval(ds.X, _pair_signs(ds), m.kind)(m.M)[1]
 
 
-def _subgrad_pair(X: np.ndarray, Y: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "bilinear":
-        F = X @ M @ X.T
-        return X.T @ _pair_weights(F, Y) @ X
-    G = X @ M @ X.T
-    q = np.diag(G)
-    F = q[:, None] + q[None, :] - G - G.T
-    return _laplacian_form(X, _pair_weights(F, Y))
+def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[np.ndarray, dict]:
+    """Shared proximal subgradient loop; starts at M = 0.
 
-
-def _pair_losses(X: np.ndarray, Y: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "bilinear":
-        F = X @ M @ X.T
-    else:
-        G = X @ M @ X.T
-        q = np.diag(G)
-        F = q[:, None] + q[None, :] - G - G.T
-    return np.maximum(0.0, 1.0 - Y * (1.0 - F))
-
-
-def _iterate(
-    X: np.ndarray,
-    loss_fn,
-    grad_fn,
-    reg: str,
-    cfg: SolverConfig,
-    psd: bool,
-) -> tuple[np.ndarray, dict]:
-    """Shared proximal subgradient loop; starts at M = 0."""
-    d = X.shape[1]
+    eval_fn(M) returns (loss, subgradient, active fraction) at M, so each
+    iterate is evaluated once: its loss scores it and its subgradient takes
+    the next step.  info["active_fraction"][t] belongs to the iterate
+    scored by info["best_history"][t] (t = 0 is M = 0).
+    """
     M = np.zeros((d, d))
     best = np.zeros((d, d))
-    best_obj = cfg.c * 0.0 + loss_fn(M)
+    loss, grad, active = eval_fn(M)
+    best_obj = cfg.c * 0.0 + loss
     history = [best_obj]
+    fractions = [active]
     prev_obj = best_obj
     for t in range(1, cfg.max_iters + 1):
         step = cfg.step0 / np.sqrt(t)
-        M = M - step * grad_fn(M)
+        M = M - step * grad
         M = prox(M, step * cfg.c, reg)
         if psd:
             M = psd_project(M)
         if not np.all(np.isfinite(M)):
             raise ArithmeticError(f"non-finite iterate at iteration {t}")
-        obj = cfg.c * reg_norm(M, reg) + loss_fn(M)
+        loss, grad, active = eval_fn(M)
+        obj = cfg.c * reg_norm(M, reg) + loss
         if obj < best_obj:
             best_obj = obj
             best = M.copy()
         history.append(best_obj)
+        fractions.append(active)
         if cfg.tol > 0 and abs(obj - prev_obj) <= cfg.tol * max(1.0, abs(prev_obj)):
             break
         prev_obj = obj
@@ -197,6 +246,7 @@ def _iterate(
         "objective": best_obj,
         "best_history": history,
         "iterations": len(history) - 1,
+        "active_fraction": fractions,
     }
     return best, info
 
@@ -212,56 +262,28 @@ def solve(
     """Minimize the pair objective; returns the best iterate (or M = 0).
 
     The returned model always satisfies objective <= loss at the zero
-    matrix <= g0, hence ||M*||_reg <= g0/c.
+    matrix <= g0, hence ||M*||_reg <= g0/c; info["capacity_ratio"] is
+    c * ||M*||_reg / g0.
     """
     if reg not in REGULARIZERS:
         raise ValueError(f"unknown regularizer {reg!r}")
     if kind not in ("mahalanobis", "bilinear"):
         raise ValueError(f"solve handles mahalanobis/bilinear, got {kind!r}")
-    X = ds.X
-    li = ds.label_indices()
-    Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
-    loss_fn = lambda M: float(_pair_losses(X, Y, M, kind).mean())
-    grad_fn = lambda M: _subgrad_pair(X, Y, M, kind)
-    best, info = _iterate(X, loss_fn, grad_fn, reg, cfg, psd=(kind == "mahalanobis"))
+    eval_fn = _pair_eval(ds.X, _pair_signs(ds), kind)
+    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"))
+    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / ls.g0
     return MetricModel(kind=kind, M=best, regularizer=reg, info=info)
 
 
-def solve_triplet(
-    ds: Dataset,
-    ts: TripletSet,
-    reg: str,
-    cfg: SolverConfig,
-) -> MetricModel:
-    """Triplet variant: mean hinge over admissible triplets, regs fro/l21."""
+def solve_triplet(ds: Dataset, reg: str, cfg: SolverConfig) -> MetricModel:
+    """Triplet variant: mean hinge over the admissible triplets of the
+    labels (y_i == y_j != y_k), regs fro/l21; single-label data is
+    rejected."""
     if reg not in ("fro", "l21"):
         raise ValueError("triplet solver supports regularizers 'fro' and 'l21'")
-    if not ts.triplets:
-        raise ValueError("degenerate input: empty triplet set")
-    X = ds.X
-    t = np.asarray(ts.triplets)
-    i, j, k = t[:, 0], t[:, 1], t[:, 2]
-    nt = len(t)
-
-    def f_pairs(M):
-        G = X @ M @ X.T
-        q = np.diag(G)
-        F = q[:, None] + q[None, :] - G - G.T
-        return 1.0 - F[i, k] + F[i, j]
-
-    def loss_fn(M):
-        return float(np.maximum(0.0, f_pairs(M)).mean())
-
-    def grad_fn(M):
-        active = f_pairs(M) > 0.0
-        n = X.shape[0]
-        Wp = np.zeros((n, n))
-        Wn = np.zeros((n, n))
-        np.add.at(Wp, (i[active], j[active]), 1.0 / nt)
-        np.add.at(Wn, (i[active], k[active]), 1.0 / nt)
-        return _laplacian_form(X, Wp) - _laplacian_form(X, Wn)
-
-    best, info = _iterate(X, loss_fn, grad_fn, reg, cfg, psd=True)
+    eval_fn = _triplet_eval(ds.X, ds.label_indices())
+    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=True)
+    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / TRIPLET_G0
     return MetricModel(kind="mahalanobis", M=best, regularizer=reg, info=info)
 
 
@@ -291,17 +313,14 @@ def solve_kernel(
     if w.min() < -1e-8 * max(1.0, w.max()):
         raise ValueError(f"Gram matrix not PSD: min eigenvalue {w.min():.3g}")
     S = _sym_sqrt(K)
-    li = ds.label_indices()
-    Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
-    loss_fn = lambda H: float(_pair_losses(S, Y, H, "mahalanobis").mean())
-    grad_fn = lambda H: _subgrad_pair(S, Y, H, "mahalanobis")
-    H, info = _iterate(S, loss_fn, grad_fn, "fro", cfg, psd=True)
+    H, info = _iterate(ds.n, _pair_eval(S, _pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True)
     Sp = np.linalg.pinv(S, rcond=1e-10)
     A = Sp @ H @ Sp
     A = (A + A.T) / 2.0
     # pinv round trip can leave eigenvalues a hair below zero
     A = psd_project(A)
     info["feature_norm"] = float(np.linalg.norm(S @ A @ S, "fro"))
+    info["capacity_ratio"] = cfg.c * info["feature_norm"] / ls.g0
     return MetricModel(
         kind="kernelized", A=A, kernel=ks, anchors=ds, regularizer="fro", info=info
     )

@@ -104,10 +104,10 @@ def test_criterion_02_robustness_soundness():
             ds = _random_dataset(rng, n, d)
             probe = _random_dataset(rng, 20, d)
             cfg = SolverConfig(c=c, max_iters=40, seed=i)
-            model, _ps, ts = _solve_family(ds, family, LS, cfg, sigma=1.0)
+            model, _ps = _solve_family(ds, family, LS, cfg, sigma=1.0)
             rep = certify(
                 model, ds, probe, family, CoverConfig(gamma=gamma),
-                c=c, delta=0.05, sigma=1.0, triplets=ts,
+                c=c, delta=0.05, sigma=1.0,
             )
             if rep.epsilon_empirical > rep.epsilon_theoretical + 1e-12:
                 violations += 1

@@ -12,6 +12,7 @@ from metricert.bounds import (
     bound_value,
     cell_stats,
     empirical_epsilon,
+    empirical_epsilon_triplet,
     epsilon_theoretical,
     pseudo_robust_count,
     rbf_fH,
@@ -21,6 +22,8 @@ from metricert.core import (
     LossSpec,
     MetricModel,
     build_pairs,
+    build_triplets,
+    metric_matrix,
     pair_loss,
 )
 from metricert.cover import CoverConfig, assign_cells, build_partition
@@ -238,6 +241,86 @@ class TestCellStats:
         model = MetricModel("mahalanobis", M=np.eye(2))
         est, p_hat = cell_stats(model, LS, part, ds, probe, 0.0)
         assert (est.value, est.excluded_probes, p_hat) == (0.0, 1, ds.n**2)
+
+
+def dict_loop_epsilon_triplet(m, part, ds, probe):
+    """Oracle: per-cell-triple extrema of every enumerated admissible
+    triplet, kept in a dict, then the largest deviation over shared keys."""
+    ids_tr = assign_cells(part, ds.X, ds.y)
+    ids_pr = assign_cells(part, probe.X, probe.y)
+    keep = np.flatnonzero(ids_pr >= 0)
+
+    def grouped(sub, ids):
+        F = metric_matrix(m, sub.X)
+        out = {}
+        for i, j, k in build_triplets(sub).triplets:
+            loss = max(0.0, 1.0 - F[i, k] + F[i, j])
+            key = (ids[i], ids[j], ids[k])
+            lo, hi = out.get(key, (np.inf, -np.inf))
+            out[key] = (min(lo, loss), max(hi, loss))
+        return out
+
+    tr = grouped(ds, ids_tr)
+    if len(keep) == 0:
+        return 0.0, len(ids_pr)
+    sub = Dataset(probe.X[keep], [probe.y[i] for i in keep], probe.R, probe.labels)
+    pr = grouped(sub, ids_pr[keep])
+    dev = 0.0
+    for key, (lo_t, hi_t) in tr.items():
+        if key in pr:
+            lo_p, hi_p = pr[key]
+            dev = max(dev, hi_t - lo_p, hi_p - lo_t)
+    return float(max(dev, 0.0)), len(ids_pr) - len(keep)
+
+
+class TestEmpiricalEpsilonTriplet:
+    def test_matches_dict_loop_oracle_exactly(self):
+        rng = np.random.default_rng(21)
+        for trial in range(8):
+            labels = ["a", "b", "c"][: 2 + trial % 2]
+            n, m = int(rng.integers(6, 16)), int(rng.integers(12, 20))
+            Xtr = rng.uniform(-1, 1, size=(n, 2))
+            # the last probe point lies outside the cover and is excluded
+            Xpr = np.vstack([rng.uniform(-0.6, 0.6, size=(m - 1, 2)), [[2.5, 0.0]]])
+            R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+            ds = make_ds(Xtr, labels + list(rng.choice(labels, size=n - len(labels))), R=R)
+            probe = make_ds(Xpr, list(rng.choice(labels, size=m)), R=R)
+            covered = make_ds(Xpr[:-1], probe.y[:-1], R=R)
+            part = build_partition(ds, CoverConfig(gamma=1.0), probe=covered)
+            ids_tr = set(assign_cells(part, ds.X, ds.y))
+            ids_pr = set(assign_cells(part, probe.X, probe.y)) - {-1}
+            assert ids_tr - ids_pr  # some training cells have no probe point
+            A = rng.standard_normal((2, 2))
+            model = MetricModel("mahalanobis", M=A @ A.T)
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            value, excluded = dict_loop_epsilon_triplet(model, part, ds, probe)
+            assert est.value == value
+            assert est.excluded_probes == excluded == 1
+
+    def test_integer_grid_ties(self):
+        # integer points with M = I: equal losses inside cells and hinges at 0
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            X = rng.integers(-2, 3, size=(14, 2)) / 4.0
+            ds = make_ds(X, ["a", "b"] + list(rng.choice(["a", "b"], size=12)))
+            Xpr = rng.integers(-2, 3, size=(10, 2)) / 4.0
+            probe = make_ds(Xpr, list(rng.choice(["a", "b"], size=10)), R=ds.R)
+            part = build_partition(ds, CoverConfig(gamma=0.5), probe=probe)
+            model = MetricModel("mahalanobis", M=np.eye(2) * 16.0)
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            oracle = dict_loop_epsilon_triplet(model, part, ds, probe)
+            assert (est.value, est.excluded_probes) == oracle
+
+    def test_no_covered_probe_and_single_label_probe(self):
+        ds = make_ds([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], "aab", R=5.0)
+        model = MetricModel("mahalanobis", M=np.eye(2))
+        part = build_partition(ds, CoverConfig(gamma=0.5))
+        uncovered = make_ds([[3.0, 0.0]], "a", R=5.0)
+        est = empirical_epsilon_triplet(model, part, ds, uncovered)
+        assert (est.value, est.excluded_probes) == (0.0, 1)
+        one_label = make_ds([[0.0, 0.0], [0.1, 0.0]], "aa", R=5.0)  # no probe triplets
+        est = empirical_epsilon_triplet(model, part, ds, one_label)
+        assert (est.value, est.excluded_probes) == (0.0, 0)
 
 
 class TestBoundValue:

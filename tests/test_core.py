@@ -10,9 +10,12 @@ from metricert.core import (
     build_pairs,
     build_triplets,
     empirical_loss,
+    empirical_triplet_loss,
     loss_bound_B,
     metric_eval,
+    metric_matrix,
     pair_loss,
+    triplet_hinge,
     triplet_loss,
 )
 
@@ -77,6 +80,61 @@ class TestTriplets:
         ds = make_ds([[0.0], [0.1], [1.0], [1.1]], "abab")
         for i, j, k in build_triplets(ds).triplets:
             assert ds.y[i] == ds.y[j] and ds.y[i] != ds.y[k]
+
+
+def enumerated_triplet_hinge(F, labels):
+    """np.add.at oracle over the explicit list of admissible triplets."""
+    i, j, k = np.asarray(enumerate_triplets(list(labels))).T
+    args = 1.0 - F[i, k] + F[i, j]
+    active = args > 0.0
+    Wp = np.zeros(F.shape)
+    Wn = np.zeros(F.shape)
+    np.add.at(Wp, (i[active], j[active]), 1.0)
+    np.add.at(Wn, (i[active], k[active]), 1.0)
+    return float(np.maximum(0.0, args).mean()), Wp, Wn, len(i), int((args == 0.0).sum())
+
+
+class TestTripletHinge:
+    def _check(self, m, ds):
+        F = metric_matrix(m, ds.X)
+        loss, Wp, Wn, nt = triplet_hinge(F, ds.label_indices())
+        ref_loss, ref_p, ref_n, ref_nt, kinks = enumerated_triplet_hinge(F, ds.y)
+        assert nt == ref_nt
+        assert np.array_equal(Wp, ref_p)
+        assert np.array_equal(Wn, ref_n)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        assert empirical_triplet_loss(m, ds) == loss
+        return kinks
+
+    def test_integer_grid_identity_on_the_kink(self):
+        # integer points and M = I give integer distances, so many triplets
+        # sit exactly on the kink 1 - F_ik + F_ij = 0 and must count as inactive
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            X = rng.integers(-3, 4, size=(24, 2)).astype(float)
+            ds = make_ds(X, rng.choice(["a", "b"], size=24))
+            assert self._check(MetricModel("mahalanobis", M=np.eye(2)), ds) > 0
+
+    def test_random_metrics(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            n = int(rng.integers(3, 30))
+            A = rng.standard_normal((3, 3))
+            labels = ["a", "b"] + list(rng.choice(["a", "b"], size=n - 2))
+            ds = make_ds(rng.uniform(-1, 1, size=(n, 3)), labels)
+            self._check(MetricModel("mahalanobis", M=A @ A.T), ds)
+
+    def test_three_labels(self):
+        rng = np.random.default_rng(32)
+        for M in (np.eye(2), np.diag([3.0, 0.5])):
+            X = rng.integers(-2, 3, size=(20, 2)).astype(float)
+            ds = make_ds(X, ["a", "b", "c"] + list(rng.choice(["a", "b", "c"], size=17)))
+            self._check(MetricModel("mahalanobis", M=M), ds)
+
+    def test_single_label_rejected(self):
+        ds = make_ds([[0.0], [1.0]], "aa")
+        with pytest.raises(ValueError):
+            triplet_hinge(np.zeros((2, 2)), ds.label_indices())
 
 
 class TestMetricEval:

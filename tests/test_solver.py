@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from metricert.core import (
     build_triplets,
     empirical_loss,
     empirical_triplet_loss,
+    kernel_gram,
 )
+from metricert import solver
 from metricert.solver import (
     SolverConfig,
     loss_subgradient,
@@ -265,25 +269,23 @@ class TestSolveTriplet:
     def test_single_label_degenerate(self):
         ds = make_ds([[0.0], [1.0]], "aa")
         with pytest.raises(ValueError):
-            solve_triplet(ds, build_triplets(ds), "fro", SolverConfig(c=1.0))
+            solve_triplet(ds, "fro", SolverConfig(c=1.0))
 
     def test_zero_matrix_objective_is_one(self):
         ds = make_ds([[0.0], [1.0]], "ab")
-        ts = build_triplets(ds)
         zero = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        assert empirical_triplet_loss(zero, ds, ts) == 1.0
+        assert empirical_triplet_loss(zero, ds) == 1.0
 
     def test_improves_on_zero(self):
         ds = make_ds([[0.0], [0.1], [1.0]], "aab", R=1.0)
-        ts = build_triplets(ds)
         cfg = SolverConfig(c=0.05, max_iters=200)
-        m = solve_triplet(ds, ts, "fro", cfg)
+        m = solve_triplet(ds, "fro", cfg)
         assert m.info["objective"] <= 1.0 + 1e-12
         # scalar grid-search oracle
         grid = np.linspace(0.0, 20.0, 2001)
         objs = [
             0.05 * v
-            + empirical_triplet_loss(MetricModel("mahalanobis", M=np.array([[v]])), ds, ts)
+            + empirical_triplet_loss(MetricModel("mahalanobis", M=np.array([[v]])), ds)
             for v in grid
         ]
         assert m.info["objective"] <= min(objs) + 0.05
@@ -291,7 +293,7 @@ class TestSolveTriplet:
     def test_capacity(self):
         rng = np.random.default_rng(24)
         ds = random_ds(rng, n=8)
-        m = solve_triplet(ds, build_triplets(ds), "l21", SolverConfig(c=0.2, max_iters=60))
+        m = solve_triplet(ds, "l21", SolverConfig(c=0.2, max_iters=60))
         assert reg_norm(m.M, "l21") <= 1.0 / 0.2 + 1e-9  # triplet g0 = 1
 
 
@@ -340,3 +342,200 @@ class TestSolveKernel:
         ds = random_ds(rng, n=8)
         m = solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 0.7), SolverConfig(c=0.5, max_iters=50))
         assert m.info["feature_norm"] <= LS.g0 / 0.5 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# two-callback reference: each iterate's loss and the next step's subgradient
+# come from separate evaluations of F(M), with fresh arrays throughout
+
+
+def ref_pair_F(X, M, kind):
+    G = X @ M @ X.T
+    if kind == "bilinear":
+        return G
+    q = np.diag(G)
+    return q[:, None] + q[None, :] - G - G.T
+
+
+def ref_laplacian(X, W):
+    r = W.sum(axis=1)
+    c = W.sum(axis=0)
+    return X.T @ (np.diag(r + c) - W - W.T) @ X
+
+
+def ref_pair_callbacks(X, Y, kind):
+    def loss_fn(M):
+        return float(np.maximum(0.0, 1.0 - Y * (1.0 - ref_pair_F(X, M, kind))).mean())
+
+    def grad_fn(M):
+        F = ref_pair_F(X, M, kind)
+        W = Y * (Y * (1.0 - F) < 1.0) / F.shape[0] ** 2
+        return X.T @ W @ X if kind == "bilinear" else ref_laplacian(X, W)
+
+    def active_fn(M):
+        return float((Y * (1.0 - ref_pair_F(X, M, kind)) < 1.0).mean())
+
+    return loss_fn, grad_fn, active_fn
+
+
+def ref_triplet_callbacks(X, triplets):
+    i, j, k = np.asarray(triplets).T
+    nt = len(i)
+
+    def args(M):
+        F = ref_pair_F(X, M, "mahalanobis")
+        return 1.0 - F[i, k] + F[i, j]
+
+    def loss_fn(M):
+        return float(np.maximum(0.0, args(M)).mean())
+
+    def grad_fn(M):
+        active = args(M) > 0.0
+        n = X.shape[0]
+        Wp = np.zeros((n, n))
+        Wn = np.zeros((n, n))
+        np.add.at(Wp, (i[active], j[active]), 1.0 / nt)
+        np.add.at(Wn, (i[active], k[active]), 1.0 / nt)
+        return ref_laplacian(X, Wp) - ref_laplacian(X, Wn)
+
+    def active_fn(M):
+        return float((args(M) > 0.0).mean())
+
+    return loss_fn, grad_fn, active_fn
+
+
+def reference_iterate(d, callbacks, reg, cfg, psd):
+    loss_fn, grad_fn, active_fn = callbacks
+    M = np.zeros((d, d))
+    best = np.zeros((d, d))
+    best_obj = cfg.c * 0.0 + loss_fn(M)
+    history, fractions = [best_obj], [active_fn(M)]
+    prev_obj = best_obj
+    for t in range(1, cfg.max_iters + 1):
+        step = cfg.step0 / np.sqrt(t)
+        M = M - step * grad_fn(M)
+        M = prox(M, step * cfg.c, reg)
+        if psd:
+            M = psd_project(M)
+        obj = cfg.c * reg_norm(M, reg) + loss_fn(M)
+        if obj < best_obj:
+            best_obj = obj
+            best = M.copy()
+        history.append(best_obj)
+        fractions.append(active_fn(M))
+        if cfg.tol > 0 and abs(obj - prev_obj) <= cfg.tol * max(1.0, abs(prev_obj)):
+            break
+        prev_obj = obj
+    return best, history, fractions
+
+
+def pair_signs(ds):
+    li = ds.label_indices()
+    return np.where(li[:, None] == li[None, :], 1.0, -1.0)
+
+
+class TestSingleEvaluationMatchesReference:
+    @pytest.mark.parametrize(
+        "kind,reg,tol",
+        [
+            ("mahalanobis", "fro", 0.0),
+            ("mahalanobis", "l1", 0.0),
+            ("mahalanobis", "l21", 0.0),
+            ("mahalanobis", "fro", 1e-3),
+            ("bilinear", "fro", 0.0),
+        ],
+    )
+    def test_pair_solve_bitwise(self, kind, reg, tol):
+        rng = np.random.default_rng(40)
+        for n, d in ((30, 3), (9, 2)):
+            ds = random_ds(rng, n=n, d=d)
+            cfg = SolverConfig(c=0.1, max_iters=60, tol=tol)
+            m = solve(ds, build_pairs(ds), LS, reg, cfg, kind=kind)
+            M, history, fractions = reference_iterate(
+                d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
+                psd=(kind == "mahalanobis"),
+            )
+            assert np.array_equal(m.M, M)
+            assert m.info["best_history"] == history
+            assert m.info["active_fraction"] == fractions
+
+    def test_kernel_solve_bitwise(self):
+        rng = np.random.default_rng(41)
+        ds = random_ds(rng, n=16, d=2)
+        ks = KernelSpec("rbf", 0.8)
+        cfg = SolverConfig(c=0.1, max_iters=60)
+        m = solve_kernel(ds, build_pairs(ds), LS, ks, cfg)
+        S = solver._sym_sqrt(kernel_gram(ks, ds.X))
+        H, history, fractions = reference_iterate(
+            ds.n, ref_pair_callbacks(S, pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True
+        )
+        Sp = np.linalg.pinv(S, rcond=1e-10)
+        A = Sp @ H @ Sp
+        assert np.array_equal(m.A, psd_project((A + A.T) / 2.0))
+        assert m.info["best_history"] == history
+        assert m.info["active_fraction"] == fractions
+
+    @pytest.mark.parametrize("reg", ["fro", "l21"])
+    def test_triplet_solve_within_rounding(self, reg):
+        # the sorted counts sum the loss in another order, so the iterates
+        # agree to rounding, not bit for bit
+        rng = np.random.default_rng(42)
+        for labels in ("ab", "abc"):
+            ds = random_ds(rng, n=18, d=2)
+            y = list(labels) + list(rng.choice(list(labels), size=18 - len(labels)))
+            ds = Dataset(ds.X, y, ds.R)
+            cfg = SolverConfig(c=0.1, max_iters=60)
+            m = solve_triplet(ds, reg, cfg)
+            M, history, fractions = reference_iterate(
+                2, ref_triplet_callbacks(ds.X, build_triplets(ds).triplets), reg, cfg, psd=True
+            )
+            assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
+            assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
+            assert m.info["active_fraction"] == fractions
+
+
+class TestSolverInfo:
+    def test_pair_fields(self):
+        rng = np.random.default_rng(43)
+        ds = random_ds(rng, n=12, d=2)
+        c = 0.2
+        m = solve(ds, build_pairs(ds), LS, "l21", SolverConfig(c=c, max_iters=40))
+        fractions = m.info["active_fraction"]
+        assert len(fractions) == len(m.info["best_history"]) == m.info["iterations"] + 1
+        # at M = 0 exactly the different-label pairs are active
+        assert fractions[0] == (pair_signs(ds) < 0).mean()
+        assert all(0.0 <= f <= 1.0 for f in fractions)
+        assert m.info["capacity_ratio"] == c * reg_norm(m.M, "l21") / LS.g0
+        assert m.info["capacity_ratio"] <= 1.0
+
+    def test_triplet_fields(self):
+        rng = np.random.default_rng(44)
+        ds = random_ds(rng, n=10, d=2)
+        c = 0.2
+        m = solve_triplet(ds, "fro", SolverConfig(c=c, max_iters=40))
+        assert m.info["active_fraction"][0] == 1.0  # every hinge is 1 at M = 0
+        assert len(m.info["active_fraction"]) == m.info["iterations"] + 1
+        assert m.info["capacity_ratio"] == c * reg_norm(m.M, "fro") / 1.0
+        assert m.info["capacity_ratio"] <= 1.0
+
+    def test_kernel_capacity_in_feature_norm(self):
+        rng = np.random.default_rng(45)
+        ds = random_ds(rng, n=10, d=2)
+        cfg = SolverConfig(c=0.3, max_iters=30)
+        m = solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 1.0), cfg)
+        assert m.info["capacity_ratio"] == 0.3 * m.info["feature_norm"] / LS.g0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_pair_solve_reuses_its_buffers():
+    # a solve that allocated fresh n x n temporaries every iteration would
+    # fault in every page of each one again, about 400 000 faults here
+    import resource
+
+    rng = np.random.default_rng(46)
+    ds = random_ds(rng, n=300, d=2)
+    cfg = SolverConfig(c=0.1, max_iters=300)
+    solve(ds, build_pairs(ds), LS, "fro", cfg)  # the first solve may grow the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve(ds, build_pairs(ds), LS, "fro", cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40_000
