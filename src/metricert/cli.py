@@ -147,7 +147,8 @@ def _cmd_train(args) -> int:
     cfg = SolverConfig(c=args.c, max_iters=args.iters, step0=args.step0, seed=args.seed)
     model = _train_model(ds, args.family, cfg, args.sigma)
     io.save_model(model, args.out, c=args.c)
-    print(f"objective={model.info['objective']:.6g} -> {args.out}")
+    rank = f" rank={model.info['rank']}" if "rank" in model.info else ""
+    print(f"objective={model.info['objective']:.6g}{rank} -> {args.out}")
     return 0
 
 

@@ -50,6 +50,12 @@ class Dataset:
         if missing:
             raise ValueError(f"labels {missing} outside the declared label set")
         norms = np.linalg.norm(self.X, axis=1)
+        # the max is NaN or inf when any coordinate is; a NaN would pass the
+        # radius check below, since nan > R is False
+        if not np.isfinite(norms.max()):
+            raise ValueError("X has non-finite entries (NaN or inf)")
+        if not np.isfinite(self.R):
+            raise ValueError(f"radius R={self.R} is not finite")
         if norms.max() > self.R + ATOL:
             raise ValueError(
                 f"point norm {norms.max():.6g} exceeds declared radius R={self.R}"

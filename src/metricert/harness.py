@@ -26,6 +26,7 @@ from .core import (
     build_pairs,
     empirical_loss,
     empirical_triplet_loss,
+    kernel_coords,
     loss_bound_B,
     metric_columns,
     metric_rows,
@@ -133,8 +134,6 @@ def _metric_rowwise(m: MetricModel, X1: np.ndarray, X2: np.ndarray) -> np.ndarra
     if m.kind == "bilinear":
         return np.einsum("ij,jk,ik->i", X1, m.M, X2)
     if m.kind == "kernelized":
-        from .core import kernel_coords
-
         D = kernel_coords(m, X1) - kernel_coords(m, X2)
         return np.einsum("ij,jk,ik->i", D, m.A, D)
     D = X1 - X2

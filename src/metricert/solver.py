@@ -30,6 +30,11 @@ from .core import (
 
 REGULARIZERS = ("fro", "l1", "l21")
 
+# solve_kernel keeps the Gram eigenvalues above this fraction of the largest;
+# the rest, numerically zero for an rbf kernel, are dropped with their
+# eigenvectors (the KPCA truncation)
+KPCA_RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -301,25 +306,31 @@ def solve_kernel(
 ) -> MetricModel:
     """Kernelized solve with feature-space Frobenius regularization.
 
-    Works in coordinates psi_i = K^{1/2} e_i, which reproduce all pairwise
-    kernel inner products, so the pair objective reduces to a plain
-    Mahalanobis problem on the psi features.  The learned H is mapped back
-    to the anchor parameterization A with f = (k_1 - k_2)^T A (k_1 - k_2).
+    Works in the top-r KPCA coordinates Psi = U_r Lambda_r^{1/2} of the Gram
+    matrix K = U Lambda U^T, keeping the eigenvalues above
+    KPCA_RANK_TOL * lambda_max.  Psi Psi^T reproduces K up to the discarded
+    spectrum, so the pair objective reduces to a plain r x r Mahalanobis
+    problem on the rows of Psi.  The learned H maps back to the anchor
+    parameterization A = B H B^T with B = U_r Lambda_r^{-1/2}, so that
+    f = (k_1 - k_2)^T A (k_1 - k_2) and K A K = Psi H Psi^T; the feature
+    norm ||K^{1/2} A K^{1/2}||_F equals ||H||_F.  info["rank"] is r.
     """
     K = kernel_gram(ks, ds.X)
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel Gram matrix has non-finite entries")
-    w = np.linalg.eigvalsh((K + K.T) / 2.0)
+    w, U = np.linalg.eigh((K + K.T) / 2.0)
     if w.min() < -1e-8 * max(1.0, w.max()):
         raise ValueError(f"Gram matrix not PSD: min eigenvalue {w.min():.3g}")
-    S = _sym_sqrt(K)
-    H, info = _iterate(ds.n, _pair_eval(S, _pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True)
-    Sp = np.linalg.pinv(S, rcond=1e-10)
-    A = Sp @ H @ Sp
+    keep = w > KPCA_RANK_TOL * w.max()
+    w, U = w[keep], U[:, keep]
+    Psi = U * np.sqrt(w)
+    H, info = _iterate(len(w), _pair_eval(Psi, _pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True)
+    B = U / np.sqrt(w)
+    A = B @ H @ B.T
     A = (A + A.T) / 2.0
-    # pinv round trip can leave eigenvalues a hair below zero
-    A = psd_project(A)
-    info["feature_norm"] = float(np.linalg.norm(S @ A @ S, "fro"))
+    info["rank"] = len(w)
+    info["rank_tol"] = KPCA_RANK_TOL
+    info["feature_norm"] = reg_norm(H, "fro")
     info["capacity_ratio"] = cfg.c * info["feature_norm"] / ls.g0
     return MetricModel(
         kind="kernelized", A=A, kernel=ks, anchors=ds, regularizer="fro", info=info

@@ -302,3 +302,17 @@ class TestDatasetInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), [], R=1.0)
+
+    @pytest.mark.parametrize(
+        "X,R",
+        [
+            ([[np.nan, 0.0]], 1.0),
+            ([[np.inf, 0.0]], np.inf),
+            ([[0.1, 0.0]], np.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, X, R):
+        # each passes the radius check, since a comparison with NaN is False
+        # and inf <= inf
+        with pytest.raises(ValueError, match="not finite|non-finite"):
+            Dataset(np.array(X), ["a"], R=R)

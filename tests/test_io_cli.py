@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ class TestCli:
              "--k", "1"]
         ) == 0
         assert "accuracy=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_data_exit_1(self, tmp_path, capsys, value):
+        # a validation error, not a numerical failure inside the solver
+        data = tmp_path / "bad.csv"
+        data.write_text(f"f0,f1,label\n0.1,0.2,a\n{value},0.0,b\n0.0,0.3,b\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--iters", "5"])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_train_kernel_prints_rank(self, tmp_path, capsys):
+        data = self._gen(tmp_path, n=20)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "k.json"),
+                     "--family", "kernel-rbf", "--c", "0.5", "--iters", "20"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"objective=\S+ rank=\d+ -> \S+\n", out)
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "no.csv"),

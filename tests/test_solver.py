@@ -15,6 +15,7 @@ from metricert.core import (
     kernel_gram,
 )
 from metricert import solver
+from metricert.io import load_model, save_model
 from metricert.solver import (
     SolverConfig,
     loss_subgradient,
@@ -459,22 +460,6 @@ class TestSingleEvaluationMatchesReference:
             assert m.info["best_history"] == history
             assert m.info["active_fraction"] == fractions
 
-    def test_kernel_solve_bitwise(self):
-        rng = np.random.default_rng(41)
-        ds = random_ds(rng, n=16, d=2)
-        ks = KernelSpec("rbf", 0.8)
-        cfg = SolverConfig(c=0.1, max_iters=60)
-        m = solve_kernel(ds, build_pairs(ds), LS, ks, cfg)
-        S = solver._sym_sqrt(kernel_gram(ks, ds.X))
-        H, history, fractions = reference_iterate(
-            ds.n, ref_pair_callbacks(S, pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True
-        )
-        Sp = np.linalg.pinv(S, rcond=1e-10)
-        A = Sp @ H @ Sp
-        assert np.array_equal(m.A, psd_project((A + A.T) / 2.0))
-        assert m.info["best_history"] == history
-        assert m.info["active_fraction"] == fractions
-
     @pytest.mark.parametrize("reg", ["fro", "l21"])
     def test_triplet_solve_within_rounding(self, reg):
         # the sorted counts sum the loss in another order, so the iterates
@@ -492,6 +477,85 @@ class TestSingleEvaluationMatchesReference:
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
+
+
+def mixture_ds(rng, n, d=2):
+    # two balanced classes at +/-0.5 e_1, scale 0.3, pulled into the unit ball
+    y = np.arange(n) % 2
+    X = np.where(y[:, None] == 0, 0.5, -0.5) * np.eye(d)[0] + 0.3 * rng.standard_normal((n, d))
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
+    return Dataset(X, [f"c{v}" for v in y], 1.0)
+
+
+def reference_solve_kernel(ds, ks, cfg):
+    """The full-coordinate kernel solve: the n x n problem on S = K^{1/2}.
+    Returns the learned feature-space Gram matrix S H S (the metric on the
+    training points is its squared-distance form), the best history and the
+    active fractions."""
+    S = solver._sym_sqrt(kernel_gram(ks, ds.X))
+    H, history, fractions = reference_iterate(
+        ds.n, ref_pair_callbacks(S, pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True
+    )
+    return S @ H @ S, history, fractions
+
+
+def bench_feature_norm(ds, sigma, A):
+    # ||K^1/2 A K^1/2||_F with K and its square root built independently of
+    # the package, by broadcasting and one eigh
+    sq = ((ds.X[:, None, :] - ds.X[None, :, :]) ** 2).sum(axis=2)
+    w, V = np.linalg.eigh(np.exp(-sq / (2.0 * sigma**2)))
+    S = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+    return float(np.linalg.norm(S @ A @ S))
+
+
+class TestLowRankKernelSolve:
+    CFG = SolverConfig(c=0.1, max_iters=100)
+
+    def problems(self):
+        rng = np.random.default_rng(47)
+        yield mixture_ds(rng, 200), KernelSpec("rbf", 1.0)
+        # 12 distinct points, each repeated: the Gram matrix has rank <= 12
+        base = mixture_ds(rng, 12)
+        idx = np.arange(30) % 12
+        yield Dataset(base.X[idx], [base.y[i] for i in idx], 1.0), KernelSpec("rbf", 0.8)
+
+    def test_matches_full_reference(self):
+        for ds, ks in self.problems():
+            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            SHS, history, fractions = reference_solve_kernel(ds, ks, self.CFG)
+            assert m.info["best_history"] == pytest.approx(history, rel=1e-8)
+            # a pair of duplicated points sits exactly on the hinge kink in
+            # one coordinate system and a rounding error off it in the other
+            if len(np.unique(ds.X, axis=0)) == ds.n:
+                assert m.info["active_fraction"] == fractions
+            K = kernel_gram(ks, ds.X)
+            assert np.abs(K @ m.A @ K - SHS).max() <= 1e-8 * np.abs(SHS).max()
+
+    def test_rank_counts_kept_eigenvalues(self):
+        ranks = []
+        for ds, ks in self.problems():
+            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            w = np.linalg.eigvalsh(kernel_gram(ks, ds.X))
+            assert m.info["rank"] == np.count_nonzero(w > solver.KPCA_RANK_TOL * w.max())
+            assert m.info["rank_tol"] == solver.KPCA_RANK_TOL
+            ranks.append(m.info["rank"])
+        assert ranks[0] < 200 and ranks[1] <= 12
+
+    def test_saved_model_objective_equals_printed(self, tmp_path):
+        for ds, ks in self.problems():
+            ps = build_pairs(ds)
+            m = solve_kernel(ds, ps, LS, ks, self.CFG)
+            save_model(m, tmp_path / "m.json", c=self.CFG.c)
+            saved = load_model(tmp_path / "m.json", anchors=ds)
+            recomputed = objective(saved, ds, ps, LS, "fro", self.CFG.c)
+            assert recomputed == pytest.approx(m.info["objective"], rel=1e-9)
+
+    def test_capacity_recomputed_independently(self):
+        for ds, ks in self.problems():
+            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            norm = bench_feature_norm(ds, ks.sigma, m.A)
+            assert self.CFG.c * norm <= LS.g0 * (1.0 + 1e-6)
+            assert norm == pytest.approx(m.info["feature_norm"], rel=1e-9)
 
 
 class TestSolverInfo:
