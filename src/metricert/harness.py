@@ -79,28 +79,30 @@ def _default_means(classes: int, d: int, R: float):
 
 def gen_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     """n IID draws: uniform class, Gaussian around the class mean, resampled
-    until inside the R-ball.  Deterministic under the seed."""
+    until inside the R-ball.  Deterministic under the seed.
+
+    All classes are drawn at once; then each round draws one normal row for
+    every point still rejected, and accepted rows stay in place.
+    """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     means = np.asarray(spec.means)
+    k = rng.integers(spec.classes, size=spec.n)
     X = np.empty((spec.n, spec.d))
-    y = []
+    todo = np.arange(spec.n)
     attempts = 0
-    accepted = 0
-    for i in range(spec.n):
-        k = int(rng.integers(spec.classes))
-        while True:
-            attempts += 1
-            x = means[k] + spec.cov_scale * rng.standard_normal(spec.d)
-            if np.linalg.norm(x) <= spec.R:
-                accepted += 1
-                break
-            if attempts > 100 * (accepted + 1) and attempts > 1000:
-                raise ValueError(
-                    "rejection rate above 99%; increase R or shrink cov_scale"
-                )
-        X[i] = x
-        y.append(spec.label_names[k])
-    return Dataset(X, y, spec.R, spec.label_names)
+    while todo.size:
+        x = means[k[todo]] + spec.cov_scale * rng.standard_normal((todo.size, spec.d))
+        inside = np.linalg.norm(x, axis=1) <= spec.R
+        X[todo[inside]] = x[inside]
+        attempts += todo.size
+        todo = todo[~inside]
+        accepted = spec.n - todo.size
+        if todo.size and attempts > 100 * (accepted + 1) and attempts > 1000:
+            raise ValueError(
+                "rejection rate above 99%; increase R or shrink cov_scale"
+            )
+    names = spec.label_names
+    return Dataset(X, [names[j] for j in k.tolist()], spec.R, names)
 
 
 def _sample_points(spec: SyntheticSpec, count: int, rng) -> tuple[np.ndarray, list]:
@@ -122,8 +124,8 @@ def true_loss_estimate(
     rng = np.random.default_rng(seed)
     X1, y1 = _sample_points(spec, M_mc, rng)
     X2, y2 = _sample_points(spec, M_mc, rng)
-    f = np.array([_metric_rowwise(m, X1, X2)]).ravel()
-    same = np.array([a == b for a, b in zip(y1, y2)])
+    f = _metric_rowwise(m, X1, X2)
+    same = np.asarray(y1) == np.asarray(y2)
     ysign = np.where(same, 1.0, -1.0)
     losses = ls.g(ysign * (1.0 - f))
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
@@ -144,12 +146,11 @@ def _true_triplet_loss_estimate(m, spec, M_mc, seed):
     rng = np.random.default_rng(seed)
     X1, y1 = _sample_points(spec, 3 * M_mc, rng)
     a, b, c = X1[:M_mc], X1[M_mc : 2 * M_mc], X1[2 * M_mc :]
+    y1 = np.asarray(y1)
     ya, yb, yc = y1[:M_mc], y1[M_mc : 2 * M_mc], y1[2 * M_mc :]
     f13 = _metric_rowwise(m, a, c)
     f12 = _metric_rowwise(m, a, b)
-    admissible = np.array(
-        [p == q and p != r for p, q, r in zip(ya, yb, yc)]
-    )
+    admissible = (ya == yb) & (ya != yc)
     losses = np.where(admissible, np.maximum(0.0, 1.0 - f13 + f12), 0.0)
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
 

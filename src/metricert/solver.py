@@ -234,6 +234,12 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[n
         M = M - step * grad
         M = prox(M, step * cfg.c, reg)
         if psd:
+            if reg == "l21":
+                # prox zeroes whole columns but not the matching rows, which
+                # the symmetrisation would copy back; with row and column j
+                # both zero, e_j is a null vector and the projection keeps
+                # them zero up to rounding
+                M[~M.any(axis=0)] = 0.0
             M = psd_project(M)
         if not np.all(np.isfinite(M)):
             raise ArithmeticError(f"non-finite iterate at iteration {t}")

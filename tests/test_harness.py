@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from metricert import core
+from metricert import core, harness
 from metricert.core import Dataset, LossSpec, MetricModel, build_pairs, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
@@ -47,6 +48,99 @@ class TestGenSynthetic:
     def test_hopeless_rejection_errors(self):
         spec = SyntheticSpec(n=5, cov_scale=50.0, R=0.01, means=((0.0, 0.0),), classes=1, seed=1)
         with pytest.raises(ValueError):
+            gen_synthetic(spec)
+
+
+def reference_gen_synthetic(spec, seed):
+    """The one-point-at-a-time sampler: a class, then normals until the
+    point lands in the R-ball."""
+    rng = np.random.default_rng(seed)
+    means = np.asarray(spec.means)
+    X = np.empty((spec.n, spec.d))
+    y = []
+    for i in range(spec.n):
+        k = int(rng.integers(spec.classes))
+        while True:
+            x = means[k] + spec.cov_scale * rng.standard_normal(spec.d)
+            if np.linalg.norm(x) <= spec.R:
+                break
+        X[i] = x
+        y.append(spec.label_names[k])
+    return X, np.asarray(y)
+
+
+class CountingRng:
+    """A default_rng stand-in that records the rows of each normal draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rounds = []
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def standard_normal(self, size):
+        self.rounds.append(size[0])
+        return self.rng.standard_normal(size)
+
+
+def count_rounds(monkeypatch, spec):
+    made = []
+    default_rng = np.random.default_rng
+
+    def factory(seed):
+        made.append(CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(harness.np.random, "default_rng", factory)
+    ds = gen_synthetic(spec)
+    monkeypatch.undo()
+    return ds, made[0].rounds
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("cov_scale", [0.3, 0.8])
+    def test_matches_reference_distribution(self, cov_scale):
+        spec = SyntheticSpec(d=2, n=5000, classes=2, cov_scale=cov_scale, seed=11)
+        ds = gen_synthetic(spec)
+        X_ref, y_ref = reference_gen_synthetic(spec, seed=12)
+        y = np.asarray(ds.y)
+        radii = ks_2samp(np.linalg.norm(ds.X, axis=1), np.linalg.norm(X_ref, axis=1))
+        assert radii.pvalue > 1e-3
+        for lab in spec.label_names:
+            for j in range(spec.d):
+                ks = ks_2samp(ds.X[y == lab, j], X_ref[y_ref == lab, j])
+                assert ks.pvalue > 1e-3, (lab, j)
+
+    def test_class_proportions_within_3_se(self):
+        spec = SyntheticSpec(d=3, n=5000, classes=3, cov_scale=0.3, seed=13)
+        y = np.asarray(gen_synthetic(spec).y)
+        se = np.sqrt((1 / 3) * (2 / 3) / spec.n)
+        for lab in spec.label_names:
+            assert abs(np.mean(y == lab) - 1 / 3) <= 3 * se
+
+    def test_half_rejection_takes_several_rounds(self, monkeypatch):
+        # cov_scale 0.8 around +/-0.5 e_1 keeps about half the draws
+        spec = SyntheticSpec(d=2, n=2000, cov_scale=0.8, seed=14)
+        ds, rounds = count_rounds(monkeypatch, spec)
+        assert ds.n == spec.n
+        assert np.linalg.norm(ds.X, axis=1).max() <= spec.R
+        assert rounds[0] == spec.n and len(rounds) > 3
+        assert all(b <= a for a, b in zip(rounds, rounds[1:]))
+        assert 0.3 < spec.n / sum(rounds) < 0.7
+
+    def test_zero_scale_fills_every_row_in_one_round(self, monkeypatch):
+        spec = SyntheticSpec(d=2, n=300, classes=3, cov_scale=0.0, seed=15)
+        ds, rounds = count_rounds(monkeypatch, spec)
+        assert rounds == [spec.n]
+        means = np.asarray(spec.means)
+        k = [spec.label_names.index(lab) for lab in ds.y]
+        assert np.array_equal(ds.X, means[k])
+
+    def test_hopeless_rejection_errors_after_one_large_round(self):
+        # the first round alone makes 2000 attempts with almost none accepted
+        spec = SyntheticSpec(n=2000, cov_scale=50.0, R=0.01, means=((0.0, 0.0),), classes=1, seed=1)
+        with pytest.raises(ValueError, match="rejection rate above 99%"):
             gen_synthetic(spec)
 
 

@@ -417,6 +417,8 @@ def reference_iterate(d, callbacks, reg, cfg, psd):
         M = M - step * grad_fn(M)
         M = prox(M, step * cfg.c, reg)
         if psd:
+            if reg == "l21":
+                M[np.linalg.norm(M, axis=0) == 0.0, :] = 0.0
             M = psd_project(M)
         obj = cfg.c * reg_norm(M, reg) + loss_fn(M)
         if obj < best_obj:
@@ -485,6 +487,24 @@ def mixture_ds(rng, n, d=2):
     X = np.where(y[:, None] == 0, 0.5, -0.5) * np.eye(d)[0] + 0.3 * rng.standard_normal((n, d))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     return Dataset(X, [f"c{v}" for v in y], 1.0)
+
+
+class TestL21KeepsZeroColumns:
+    # one informative axis out of five: the l21 prox zeroes the other
+    # columns, and the PSD projection must not refill them from the rows
+    @pytest.mark.parametrize("family", ["pair", "triplet"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nonzero_model_with_zero_columns(self, family, seed):
+        ds = mixture_ds(np.random.default_rng(seed), 60, d=5)
+        cfg = SolverConfig(c=0.1, max_iters=200)
+        if family == "pair":
+            m = solve(ds, build_pairs(ds), LS, "l21", cfg)
+        else:
+            m = solve_triplet(ds, "l21", cfg)
+        assert np.any(m.M != 0.0)
+        zero = np.linalg.norm(m.M, axis=0) < 1e-12
+        assert zero.any()
+        assert np.all(np.linalg.norm(m.M[zero], axis=1) < 1e-12)
 
 
 def reference_solve_kernel(ds, ks, cfg):
