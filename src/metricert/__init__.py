@@ -2,19 +2,19 @@
 their robustness constants and finite-sample generalization bounds."""
 
 from .core import (
+    FAMILIES,
+    HINGE_U,
+    PAIR_G0,
     Dataset,
+    Family,
     KernelSpec,
     LabeledExample,
-    LossSpec,
     MetricModel,
-    PairSet,
-    TripletSet,
     build_pairs,
     build_triplets,
     empirical_loss,
     empirical_triplet_loss,
     hinge,
-    loss_bound_B,
     metric_eval,
     pair_loss,
     triplet_loss,
@@ -60,6 +60,7 @@ from .harness import (
     gen_synthetic,
     knn_eval,
     run_experiment,
+    train_family,
     true_loss_estimate,
 )
 

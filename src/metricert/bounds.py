@@ -10,18 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import Dataset, LossSpec, MetricModel, metric_columns, metric_matrix, metric_rows
+from .core import FAMILIES, Dataset, MetricModel, hinge, metric_columns, metric_matrix, metric_rows
 from .cover import Partition, assign_cells
-
-FAMILIES = (
-    "fro",
-    "l1",
-    "l21",
-    "bilinear",
-    "kernel-rbf",
-    "triplet-fro",
-    "triplet-l21",
-)
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,7 @@ class RobustnessQuery:
                 raise ValueError(f"{name} must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.family == "kernel-rbf" and self.sigma <= 0:
+        if FAMILIES[self.family].kind == "kernelized" and self.sigma <= 0:
             raise ValueError("kernel-rbf requires sigma > 0")
 
 
@@ -57,16 +47,11 @@ def rbf_fH(gamma: float, sigma: float) -> float:
 
 
 def epsilon_theoretical(q: RobustnessQuery) -> float:
-    """Certified loss-deviation constant for cell-matched pairs."""
-    base = q.U * q.g0 / q.c
-    if q.family in ("fro", "l1", "l21"):
-        return 8.0 * q.R * q.gamma * base
-    if q.family == "bilinear":
-        return 2.0 * q.R * q.gamma * base
-    if q.family in ("triplet-fro", "triplet-l21"):
-        return 16.0 * q.R * q.gamma * base
-    # kernel-rbf: feature-space radius B_gamma = max sqrt(k(x,x)) = 1
-    return 8.0 * 1.0 * math.sqrt(rbf_fH(q.gamma, q.sigma)) * base
+    """Certified loss-deviation constant for cell-matched pairs; for the rbf
+    kernel a cell of diameter gamma has feature-space diameter sqrt(f_H)."""
+    fam = FAMILIES[q.family]
+    scale = math.sqrt(rbf_fH(q.gamma, q.sigma)) if fam.kind == "kernelized" else q.gamma
+    return fam.eps_coef * fam.radius(q.R) * scale * (q.U * q.g0 / q.c)
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ class EpsilonEstimate:
         return self.value
 
 
-def _loss_blocks(m: MetricModel, ls: LossSpec, X: np.ndarray, labels: np.ndarray):
+def _loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):
     """Pair losses of the points X against themselves, BLOCK_ROWS rows at a
     time: yields (start, losses of X[start:start + BLOCK_ROWS] against all
     of X); `labels` holds one label index per point."""
@@ -125,10 +110,10 @@ def _loss_blocks(m: MetricModel, ls: LossSpec, X: np.ndarray, labels: np.ndarray
         rows = slice(start, start + core.BLOCK_ROWS)
         F = metric_rows(m, X[rows], columns)
         Y = np.where(labels[rows, None] == labels[None, :], 1.0, -1.0)
-        yield start, ls.g(Y * (1.0 - F))
+        yield start, hinge(Y * (1.0 - F))
 
 
-def _probe_extrema(m: MetricModel, ls: LossSpec, p: Partition, X: np.ndarray, ids: np.ndarray):
+def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
     """Per-cell-pair min and max of the probe pair loss.
 
     Returns the occupied cell ids (ascending) and two tables indexed by
@@ -142,7 +127,7 @@ def _probe_extrema(m: MetricModel, ls: LossSpec, p: Partition, X: np.ndarray, id
     labels = ids // p.centers.shape[0]
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
-    for start, L in _loss_blocks(m, ls, X, labels):
+    for start, L in _loss_blocks(m, X, labels):
         # runs of the block's rows: local starts and their positions in `cells`
         first = np.searchsorted(starts, start, side="right") - 1
         last = np.searchsorted(starts, min(start + core.BLOCK_ROWS, len(ids)), side="left")
@@ -157,7 +142,6 @@ def _probe_extrema(m: MetricModel, ls: LossSpec, p: Partition, X: np.ndarray, id
 
 def cell_stats(
     m: MetricModel,
-    ls: LossSpec,
     p: Partition,
     ds: Dataset,
     probe: Dataset,
@@ -185,7 +169,7 @@ def cell_stats(
     n = ds.n
     if not keep.any():
         return EpsilonEstimate(0.0, excluded), n * n
-    cells, lo_p, hi_p = _probe_extrema(m, ls, p, probe.X[keep], ids_pr[keep])
+    cells, lo_p, hi_p = _probe_extrema(m, p, probe.X[keep], ids_pr[keep])
     # each training cell's position among the probe cells; a cell the probe
     # does not occupy points at an appended row and column of empty extrema
     # (+inf, -inf), whose deviation is -inf
@@ -195,7 +179,7 @@ def cell_stats(
     hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
     labels = ids_tr // p.centers.shape[0]
     worst, count = 0.0, 0
-    for start, L in _loss_blocks(m, ls, ds.X, labels):
+    for start, L in _loss_blocks(m, ds.X, labels):
         row_pos = pos[start : start + len(L)]
         lo = lo_p[row_pos][:, pos]
         hi = hi_p[row_pos][:, pos]
@@ -207,7 +191,6 @@ def cell_stats(
 
 def empirical_epsilon(
     m: MetricModel,
-    ls: LossSpec,
     p: Partition,
     ds: Dataset,
     probe: Dataset,
@@ -217,12 +200,11 @@ def empirical_epsilon(
     Exhaustive over all n^2 training pairs and all matched probe pairs;
     probe points outside the cover are excluded and counted.
     """
-    return cell_stats(m, ls, p, ds, probe, 0.0)[0]
+    return cell_stats(m, p, ds, probe, 0.0)[0]
 
 
 def pseudo_robust_count(
     m: MetricModel,
-    ls: LossSpec,
     p: Partition,
     ds: Dataset,
     probe: Dataset,
@@ -230,7 +212,7 @@ def pseudo_robust_count(
 ) -> int:
     """Number of training pairs whose every cell-matched probe pair deviates
     by at most epsilon (vacuously robust pairs count)."""
-    return cell_stats(m, ls, p, ds, probe, epsilon)[1]
+    return cell_stats(m, p, ds, probe, epsilon)[1]
 
 
 def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray) -> dict:

@@ -13,19 +13,10 @@ import numpy as np
 
 from . import io
 from .bounds import BoundQuery, bhc_simulate, bound_value
-from .core import Dataset, LossSpec, build_pairs
+from .core import FAMILIES, Dataset
 from .cover import CoverConfig
-from .harness import (
-    ExperimentConfig,
-    SyntheticSpec,
-    certify,
-    gap_curve,
-    gen_synthetic,
-    knn_eval,
-    run_experiment,
-)
-from .solver import SolverConfig, solve, solve_kernel, solve_triplet
-from .core import KernelSpec
+from .harness import SyntheticSpec, certify, gap_curve, gen_synthetic, knn_eval, train_family
+from .solver import SolverConfig
 
 
 def _add_gen(sub):
@@ -43,11 +34,7 @@ def _add_train(sub):
     p = sub.add_parser("train", help="fit a metric from a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--family",
-        default="fro",
-        choices=["fro", "l1", "l21", "bilinear", "kernel-rbf", "triplet-fro", "triplet-l21"],
-    )
+    p.add_argument("--family", default="fro", choices=FAMILIES)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--step0", type=float, default=1.0)
@@ -62,11 +49,7 @@ def _add_audit(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--probe", help="probe CSV; defaults to the training data")
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--family",
-        default="fro",
-        choices=["fro", "l1", "l21", "bilinear", "kernel-rbf", "triplet-fro", "triplet-l21"],
-    )
+    p.add_argument("--family", default="fro", choices=FAMILIES)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--norm", default="l2", choices=["l1", "l2"])
@@ -130,22 +113,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _train_model(ds, family, cfg, sigma):
-    ls = LossSpec()
-    ps = build_pairs(ds)
-    if family in ("fro", "l1", "l21"):
-        return solve(ds, ps, ls, family, cfg)
-    if family == "bilinear":
-        return solve(ds, ps, ls, "fro", cfg, kind="bilinear")
-    if family == "kernel-rbf":
-        return solve_kernel(ds, ps, ls, KernelSpec("rbf", sigma), cfg)
-    return solve_triplet(ds, family.split("-")[1], cfg)
-
-
 def _cmd_train(args) -> int:
     ds = io.dataset_from_csv(args.data, R=args.radius)
     cfg = SolverConfig(c=args.c, max_iters=args.iters, step0=args.step0, seed=args.seed)
-    model = _train_model(ds, args.family, cfg, args.sigma)
+    model = train_family(ds, args.family, cfg, args.sigma)
     io.save_model(model, args.out, c=args.c)
     rank = f" rank={model.info['rank']}" if "rank" in model.info else ""
     print(f"objective={model.info['objective']:.6g}{rank} -> {args.out}")
@@ -159,8 +130,17 @@ def _cmd_audit(args) -> int:
     R = max(ds.R, probe.R)
     ds = Dataset(ds.X, ds.y, R)
     probe = Dataset(probe.X, probe.y, R) if args.probe else ds
-    anchors = ds if args.family == "kernel-rbf" else None
-    model = io.load_model(args.model, anchors=anchors)
+    fam = FAMILIES[args.family]
+    model = io.load_model(args.model, anchors=ds if fam.kind == "kernelized" else None)
+    # the certificate's constants hold only for the family and the c the
+    # model was trained with; a pair/triplet swap is not visible here,
+    # since the model file stores the kind and regularizer, not the family
+    if (model.kind, model.regularizer) != (fam.kind, fam.reg):
+        raise ValueError(
+            f"model is {model.kind}/{model.regularizer}, not a {args.family} model"
+        )
+    if model.info["c"] is not None and model.info["c"] != args.c:
+        raise ValueError(f"model was trained at c={model.info['c']!r}, not --c {args.c!r}")
     report = certify(
         model, ds, probe, args.family,
         CoverConfig(gamma=args.gamma, norm=args.norm),

@@ -1,4 +1,4 @@
-"""Domain types, pair/triplet construction and the margin-loss machinery.
+"""Domain types, the model-family table, pair/triplet enumeration and the hinge loss.
 
 The learned metric is either a d x d matrix (Mahalanobis distance or bilinear
 similarity) or an n x n coefficient matrix over kernel coordinates.  The loss
@@ -80,16 +80,6 @@ class Dataset:
         return np.array([lookup[lab] for lab in self.y], dtype=int)
 
 
-@dataclass
-class PairSet:
-    pairs: list  # (i, j) index pairs, row-major over the full n^2 grid
-
-
-@dataclass
-class TripletSet:
-    triplets: list  # (i, j, k) with y_i == y_j and y_i != y_k
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "rbf"        # "linear" or "rbf"
@@ -152,19 +142,11 @@ def _check_sym_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has negative eigenvalue {w.min():.3g}")
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Hinge margin loss: g(t) = max(0, 1 - t)."""
-
-    margin: float = 1.0
-    U: float = 1.0
-    g0: float = 2.0
-
-    def g(self, t):
-        return np.maximum(0.0, self.margin - np.asarray(t, dtype=float))
-
-
-# zero-matrix triplet hinge loss: 1 - 0 + 0 on every admissible triplet
+# the hinge g(t) = max(0, 1 - t): Lipschitz constant U, and the loss of the
+# zero matrix over pairs (g(-1) on every other-label pair) and over
+# triplets (1 - 0 + 0 on every admissible triplet)
+HINGE_U = 1.0
+PAIR_G0 = 2.0
 TRIPLET_G0 = 1.0
 
 
@@ -172,17 +154,66 @@ def hinge(t):
     return np.maximum(0.0, 1.0 - np.asarray(t, dtype=float))
 
 
+@dataclass(frozen=True)
+class Family:
+    """One model family: the model it fits and its certificate constants,
+    a loss-deviation bound times the capacity g0/c.
+
+    epsilon = eps_coef * radius * scale * U g0/c (bounds.epsilon_theoretical)
+    and B = g0 + f_coef * radius^2 * g0/c.  Data only: harness.train_family
+    picks the solver from these fields.
+    """
+
+    kind: str          # MetricModel kind
+    reg: str           # regularizer
+    triplet: bool      # triplet loss (g0 = TRIPLET_G0) instead of pair loss
+    eps_coef: float
+    f_coef: float
+
+    @property
+    def g0(self) -> float:
+        return TRIPLET_G0 if self.triplet else PAIR_G0
+
+    def radius(self, R: float) -> float:
+        """Radius of the feature space: R, or 1 for the rbf kernel, whose
+        features have norm sqrt(k(x, x)) = 1."""
+        return 1.0 if self.kind == "kernelized" else R
+
+    def loss_bound(self, R: float, c: float) -> float:
+        """Uniform loss bound B from the capacity inequality ||M*|| <= g0/c."""
+        if c <= 0:
+            raise ValueError("regularization weight c must be positive")
+        if R <= 0:
+            raise ValueError("radius R must be positive")
+        r = self.radius(R)
+        return self.g0 + self.f_coef * r * r * self.g0 / c
+
+
+# squared distances |f| <= 4 R^2 ||M|| (||x - x'|| <= 2R), the bilinear
+# similarity |f| <= R^2 ||M||; triplet deviations add two pair deviations
+FAMILIES = {
+    "fro": Family("mahalanobis", "fro", False, 8.0, 4.0),
+    "l1": Family("mahalanobis", "l1", False, 8.0, 4.0),
+    "l21": Family("mahalanobis", "l21", False, 8.0, 4.0),
+    "bilinear": Family("bilinear", "fro", False, 2.0, 1.0),
+    "kernel-rbf": Family("kernelized", "fro", False, 8.0, 4.0),
+    "triplet-fro": Family("mahalanobis", "fro", True, 16.0, 4.0),
+    "triplet-l21": Family("mahalanobis", "l21", True, 16.0, 4.0),
+}
+
+
 # ---------------------------------------------------------------------------
-# pair / triplet construction
+# pair / triplet enumeration: oracles for the tests; the solvers and the
+# certificates work on n x n arrays and never build these lists
 
 
-def build_pairs(ds: Dataset) -> PairSet:
+def build_pairs(ds: Dataset) -> list:
     """All n^2 ordered index pairs, self-pairs included, row-major order."""
     n = ds.n
-    return PairSet([(i, j) for i in range(n) for j in range(n)])
+    return [(i, j) for i in range(n) for j in range(n)]
 
 
-def build_triplets(ds: Dataset) -> TripletSet:
+def build_triplets(ds: Dataset) -> list:
     """All admissible (i, j, k): y_i == y_j, y_i != y_k, lexicographic order.
 
     i == j is allowed; the triplet loss is well defined for it.
@@ -197,7 +228,7 @@ def build_triplets(ds: Dataset) -> TripletSet:
             for k in range(n):
                 if y[i] != y[k]:
                     out.append((i, j, k))
-    return TripletSet(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +309,10 @@ def metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
 # losses
 
 
-def pair_loss(m: MetricModel, ls: LossSpec, z1: LabeledExample, z2: LabeledExample) -> float:
+def pair_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample) -> float:
     y12 = 1.0 if z1.y == z2.y else -1.0
     f = metric_eval(m, z1.x, z2.x)
-    return float(ls.g(y12 * (1.0 - f)))
+    return float(hinge(y12 * (1.0 - f)))
 
 
 def triplet_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample, z3: LabeledExample) -> float:
@@ -293,21 +324,17 @@ def triplet_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample, z3: Lab
     return float(max(0.0, 1.0 - f13 + f12))
 
 
-def pair_loss_matrix(m: MetricModel, ls: LossSpec, ds: Dataset) -> np.ndarray:
+def pair_loss_matrix(m: MetricModel, ds: Dataset) -> np.ndarray:
     """n x n matrix of pair losses over a dataset's points."""
     F = metric_matrix(m, ds.X)
     li = ds.label_indices()
     Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
-    return ls.g(Y * (1.0 - F))
+    return hinge(Y * (1.0 - F))
 
 
-def empirical_loss(m: MetricModel, ds: Dataset, ps: PairSet, ls: LossSpec) -> float:
-    """Mean pair loss over the pair sample (1/n^2 for the full grid)."""
-    if not ps.pairs:
-        raise ValueError("empty pair set")
-    L = pair_loss_matrix(m, ls, ds)
-    idx = np.asarray(ps.pairs)
-    return float(L[idx[:, 0], idx[:, 1]].mean())
+def empirical_loss(m: MetricModel, ds: Dataset) -> float:
+    """Mean pair loss over all n^2 ordered pairs."""
+    return float(pair_loss_matrix(m, ds).mean())
 
 
 def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int]:
@@ -358,23 +385,3 @@ def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray,
 def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
     """Mean triplet hinge loss over all admissible triplets of the sample."""
     return triplet_hinge(metric_matrix(m, ds.X), ds.label_indices())[0]
-
-
-def loss_bound_B(ls: LossSpec, R: float, c: float, kind: str = "mahalanobis") -> float:
-    """Uniform loss bound from the capacity inequality ||M*|| <= g0/c.
-
-    |f| <= F_max with F_max = 4 R^2 g0/c for squared-distance metrics
-    (||x - x'|| <= 2R) and R^2 g0/c for the bilinear similarity, so the
-    hinge never exceeds g0 + F_max.
-    """
-    if c <= 0:
-        raise ValueError("regularization weight c must be positive")
-    if R <= 0:
-        raise ValueError("radius R must be positive")
-    if kind in ("mahalanobis", "kernelized", "triplet"):
-        f_max = 4.0 * R * R * ls.g0 / c
-    elif kind == "bilinear":
-        f_max = R * R * ls.g0 / c
-    else:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    return ls.g0 + f_max

@@ -18,16 +18,15 @@ from .bounds import (
 )
 from . import core
 from .core import (
+    FAMILIES,
+    HINGE_U,
     Dataset,
     KernelSpec,
-    LossSpec,
     MetricModel,
-    TRIPLET_G0,
-    build_pairs,
     empirical_loss,
     empirical_triplet_loss,
+    hinge,
     kernel_coords,
-    loss_bound_B,
     metric_columns,
     metric_rows,
 )
@@ -112,11 +111,7 @@ def _sample_points(spec: SyntheticSpec, count: int, rng) -> tuple[np.ndarray, li
 
 
 def true_loss_estimate(
-    m: MetricModel,
-    ls: LossSpec,
-    spec: SyntheticSpec,
-    M_mc: int,
-    seed: int = 0,
+    m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte-Carlo mean pair loss over independent draws, with its SE."""
     if M_mc < 2:
@@ -127,7 +122,7 @@ def true_loss_estimate(
     f = _metric_rowwise(m, X1, X2)
     same = np.asarray(y1) == np.asarray(y2)
     ysign = np.where(same, 1.0, -1.0)
-    losses = ls.g(ysign * (1.0 - f))
+    losses = hinge(ysign * (1.0 - f))
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
 
 
@@ -172,19 +167,18 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.probe_size < 1 or self.mc_size < 1 or self.repetitions < 1:
             raise ValueError("probe_size, mc_size, repetitions must be >= 1")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
 
 
-def _solve_family(ds: Dataset, family: str, ls: LossSpec, cfg: SolverConfig, sigma: float):
-    ps = build_pairs(ds)
-    if family in ("fro", "l1", "l21"):
-        return solve(ds, ps, ls, family, cfg), ps
-    if family == "bilinear":
-        return solve(ds, ps, ls, "fro", cfg, kind="bilinear"), ps
-    if family == "kernel-rbf":
-        return solve_kernel(ds, ps, ls, KernelSpec("rbf", sigma), cfg), ps
-    if family in ("triplet-fro", "triplet-l21"):
-        return solve_triplet(ds, family.split("-")[1], cfg), ps
-    raise ValueError(f"unknown family {family!r}")
+def train_family(ds: Dataset, family: str, cfg: SolverConfig, sigma: float = 1.0) -> MetricModel:
+    """Fit the model of a FAMILIES entry; sigma is the rbf bandwidth."""
+    fam = FAMILIES[family]
+    if fam.triplet:
+        return solve_triplet(ds, fam.reg, cfg)
+    if fam.kind == "kernelized":
+        return solve_kernel(ds, KernelSpec("rbf", sigma), cfg)
+    return solve(ds, fam.reg, cfg, kind=fam.kind)
 
 
 def certify(
@@ -201,27 +195,19 @@ def certify(
     pseudo_eps_scale: float = 0.5,
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities."""
-    is_triplet = family.startswith("triplet")
-    ls = LossSpec()
-    g0 = TRIPLET_G0 if is_triplet else ls.g0
+    fam = FAMILIES[family]
     part = build_partition(ds, cover_cfg, probe=probe)
     q = RobustnessQuery(
-        family=family, U=ls.U, R=ds.R, gamma=cover_cfg.gamma, g0=g0, c=c,
-        sigma=sigma if family == "kernel-rbf" else 0.0,
+        family=family, U=HINGE_U, R=ds.R, gamma=cover_cfg.gamma, g0=fam.g0, c=c,
+        sigma=sigma if fam.kind == "kernelized" else 0.0,
     )
     eps_theo = epsilon_theoretical(q)
     pseudo_eps = pseudo_eps_scale * eps_theo
-    if is_triplet:
+    if fam.triplet:
         est = empirical_epsilon_triplet(model, part, ds, probe)
-        B = TRIPLET_G0 + 4.0 * ds.R**2 * TRIPLET_G0 / c
     else:
-        est, p_hat = cell_stats(model, ls, part, ds, probe, pseudo_eps)
-        bkind = {
-            "bilinear": "bilinear",
-            "kernel-rbf": "kernelized",
-        }.get(family, "mahalanobis")
-        bR = 1.0 if family == "kernel-rbf" else ds.R  # rbf feature radius is 1
-        B = loss_bound_B(ls, bR, c, bkind)
+        est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
+    B = fam.loss_bound(ds.R, c)
     radius = cover_cfg.gamma / 2.0
     K_theo = len(ds.labels) * covering_number_upper_bound(
         ds.R, radius, ds.d, cover_cfg.norm
@@ -230,7 +216,7 @@ def certify(
     bq = BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="pair")
     bound_pair = bound_value(bq)
     bound_triplet = bound_pseudo = None
-    if is_triplet:
+    if fam.triplet:
         bound_triplet = bound_value(
             BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="triplet")
         )
@@ -242,13 +228,13 @@ def certify(
             )
         )
     gap_val = float(gap) if gap is not None else 0.0
-    certified = bound_triplet if is_triplet else bound_pair
+    certified = bound_triplet if fam.triplet else bound_pair
     return BoundReport(
         family=family,
-        U=ls.U,
+        U=HINGE_U,
         R=ds.R,
         gamma=cover_cfg.gamma,
-        g0=g0,
+        g0=fam.g0,
         c=c,
         K_theoretical=K_theo,
         K_empirical=part.K,
@@ -268,18 +254,17 @@ def certify(
 def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     spec = replace(cfg.synthetic, seed=rep_seed)
     ds = gen_synthetic(spec)
-    ls = LossSpec()
     scfg = replace(cfg.solver, seed=rep_seed)
     sigma = 1.0
-    model, ps = _solve_family(ds, cfg.family, ls, scfg, sigma)
+    model = train_family(ds, cfg.family, scfg, sigma)
     probe_spec = replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000)
     probe = gen_synthetic(probe_spec)
-    if cfg.family.startswith("triplet"):
+    if FAMILIES[cfg.family].triplet:
         l_emp = empirical_triplet_loss(model, ds)
         true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
     else:
-        l_emp = empirical_loss(model, ds, ps, ls)
-        true_est, _se = true_loss_estimate(model, ls, spec, cfg.mc_size, rep_seed + 20_000)
+        l_emp = empirical_loss(model, ds)
+        true_est, _se = true_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
     gap = abs(true_est - l_emp)
     report = certify(
         model, ds, probe, cfg.family, cfg.cover, cfg.solver.c, cfg.delta,

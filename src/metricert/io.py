@@ -84,7 +84,9 @@ def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:
 
 
 def model_from_json_dict(obj: dict, anchors: Dataset | None = None) -> MetricModel:
+    """The stored model; info["c"] is the training c (None when unknown)."""
     size = obj["size"]
+    info = {"c": obj.get("c")}
     mat = np.asarray(obj["matrix"], dtype=float).reshape(size, size)
     if obj["kind"] == "kernelized":
         if anchors is None:
@@ -94,9 +96,9 @@ def model_from_json_dict(obj: dict, anchors: Dataset | None = None) -> MetricMod
         ks = KernelSpec(obj["kernel"]["kind"], obj["kernel"].get("sigma", 1.0))
         return MetricModel(
             kind="kernelized", A=mat, kernel=ks, anchors=anchors,
-            regularizer=obj["regularizer"],
+            regularizer=obj["regularizer"], info=info,
         )
-    return MetricModel(kind=obj["kind"], M=mat, regularizer=obj["regularizer"])
+    return MetricModel(kind=obj["kind"], M=mat, regularizer=obj["regularizer"], info=info)
 
 
 def save_model(m: MetricModel, path: str, c: float | None = None) -> None:

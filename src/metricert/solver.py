@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PAIR_G0,
+    TRIPLET_G0,
     Dataset,
     KernelSpec,
-    LossSpec,
     MetricModel,
-    TRIPLET_G0,
-    PairSet,
     empirical_loss,
     kernel_gram,
     triplet_hinge,
@@ -65,14 +64,7 @@ def reg_norm(M: np.ndarray, reg: str) -> float:
     raise ValueError(f"unknown regularizer {reg!r}")
 
 
-def objective(
-    m: MetricModel,
-    ds: Dataset,
-    ps: PairSet,
-    ls: LossSpec,
-    reg: str,
-    c: float,
-) -> float:
+def objective(m: MetricModel, ds: Dataset, reg: str, c: float) -> float:
     """c*||M||_reg + empirical pair loss.
 
     For kernelized models the penalized norm is the feature-space Frobenius
@@ -84,7 +76,7 @@ def objective(
         norm = float(np.linalg.norm(S @ m.A @ S, "fro"))
     else:
         norm = reg_norm(m.M, reg)
-    return c * norm + empirical_loss(m, ds, ps, ls)
+    return c * norm + empirical_loss(m, ds)
 
 
 def psd_project(M: np.ndarray) -> np.ndarray:
@@ -206,7 +198,7 @@ def _pair_signs(ds: Dataset) -> np.ndarray:
     return np.where(li[:, None] == li[None, :], 1.0, -1.0)
 
 
-def loss_subgradient(m: MetricModel, ds: Dataset, ps: PairSet, ls: LossSpec) -> np.ndarray:
+def loss_subgradient(m: MetricModel, ds: Dataset) -> np.ndarray:
     """Subgradient of the mean hinge pair loss with respect to M, from the
     solver's own pair evaluation."""
     if m.kind not in ("mahalanobis", "bilinear"):
@@ -233,13 +225,15 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[n
         step = cfg.step0 / np.sqrt(t)
         M = M - step * grad
         M = prox(M, step * cfg.c, reg)
-        if psd:
-            if reg == "l21":
-                # prox zeroes whole columns but not the matching rows, which
-                # the symmetrisation would copy back; with row and column j
-                # both zero, e_j is a null vector and the projection keeps
-                # them zero up to rounding
-                M[~M.any(axis=0)] = 0.0
+        if psd and reg == "l21":
+            # prox zeroes whole columns; projecting only the block of the
+            # kept ones keeps each zero column and its row exactly zero
+            kept = M.any(axis=0)
+            block = np.ix_(kept, kept)
+            P = np.zeros_like(M)
+            P[block] = psd_project(M[block])
+            M = P
+        elif psd:
             M = psd_project(M)
         if not np.all(np.isfinite(M)):
             raise ArithmeticError(f"non-finite iterate at iteration {t}")
@@ -262,14 +256,7 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[n
     return best, info
 
 
-def solve(
-    ds: Dataset,
-    ps: PairSet,
-    ls: LossSpec,
-    reg: str,
-    cfg: SolverConfig,
-    kind: str = "mahalanobis",
-) -> MetricModel:
+def solve(ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis") -> MetricModel:
     """Minimize the pair objective; returns the best iterate (or M = 0).
 
     The returned model always satisfies objective <= loss at the zero
@@ -282,7 +269,7 @@ def solve(
         raise ValueError(f"solve handles mahalanobis/bilinear, got {kind!r}")
     eval_fn = _pair_eval(ds.X, _pair_signs(ds), kind)
     best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"))
-    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / ls.g0
+    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / PAIR_G0
     return MetricModel(kind=kind, M=best, regularizer=reg, info=info)
 
 
@@ -303,13 +290,7 @@ def _sym_sqrt(K: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def solve_kernel(
-    ds: Dataset,
-    ps: PairSet,
-    ls: LossSpec,
-    ks: KernelSpec,
-    cfg: SolverConfig,
-) -> MetricModel:
+def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     """Kernelized solve with feature-space Frobenius regularization.
 
     Works in the top-r KPCA coordinates Psi = U_r Lambda_r^{1/2} of the Gram
@@ -337,7 +318,7 @@ def solve_kernel(
     info["rank"] = len(w)
     info["rank_tol"] = KPCA_RANK_TOL
     info["feature_norm"] = reg_norm(H, "fro")
-    info["capacity_ratio"] = cfg.c * info["feature_norm"] / ls.g0
+    info["capacity_ratio"] = cfg.c * info["feature_norm"] / PAIR_G0
     return MetricModel(
         kind="kernelized", A=A, kernel=ks, anchors=ds, regularizer="fro", info=info
     )

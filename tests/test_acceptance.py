@@ -16,21 +16,20 @@ from metricert.bounds import (
     rbf_fH,
 )
 from metricert.core import (
+    PAIR_G0,
     Dataset,
     KernelSpec,
-    LossSpec,
-    build_pairs,
     empirical_loss,
 )
 from metricert.cover import CoverConfig
 from metricert.harness import (
     ExperimentConfig,
     SyntheticSpec,
-    _solve_family,
     certify,
     gap_curve,
     gen_synthetic,
     run_experiment,
+    train_family,
 )
 from metricert.io import (
     dataset_from_csv,
@@ -48,9 +47,6 @@ from metricert.solver import (
     solve,
     solve_kernel,
 )
-
-LS = LossSpec()
-
 
 def _report(num: int, name: str, ok: bool) -> None:
     print(f"\nCRITERION {num:2d} {name}: {'PASS' if ok else 'FAIL'}")
@@ -75,18 +71,17 @@ def test_criterion_01_capacity_invariant():
         d = int(rng.integers(2, 6))
         c = float(rng.uniform(0.05, 2.0))
         ds = _random_dataset(rng, n, d)
-        ps = build_pairs(ds)
         cfg = SolverConfig(c=c, max_iters=60, seed=i)
         if family == "kernel-rbf":
-            m = solve_kernel(ds, ps, LS, KernelSpec("rbf", 1.0), cfg)
+            m = solve_kernel(ds, KernelSpec("rbf", 1.0), cfg)
             norm = m.info["feature_norm"]
         elif family == "bilinear":
-            m = solve(ds, ps, LS, "fro", cfg, kind="bilinear")
+            m = solve(ds, "fro", cfg, kind="bilinear")
             norm = reg_norm(m.M, "fro")
         else:
-            m = solve(ds, ps, LS, family, cfg)
+            m = solve(ds, family, cfg)
             norm = reg_norm(m.M, family)
-        cap = LS.g0 / c
+        cap = PAIR_G0 / c
         ok = ok and norm <= cap * (1.0 + 1e-6)
     _report(1, "capacity invariant ||M*||_reg <= g0/c (rel 1e-6)", ok)
 
@@ -104,7 +99,7 @@ def test_criterion_02_robustness_soundness():
             ds = _random_dataset(rng, n, d)
             probe = _random_dataset(rng, 20, d)
             cfg = SolverConfig(c=c, max_iters=40, seed=i)
-            model, _ps = _solve_family(ds, family, LS, cfg, sigma=1.0)
+            model = train_family(ds, family, cfg, sigma=1.0)
             rep = certify(
                 model, ds, probe, family, CoverConfig(gamma=gamma),
                 c=c, delta=0.05, sigma=1.0,
@@ -223,14 +218,14 @@ def test_criterion_06_numerical_oracles():
         if np.min(np.abs(args - 1.0)) < 1e-3:
             continue
         checked += 1
-        G = loss_subgradient(m, ds, build_pairs(ds), LS)
+        G = loss_subgradient(m, ds)
         h = 1e-6
         for a in range(d):
             for b in range(a, d):
                 E = np.zeros((d, d))
                 E[a, b] = E[b, a] = 1.0
-                lp = empirical_loss(MetricModel("mahalanobis", M=M0 + h * E), ds, build_pairs(ds), LS)
-                lm = empirical_loss(MetricModel("mahalanobis", M=M0 - h * E), ds, build_pairs(ds), LS)
+                lp = empirical_loss(MetricModel("mahalanobis", M=M0 + h * E), ds)
+                lm = empirical_loss(MetricModel("mahalanobis", M=M0 - h * E), ds)
                 fd = (lp - lm) / (2.0 * h)
                 an = G[a, b] + G[b, a] if a != b else G[a, a]
                 ok = ok and abs(fd - an) <= 1e-4 * max(1.0, abs(fd))
@@ -250,12 +245,11 @@ def test_criterion_07_kernel_consistency():
     ok = True
     for i in range(5):
         ds = _random_dataset(rng, 10, 2)
-        ps = build_pairs(ds)
         cfg = SolverConfig(c=0.5, max_iters=200, seed=i)
-        plain = solve(ds, ps, LS, "fro", cfg)
-        kern = solve_kernel(ds, ps, LS, KernelSpec("linear"), cfg)
-        lp = empirical_loss(plain, ds, ps, LS)
-        lk = empirical_loss(kern, ds, ps, LS)
+        plain = solve(ds, "fro", cfg)
+        kern = solve_kernel(ds, KernelSpec("linear"), cfg)
+        lp = empirical_loss(plain, ds)
+        lk = empirical_loss(kern, ds)
         ok = ok and abs(lp - lk) <= 1e-4
     for sigma in (0.5, 1.0, 2.0):
         for gamma in (0.5, 1.0, 2.0):
@@ -294,11 +288,10 @@ def test_criterion_09_sparsity_contrast():
     z_fro, z_l1, cols_l21, cols_fro = [], [], [], []
     for seed in range(10):
         ds = gen_synthetic(SyntheticSpec(d=5, n=60, seed=seed))
-        ps = build_pairs(ds)
         cfg = SolverConfig(c=0.1, max_iters=200, seed=seed)
-        mf = solve(ds, ps, LS, "fro", cfg)
-        m1 = solve(ds, ps, LS, "l1", cfg)
-        m21 = solve(ds, ps, LS, "l21", cfg)
+        mf = solve(ds, "fro", cfg)
+        m1 = solve(ds, "l1", cfg)
+        m21 = solve(ds, "l21", cfg)
         z_fro.append(np.sum(np.abs(mf.M) < 1e-6))
         z_l1.append(np.sum(np.abs(m1.M) < 1e-6))
         cols_l21.append(np.sum(np.linalg.norm(m21.M, axis=0) < 1e-6))
@@ -334,7 +327,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
     dataset_to_csv(ds, p)
     back = dataset_from_csv(p, R=ds.R)
     ok = ok and np.array_equal(ds.X, back.X) and ds.y == back.y
-    model = solve(ds, build_pairs(ds), LS, "fro", SolverConfig(c=0.3, max_iters=40))
+    model = solve(ds, "fro", SolverConfig(c=0.3, max_iters=40))
     mp = tmp_path / "m.json"
     save_model(model, mp, c=0.3)
     ok = ok and np.array_equal(load_model(mp).M, model.M)

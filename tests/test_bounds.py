@@ -18,10 +18,9 @@ from metricert.bounds import (
     rbf_fH,
 )
 from metricert.core import (
+    FAMILIES,
     Dataset,
-    LossSpec,
     MetricModel,
-    build_pairs,
     build_triplets,
     metric_matrix,
     pair_loss,
@@ -29,9 +28,6 @@ from metricert.core import (
 from metricert.cover import CoverConfig, assign_cells, build_partition
 from metricert.harness import SyntheticSpec, gen_synthetic
 from metricert.solver import SolverConfig, solve
-
-LS = LossSpec()
-
 
 def make_ds(points, labels, R=None):
     X = np.atleast_2d(np.asarray(points, dtype=float))
@@ -61,6 +57,24 @@ class TestEpsilonTheoretical:
     def test_bilinear_quarter_of_fro(self):
         qb = RobustnessQuery("bilinear", U=1, R=1, gamma=0.1, g0=2, c=1)
         assert epsilon_theoretical(qb) == pytest.approx(0.4)
+
+    def test_table_keeps_each_closed_form_bit_for_bit(self):
+        # the per-family formulas, written out in their operation order
+        R, gamma, c, sigma = 0.7, 0.3, 0.13, 0.9
+        base = 1.0 * 2.0 / c
+        expected = {
+            "fro": 8.0 * R * gamma * base,
+            "l1": 8.0 * R * gamma * base,
+            "l21": 8.0 * R * gamma * base,
+            "bilinear": 2.0 * R * gamma * base,
+            "kernel-rbf": 8.0 * 1.0 * math.sqrt(rbf_fH(gamma, sigma)) * base,
+            "triplet-fro": 16.0 * R * gamma * base,
+            "triplet-l21": 16.0 * R * gamma * base,
+        }
+        assert list(expected) == list(FAMILIES)
+        for fam, eps in expected.items():
+            q = RobustnessQuery(fam, U=1.0, R=R, gamma=gamma, g0=2.0, c=c, sigma=sigma)
+            assert epsilon_theoretical(q) == eps
 
 
 class TestRbfFH:
@@ -102,8 +116,8 @@ def brute_force_epsilon(model, part, ds, probe):
                     if ids_pr[a] < 0 or ids_pr[b] < 0:
                         continue
                     if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
-                        lt = pair_loss(model, LS, ds[i], ds[j])
-                        lp = pair_loss(model, LS, probe[a], probe[b])
+                        lt = pair_loss(model, ds[i], ds[j])
+                        lp = pair_loss(model, probe[a], probe[b])
                         best = max(best, abs(lt - lp))
     return best
 
@@ -113,7 +127,7 @@ class TestEmpiricalEpsilon:
         ds = make_ds([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], "aab")
         part = build_partition(ds, CoverConfig(gamma=0.4), probe=ds)
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        assert empirical_epsilon(zero, LS, part, ds, ds).value == 0.0
+        assert empirical_epsilon(zero, part, ds, ds).value == 0.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -128,7 +142,7 @@ class TestEmpiricalEpsilon:
             part = build_partition(ds, CoverConfig(gamma=0.8), probe=probe)
             A = rng.standard_normal((2, 2))
             model = MetricModel("mahalanobis", M=A @ A.T)
-            got = empirical_epsilon(model, LS, part, ds, probe)
+            got = empirical_epsilon(model, part, ds, probe)
             assert got.value == pytest.approx(
                 brute_force_epsilon(model, part, ds, probe), abs=1e-12
             )
@@ -138,7 +152,7 @@ class TestEmpiricalEpsilon:
         probe = make_ds([[0.01, 0.0], [3.0, 0.0]], "aa", R=5.0)
         part = build_partition(ds, CoverConfig(gamma=0.5))  # probe NOT covered
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        est = empirical_epsilon(zero, LS, part, ds, probe)
+        est = empirical_epsilon(zero, part, ds, probe)
         assert est.excluded_probes == 1
 
     def test_bounded_by_theoretical(self):
@@ -147,11 +161,11 @@ class TestEmpiricalEpsilon:
             spec = SyntheticSpec(n=20, d=2, seed=int(rng.integers(10**6)))
             ds = gen_synthetic(spec)
             c = 0.5
-            model = solve(ds, build_pairs(ds), LS, "fro", SolverConfig(c=c, max_iters=40))
+            model = solve(ds, "fro", SolverConfig(c=c, max_iters=40))
             probe = gen_synthetic(SyntheticSpec(n=20, d=2, seed=int(rng.integers(10**6))))
             gamma = 0.5
             part = build_partition(ds, CoverConfig(gamma=gamma), probe=probe)
-            got = empirical_epsilon(model, LS, part, ds, probe)
+            got = empirical_epsilon(model, part, ds, probe)
             q = RobustnessQuery("fro", U=1, R=ds.R, gamma=gamma, g0=2, c=c)
             assert got.value <= epsilon_theoretical(q) + 1e-9
 
@@ -168,19 +182,19 @@ class TestPseudoRobustCount:
 
     def test_at_empirical_epsilon_all_pairs(self):
         model, part, ds, probe = self._setup()
-        eps = empirical_epsilon(model, LS, part, ds, probe).value
-        assert pseudo_robust_count(model, LS, part, ds, probe, eps) == ds.n**2
+        eps = empirical_epsilon(model, part, ds, probe).value
+        assert pseudo_robust_count(model, part, ds, probe, eps) == ds.n**2
 
     def test_zero_matrix_epsilon_zero(self):
         _, part, ds, probe = self._setup()
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        assert pseudo_robust_count(zero, LS, part, ds, probe, 0.0) == ds.n**2
+        assert pseudo_robust_count(zero, part, ds, probe, 0.0) == ds.n**2
 
     def test_midrange_matches_oracle(self):
         model, part, ds, probe = self._setup(seed=17)
-        eps = 0.5 * empirical_epsilon(model, LS, part, ds, probe).value
+        eps = 0.5 * empirical_epsilon(model, part, ds, probe).value
         count = brute_force_count(model, part, ds, probe, eps)
-        assert pseudo_robust_count(model, LS, part, ds, probe, eps) == count
+        assert pseudo_robust_count(model, part, ds, probe, eps) == count
 
 
 def brute_force_count(model, part, ds, probe, eps):
@@ -191,13 +205,13 @@ def brute_force_count(model, part, ds, probe, eps):
     for i in range(ds.n):
         for j in range(ds.n):
             ok = True
-            lt = pair_loss(model, LS, ds[i], ds[j])
+            lt = pair_loss(model, ds[i], ds[j])
             for a in range(probe.n):
                 for b in range(probe.n):
                     if ids_pr[a] < 0 or ids_pr[b] < 0:
                         continue
                     if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
-                        lp = pair_loss(model, LS, probe[a], probe[b])
+                        lp = pair_loss(model, probe[a], probe[b])
                         if abs(lt - lp) > eps + 1e-12:
                             ok = False
             count += ok
@@ -229,7 +243,7 @@ class TestCellStats:
             )
             eps_oracle = brute_force_epsilon(model, part, ds, probe)
             for scale in (0.0, 0.4, 1.0):
-                est, p_hat = cell_stats(model, LS, part, ds, probe, scale * eps_oracle)
+                est, p_hat = cell_stats(model, part, ds, probe, scale * eps_oracle)
                 assert est.value == pytest.approx(eps_oracle, abs=1e-12)
                 assert est.excluded_probes == int((assign_cells(part, probe.X, probe.y) < 0).sum())
                 assert p_hat == brute_force_count(model, part, ds, probe, scale * eps_oracle)
@@ -239,7 +253,7 @@ class TestCellStats:
         probe = make_ds([[3.0, 0.0]], "a", R=5.0)
         part = build_partition(ds, CoverConfig(gamma=0.5))
         model = MetricModel("mahalanobis", M=np.eye(2))
-        est, p_hat = cell_stats(model, LS, part, ds, probe, 0.0)
+        est, p_hat = cell_stats(model, part, ds, probe, 0.0)
         assert (est.value, est.excluded_probes, p_hat) == (0.0, 1, ds.n**2)
 
 
@@ -253,7 +267,7 @@ def dict_loop_epsilon_triplet(m, part, ds, probe):
     def grouped(sub, ids):
         F = metric_matrix(m, sub.X)
         out = {}
-        for i, j, k in build_triplets(sub).triplets:
+        for i, j, k in build_triplets(sub):
             loss = max(0.0, 1.0 - F[i, k] + F[i, j])
             key = (ids[i], ids[j], ids[k])
             lo, hi = out.get(key, (np.inf, -np.inf))

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from metricert.core import (
+    FAMILIES,
+    HINGE_U,
+    PAIR_G0,
     Dataset,
     KernelSpec,
     LabeledExample,
-    LossSpec,
     MetricModel,
     build_pairs,
     build_triplets,
     empirical_loss,
     empirical_triplet_loss,
-    loss_bound_B,
+    hinge,
     metric_eval,
     metric_matrix,
     pair_loss,
     triplet_hinge,
     triplet_loss,
 )
-
-LS = LossSpec()
 
 
 def make_ds(points, labels, R=None):
@@ -47,15 +47,15 @@ def enumerate_triplets(labels):
 class TestPairs:
     def test_single_element(self):
         ds = make_ds([[0.0]], ["a"])
-        assert build_pairs(ds).pairs == [(0, 0)]
+        assert build_pairs(ds) == [(0, 0)]
 
     def test_n2_row_major(self):
         ds = make_ds([[0.0], [1.0]], ["a", "b"])
-        assert build_pairs(ds).pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert build_pairs(ds) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_n3_matches_enumeration(self):
         ds = make_ds([[0.0], [1.0], [2.0]], "aab")
-        pairs = build_pairs(ds).pairs
+        pairs = build_pairs(ds)
         assert len(pairs) == 9
         assert pairs == enumerate_pairs(3)
 
@@ -63,22 +63,22 @@ class TestPairs:
 class TestTriplets:
     def test_aab_labels(self):
         ds = make_ds([[0.0], [0.5], [1.0]], "aab")
-        trips = build_triplets(ds).triplets
+        trips = build_triplets(ds)
         assert trips == enumerate_triplets("aab")
         # (i,j) in {(0,0),(0,1),(1,0),(1,1)} with k=2, plus (2,2,0),(2,2,1)
         assert len(trips) == 6
 
     def test_single_label_empty(self):
         ds = make_ds([[0.0], [1.0]], "aa")
-        assert build_triplets(ds).triplets == []
+        assert build_triplets(ds) == []
 
     def test_two_labels(self):
         ds = make_ds([[0.0], [1.0]], "ab")
-        assert build_triplets(ds).triplets == [(0, 0, 1), (1, 1, 0)]
+        assert build_triplets(ds) == [(0, 0, 1), (1, 1, 0)]
 
     def test_admissibility(self):
         ds = make_ds([[0.0], [0.1], [1.0], [1.1]], "abab")
-        for i, j, k in build_triplets(ds).triplets:
+        for i, j, k in build_triplets(ds):
             assert ds.y[i] == ds.y[j] and ds.y[i] != ds.y[k]
 
 
@@ -185,19 +185,19 @@ class TestPairLoss:
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
         z1 = LabeledExample(np.array([0.0, 0.0]), "a")
         z2 = LabeledExample(np.array([1.0, 0.0]), "a")
-        assert pair_loss(m, LS, z1, z2) == 0.0
+        assert pair_loss(m, z1, z2) == 0.0
 
     def test_zero_matrix_different_labels_is_g0(self):
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
         z1 = LabeledExample(np.array([0.0, 0.0]), "a")
         z2 = LabeledExample(np.array([1.0, 0.0]), "b")
-        assert pair_loss(m, LS, z1, z2) == LS.g0 == 2.0
+        assert pair_loss(m, z1, z2) == PAIR_G0 == 2.0
 
     def test_identity_hand_value(self):
         m = MetricModel("mahalanobis", M=np.eye(2))
         z1 = LabeledExample(np.array([0.0, 0.0]), "a")
         z2 = LabeledExample(np.array([1.0, 0.0]), "a")
-        assert pair_loss(m, LS, z1, z2) == pytest.approx(1.0)
+        assert pair_loss(m, z1, z2) == pytest.approx(1.0)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
@@ -206,13 +206,13 @@ class TestPairLoss:
         for _ in range(50):
             z1 = LabeledExample(rng.standard_normal(2), "a")
             z2 = LabeledExample(rng.standard_normal(2), rng.choice(["a", "b"]))
-            assert pair_loss(m, LS, z1, z2) == pair_loss(m, LS, z2, z1)
+            assert pair_loss(m, z1, z2) == pair_loss(m, z2, z1)
 
     def test_lipschitz_on_grid(self):
         rng = np.random.default_rng(5)
         t = rng.uniform(-10, 10, size=(1000, 2))
-        g = LS.g
-        assert np.all(np.abs(g(t[:, 0]) - g(t[:, 1])) <= LS.U * np.abs(t[:, 0] - t[:, 1]) + 1e-12)
+        g = hinge
+        assert np.all(np.abs(g(t[:, 0]) - g(t[:, 1])) <= HINGE_U * np.abs(t[:, 0] - t[:, 1]) + 1e-12)
 
 
 class TestTripletLoss:
@@ -239,19 +239,19 @@ class TestEmpiricalLoss:
     def test_zero_matrix_single_label(self):
         ds = make_ds([[0.0], [1.0], [2.0]], "aaa")
         m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        assert empirical_loss(m, ds, build_pairs(ds), LS) == 0.0
+        assert empirical_loss(m, ds) == 0.0
 
     def test_zero_matrix_two_labels(self):
         ds = make_ds([[0.0], [1.0]], "ab")
         m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
         # (0,0),(1,1) give 0; (0,1),(1,0) give 2 -> mean 1
-        assert empirical_loss(m, ds, build_pairs(ds), LS) == pytest.approx(1.0)
+        assert empirical_loss(m, ds) == pytest.approx(1.0)
 
     def test_n1_single_self_pair(self):
         ds = make_ds([[0.5, 0.5]], ["a"])
         m = MetricModel("mahalanobis", M=np.eye(2))
         z = ds[0]
-        assert empirical_loss(m, ds, build_pairs(ds), LS) == pair_loss(m, LS, z, z)
+        assert empirical_loss(m, ds) == pair_loss(m, z, z)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -260,34 +260,35 @@ class TestEmpiricalLoss:
         A = rng.standard_normal((2, 2))
         m = MetricModel("mahalanobis", M=A @ A.T)
         expected = np.mean(
-            [pair_loss(m, LS, ds[i], ds[j]) for i in range(8) for j in range(8)]
+            [pair_loss(m, ds[i], ds[j]) for i in range(8) for j in range(8)]
         )
-        assert empirical_loss(m, ds, build_pairs(ds), LS) == pytest.approx(expected)
-
-    def test_empty_pairs_error(self):
-        ds = make_ds([[0.0]], ["a"])
-        m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        ps = build_pairs(ds)
-        ps.pairs = []
-        with pytest.raises(ValueError):
-            empirical_loss(m, ds, ps, LS)
+        assert empirical_loss(m, ds) == pytest.approx(expected)
 
 
 class TestLossBoundB:
     def test_mahalanobis_hand_value(self):
-        assert loss_bound_B(LS, R=1.0, c=2.0, kind="mahalanobis") == pytest.approx(6.0)
+        assert FAMILIES["fro"].loss_bound(R=1.0, c=2.0) == pytest.approx(6.0)
 
     def test_bilinear_hand_value(self):
-        assert loss_bound_B(LS, R=1.0, c=2.0, kind="bilinear") == pytest.approx(3.0)
+        assert FAMILIES["bilinear"].loss_bound(R=1.0, c=2.0) == pytest.approx(3.0)
 
     def test_zero_capacity_limit(self):
-        assert loss_bound_B(LS, R=1.0, c=1e12, kind="mahalanobis") == pytest.approx(
+        assert FAMILIES["fro"].loss_bound(R=1.0, c=1e12) == pytest.approx(
             2.0, abs=1e-9
         )
 
     def test_invalid_c(self):
         with pytest.raises(ValueError):
-            loss_bound_B(LS, R=1.0, c=0.0)
+            FAMILIES["fro"].loss_bound(R=1.0, c=0.0)
+
+    def test_kernel_and_triplet_hand_values(self):
+        # the rbf features have norm 1 whatever the input radius; the
+        # triplet hinge of the zero matrix is g0 = 1
+        assert FAMILIES["kernel-rbf"].loss_bound(R=3.0, c=2.0) == pytest.approx(6.0)
+        assert FAMILIES["triplet-l21"].loss_bound(R=1.0, c=2.0) == pytest.approx(3.0)
+        # the pre-table triplet form, bit for bit
+        R, c = 0.7, 0.13
+        assert FAMILIES["triplet-fro"].loss_bound(R, c) == 1.0 + 4.0 * R**2 * 1.0 / c
 
 
 class TestDatasetInvariants:

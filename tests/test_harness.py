@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from metricert import core, harness
-from metricert.core import Dataset, LossSpec, MetricModel, build_pairs, metric_matrix
+from metricert.core import Dataset, MetricModel, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
     ExperimentConfig,
@@ -15,9 +15,6 @@ from metricert.harness import (
     true_loss_estimate,
 )
 from metricert.solver import SolverConfig
-
-LS = LossSpec()
-
 
 class TestGenSynthetic:
     def test_zero_scale_points_equal_means(self):
@@ -148,21 +145,21 @@ class TestTrueLossEstimate:
     def test_zero_model_single_class(self):
         spec = SyntheticSpec(n=10, classes=1, cov_scale=0.1, seed=2)
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        est, se = true_loss_estimate(zero, LS, spec, 500, seed=0)
+        est, se = true_loss_estimate(zero, spec, 500, seed=0)
         assert est == 0.0 and se == 0.0
 
     def test_zero_model_two_classes_half_g0(self):
         # labels collide with probability 1/2, so the mean loss is g0/2
         spec = SyntheticSpec(n=10, classes=2, cov_scale=0.1, seed=2)
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        est, se = true_loss_estimate(zero, LS, spec, 4000, seed=0)
+        est, se = true_loss_estimate(zero, spec, 4000, seed=0)
         assert abs(est - 1.0) <= 3 * se
 
     def test_stabilizes_with_more_samples(self):
         spec = SyntheticSpec(n=10, classes=2, cov_scale=0.3, seed=4)
         m = MetricModel("mahalanobis", M=0.5 * np.eye(2))
-        e1, s1 = true_loss_estimate(m, LS, spec, 2000, seed=1)
-        e2, s2 = true_loss_estimate(m, LS, spec, 8000, seed=2)
+        e1, s1 = true_loss_estimate(m, spec, 2000, seed=1)
+        e2, s2 = true_loss_estimate(m, spec, 8000, seed=2)
         assert abs(e1 - e2) <= 3 * np.hypot(s1, s2)
 
 
@@ -284,9 +281,7 @@ class TestKnnEval:
             R = float(np.linalg.norm(X, axis=1).max())
             train = Dataset(X[: n // 2], list(y[: n // 2]), R=R + 1)
             test = Dataset(X[n // 2 :], list(y[n // 2 :]), R=R + 1)
-            learned = solve(
-                train, build_pairs(train), LS, "fro", SolverConfig(c=0.02, max_iters=200)
-            )
+            learned = solve(train, "fro", SolverConfig(c=0.02, max_iters=200))
             euclid = MetricModel("mahalanobis", M=np.eye(2))
             wins.append(
                 knn_eval(learned, train, test, 3) - knn_eval(euclid, train, test, 3)
@@ -342,10 +337,7 @@ class TestKnnEval:
 
         rng = np.random.default_rng(1)
         train, test = mixture(rng, 300), mixture(rng, 300)
-        m = solve(
-            train, build_pairs(train), LS, "fro", SolverConfig(c=0.1, max_iters=300),
-            kind="bilinear",
-        )
+        m = solve(train, "fro", SolverConfig(c=0.1, max_iters=300), kind="bilinear")
         assert knn_eval(m, train, test, 3) >= 0.8
 
     def test_bad_k(self):

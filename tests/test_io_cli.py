@@ -166,6 +166,41 @@ class TestCli:
         )
         assert report.read_text() == dumps(expected.to_json_dict())
 
+    def _train_audit(self, tmp_path, train_args, audit_args):
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert main(["train", "--data", str(data), "--out", str(model), "--iters", "20"]
+                    + train_args) == 0
+        code = main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+                     "--gamma", "0.5", "--radius", "1.0"] + audit_args)
+        return code, report.exists()
+
+    def test_audit_refuses_another_c(self, tmp_path, capsys):
+        # at --c 50 the certified epsilon would fall below the empirical one
+        code, written = self._train_audit(tmp_path, ["--c", "0.05"], ["--c", "50"])
+        assert (code, written) == (1, False)
+        assert "trained at c=0.05" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "trained,audited",
+        [("bilinear", "fro"), ("l1", "fro"), ("fro", "kernel-rbf"), ("fro", "bilinear")],
+    )
+    def test_audit_refuses_another_family(self, tmp_path, capsys, trained, audited):
+        code, written = self._train_audit(
+            tmp_path, ["--family", trained, "--c", "0.5"], ["--family", audited, "--c", "0.5"]
+        )
+        assert (code, written) == (1, False)
+        assert f"not a {audited} model" in capsys.readouterr().err
+
+    def test_audit_accepts_a_model_without_c(self, tmp_path):
+        # model files written by the library without c cannot be checked
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(MetricModel("mahalanobis", M=np.eye(2)), model)
+        assert main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+                     "--c", "3.0", "--gamma", "0.5", "--radius", "1.0"]) == 0
+        assert json.loads(report.read_text())["c"] == 3.0
+
     def test_train_triplet_family(self, tmp_path):
         data = self._gen(tmp_path, n=12)
         model = tmp_path / "t.json"

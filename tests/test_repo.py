@@ -1,0 +1,55 @@
+"""Checks that tie the package to the files around it: the benchmark's
+traced function names and the README's library example."""
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"{name} is not assigned at module level")
+
+
+def bench_traced_names() -> set:
+    """The module.function names whose metrics the benchmark reports: the
+    function lists of perfbench/run.py and the return counters of
+    perfbench/tracer.py, read from the source without importing either."""
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    names = set(ast.literal_eval(_assigned(run, "FN_SELF")))
+    names |= set(ast.literal_eval(_assigned(run, "FN_CALLS")))
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for key in _assigned(tracer, "RETURN_COUNTERS").keys:
+        names.add(".".join(ast.literal_eval(key)))
+    return names
+
+
+def test_bench_traced_names_are_defined():
+    # the tracer wraps public module-level functions only; a name the
+    # program no longer defines reads as absent, and a traced run that
+    # lacks a metric gives no result
+    names = bench_traced_names()
+    assert len(names) == 18
+    for name in sorted(names):
+        module, fn = name.split(".")
+        mod = importlib.import_module(f"metricert.{module}")
+        obj = vars(mod).get(fn)
+        assert isinstance(obj, types.FunctionType), f"{name} is not a function"
+        assert obj.__module__ == mod.__name__, f"{name} is defined elsewhere"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    eps_emp, eps_theo, bound = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 <= eps_emp <= eps_theo <= bound

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from metricert.core import (
+    PAIR_G0,
     Dataset,
     KernelSpec,
-    LossSpec,
     MetricModel,
-    build_pairs,
     build_triplets,
     empirical_loss,
     empirical_triplet_loss,
@@ -28,9 +27,6 @@ from metricert.solver import (
     solve_triplet,
 )
 
-LS = LossSpec()
-
-
 def make_ds(points, labels, R=None):
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if R is None:
@@ -48,8 +44,7 @@ class TestObjective:
     def test_zero_matrix_is_pure_loss(self):
         ds = make_ds([[0.0], [1.0]], "ab")
         m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        ps = build_pairs(ds)
-        assert objective(m, ds, ps, LS, "fro", 5.0) == empirical_loss(m, ds, ps, LS)
+        assert objective(m, ds, "fro", 5.0) == empirical_loss(m, ds)
 
     def test_identity_fro_norm(self):
         assert reg_norm(np.eye(2), "fro") == pytest.approx(np.sqrt(2.0))
@@ -156,7 +151,7 @@ class TestLossSubgradient:
     def test_flat_region_zero(self):
         ds = make_ds([[0.0], [0.1]], "aa")
         m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        g = loss_subgradient(m, ds, build_pairs(ds), LS)
+        g = loss_subgradient(m, ds)
         assert np.allclose(g, 0.0)
 
     def test_single_active_pair_direction(self):
@@ -164,7 +159,7 @@ class TestLossSubgradient:
         # ordered pair, d = (1, 0)
         ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "aa")
         m = MetricModel("mahalanobis", M=np.eye(2) * 2.0)  # f=2 -> loss 2 > 0
-        g = loss_subgradient(m, ds, build_pairs(ds), LS)
+        g = loss_subgradient(m, ds)
         expected = 2.0 / 4.0 * np.array([[1.0, 0.0], [0.0, 0.0]])
         assert np.allclose(g, expected)
 
@@ -174,12 +169,11 @@ class TestLossSubgradient:
         checked = 0
         while checked < 10:
             ds = random_ds(rng, n=8, d=2)
-            ps = build_pairs(ds)
             A = rng.standard_normal((2, 2))
             # keep strictly PD so symmetric perturbations stay PSD
             M0 = A @ A.T + 1e-4 * np.eye(2) if kind == "mahalanobis" else (A + A.T) / 2.0
             m0 = MetricModel(kind, M=M0)
-            g = loss_subgradient(m0, ds, ps, LS)
+            g = loss_subgradient(m0, ds)
             h = 1e-6
             fd = np.zeros((2, 2))
             smooth = True
@@ -189,8 +183,8 @@ class TestLossSubgradient:
                     E[a, b] = h
                     Ms = (M0 + E + (M0 + E).T) / 2.0 if kind == "mahalanobis" else M0 + E
                     Mm = (M0 - E + (M0 - E).T) / 2.0 if kind == "mahalanobis" else M0 - E
-                    lp = empirical_loss(MetricModel(kind, M=Ms), ds, ps, LS)
-                    lm = empirical_loss(MetricModel(kind, M=Mm), ds, ps, LS)
+                    lp = empirical_loss(MetricModel(kind, M=Ms), ds)
+                    lm = empirical_loss(MetricModel(kind, M=Mm), ds)
                     fd[a, b] = (lp - lm) / (2 * h)
             # symmetric parameterization doubles off-diagonal sensitivities
             if kind == "mahalanobis":
@@ -216,7 +210,7 @@ class TestLossSubgradient:
 class TestSolve:
     def test_all_labels_equal_returns_zero_objective(self):
         ds = make_ds([[0.0, 0.1], [0.2, 0.0], [0.1, 0.1]], "aaa")
-        m = solve(ds, build_pairs(ds), LS, "fro", SolverConfig(c=1.0, max_iters=50))
+        m = solve(ds, "fro", SolverConfig(c=1.0, max_iters=50))
         assert m.info["objective"] <= 1e-6
 
     @pytest.mark.parametrize("reg", ["fro", "l1", "l21"])
@@ -224,30 +218,29 @@ class TestSolve:
         rng = np.random.default_rng(16)
         for _ in range(5):
             ds = random_ds(rng, n=10, d=3)
-            m = solve(ds, build_pairs(ds), LS, reg, SolverConfig(c=0.3, max_iters=60))
-            obj = objective(m, ds, build_pairs(ds), LS, reg, 0.3)
-            assert obj <= LS.g0 + 1e-9
-            assert reg_norm(m.M, reg) <= LS.g0 / 0.3 + 1e-9
+            m = solve(ds, reg, SolverConfig(c=0.3, max_iters=60))
+            obj = objective(m, ds, reg, 0.3)
+            assert obj <= PAIR_G0 + 1e-9
+            assert reg_norm(m.M, reg) <= PAIR_G0 / 0.3 + 1e-9
 
     def test_1d_separation_vs_grid_search(self):
         ds = make_ds([[0.0], [1.0]], "ab", R=1.0)
-        ps = build_pairs(ds)
         cfg = SolverConfig(c=0.01, max_iters=400)
-        m = solve(ds, ps, LS, "fro", cfg)
+        m = solve(ds, "fro", cfg)
         grid = np.linspace(0.0, 50.0, 5001)
         objs = [
-            objective(MetricModel("mahalanobis", M=np.array([[v]])), ds, ps, LS, "fro", 0.01)
+            objective(MetricModel("mahalanobis", M=np.array([[v]])), ds, "fro", 0.01)
             for v in grid
         ]
         best_grid = min(objs)
         assert m.info["objective"] <= best_grid + 0.05
         zero = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        assert empirical_loss(m, ds, ps, LS) < empirical_loss(zero, ds, ps, LS)
+        assert empirical_loss(m, ds) < empirical_loss(zero, ds)
 
     def test_best_objective_monotone(self):
         rng = np.random.default_rng(18)
         ds = random_ds(rng, n=10)
-        m = solve(ds, build_pairs(ds), LS, "fro", SolverConfig(c=0.1, max_iters=80))
+        m = solve(ds, "fro", SolverConfig(c=0.1, max_iters=80))
         hist = m.info["best_history"]
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
@@ -255,14 +248,14 @@ class TestSolve:
         rng = np.random.default_rng(20)
         ds = random_ds(rng, n=10)
         cfg = SolverConfig(c=0.1, max_iters=50, seed=3)
-        m1 = solve(ds, build_pairs(ds), LS, "fro", cfg)
-        m2 = solve(ds, build_pairs(ds), LS, "fro", cfg)
+        m1 = solve(ds, "fro", cfg)
+        m2 = solve(ds, "fro", cfg)
         assert np.array_equal(m1.M, m2.M)
 
     def test_psd_output(self):
         rng = np.random.default_rng(22)
         ds = random_ds(rng, n=10)
-        m = solve(ds, build_pairs(ds), LS, "fro", SolverConfig(c=0.05, max_iters=60))
+        m = solve(ds, "fro", SolverConfig(c=0.05, max_iters=60))
         assert np.linalg.eigvalsh(m.M).min() >= -1e-8
 
 
@@ -303,25 +296,23 @@ class TestSolveKernel:
         rng = np.random.default_rng(26)
         for _ in range(3):
             ds = random_ds(rng, n=10, d=2)
-            ps = build_pairs(ds)
             cfg = SolverConfig(c=0.1, max_iters=80)
-            m_plain = solve(ds, ps, LS, "fro", cfg)
-            m_kern = solve_kernel(ds, ps, LS, KernelSpec("linear"), cfg)
-            assert empirical_loss(m_kern, ds, ps, LS) == pytest.approx(
-                empirical_loss(m_plain, ds, ps, LS), abs=1e-4
+            m_plain = solve(ds, "fro", cfg)
+            m_kern = solve_kernel(ds, KernelSpec("linear"), cfg)
+            assert empirical_loss(m_kern, ds) == pytest.approx(
+                empirical_loss(m_plain, ds), abs=1e-4
             )
 
     def test_zero_coefficients_objective(self):
         ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "ab")
-        ps = build_pairs(ds)
         zero = MetricModel(
             "kernelized", A=np.zeros((2, 2)), kernel=KernelSpec("rbf", 1.0), anchors=ds
         )
-        assert objective(zero, ds, ps, LS, "fro", 1.0) == empirical_loss(zero, ds, ps, LS)
+        assert objective(zero, ds, "fro", 1.0) == empirical_loss(zero, ds)
 
     def test_rbf_single_label_optimal_zero(self):
         ds = make_ds([[0.0, 0.1], [0.1, 0.0], [0.2, 0.1]], "aaa")
-        m = solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 1.0), SolverConfig(c=1.0, max_iters=40))
+        m = solve_kernel(ds, KernelSpec("rbf", 1.0), SolverConfig(c=1.0, max_iters=40))
         assert m.info["objective"] <= 1e-6
 
     def test_non_psd_gram_rejected(self):
@@ -334,15 +325,15 @@ class TestSolveKernel:
         solver.kernel_gram = lambda ks, X, X2=None: np.array([[1.0, 2.0], [2.0, 1.0]])
         try:
             with pytest.raises(ValueError):
-                solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 1.0), SolverConfig())
+                solve_kernel(ds, KernelSpec("rbf", 1.0), SolverConfig())
         finally:
             solver.kernel_gram = orig
 
     def test_capacity_in_feature_norm(self):
         rng = np.random.default_rng(28)
         ds = random_ds(rng, n=8)
-        m = solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 0.7), SolverConfig(c=0.5, max_iters=50))
-        assert m.info["feature_norm"] <= LS.g0 / 0.5 + 1e-6
+        m = solve_kernel(ds, KernelSpec("rbf", 0.7), SolverConfig(c=0.5, max_iters=50))
+        assert m.info["feature_norm"] <= PAIR_G0 / 0.5 + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +407,13 @@ def reference_iterate(d, callbacks, reg, cfg, psd):
         step = cfg.step0 / np.sqrt(t)
         M = M - step * grad_fn(M)
         M = prox(M, step * cfg.c, reg)
-        if psd:
-            if reg == "l21":
-                M[np.linalg.norm(M, axis=0) == 0.0, :] = 0.0
+        if psd and reg == "l21":
+            # project the block of the columns prox kept; the rest stays 0
+            kept = np.linalg.norm(M, axis=0) != 0.0
+            P = np.zeros_like(M)
+            P[np.ix_(kept, kept)] = psd_project(M[np.ix_(kept, kept)])
+            M = P
+        elif psd:
             M = psd_project(M)
         obj = cfg.c * reg_norm(M, reg) + loss_fn(M)
         if obj < best_obj:
@@ -453,7 +448,7 @@ class TestSingleEvaluationMatchesReference:
         for n, d in ((30, 3), (9, 2)):
             ds = random_ds(rng, n=n, d=d)
             cfg = SolverConfig(c=0.1, max_iters=60, tol=tol)
-            m = solve(ds, build_pairs(ds), LS, reg, cfg, kind=kind)
+            m = solve(ds, reg, cfg, kind=kind)
             M, history, fractions = reference_iterate(
                 d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
                 psd=(kind == "mahalanobis"),
@@ -474,7 +469,7 @@ class TestSingleEvaluationMatchesReference:
             cfg = SolverConfig(c=0.1, max_iters=60)
             m = solve_triplet(ds, reg, cfg)
             M, history, fractions = reference_iterate(
-                2, ref_triplet_callbacks(ds.X, build_triplets(ds).triplets), reg, cfg, psd=True
+                2, ref_triplet_callbacks(ds.X, build_triplets(ds)), reg, cfg, psd=True
             )
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
@@ -491,20 +486,22 @@ def mixture_ds(rng, n, d=2):
 
 class TestL21KeepsZeroColumns:
     # one informative axis out of five: the l21 prox zeroes the other
-    # columns, and the PSD projection must not refill them from the rows
+    # columns, and the PSD projection must not refill them from the rows,
+    # not even with rounding residue
     @pytest.mark.parametrize("family", ["pair", "triplet"])
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nonzero_model_with_zero_columns(self, family, seed):
         ds = mixture_ds(np.random.default_rng(seed), 60, d=5)
         cfg = SolverConfig(c=0.1, max_iters=200)
         if family == "pair":
-            m = solve(ds, build_pairs(ds), LS, "l21", cfg)
+            m = solve(ds, "l21", cfg)
         else:
             m = solve_triplet(ds, "l21", cfg)
         assert np.any(m.M != 0.0)
         zero = np.linalg.norm(m.M, axis=0) < 1e-12
         assert zero.any()
         assert np.all(np.linalg.norm(m.M[zero], axis=1) < 1e-12)
+        assert np.all(m.M[:, zero] == 0.0) and np.all(m.M[zero] == 0.0)
 
 
 def reference_solve_kernel(ds, ks, cfg):
@@ -541,7 +538,7 @@ class TestLowRankKernelSolve:
 
     def test_matches_full_reference(self):
         for ds, ks in self.problems():
-            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            m = solve_kernel(ds, ks, self.CFG)
             SHS, history, fractions = reference_solve_kernel(ds, ks, self.CFG)
             assert m.info["best_history"] == pytest.approx(history, rel=1e-8)
             # a pair of duplicated points sits exactly on the hinge kink in
@@ -554,7 +551,7 @@ class TestLowRankKernelSolve:
     def test_rank_counts_kept_eigenvalues(self):
         ranks = []
         for ds, ks in self.problems():
-            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            m = solve_kernel(ds, ks, self.CFG)
             w = np.linalg.eigvalsh(kernel_gram(ks, ds.X))
             assert m.info["rank"] == np.count_nonzero(w > solver.KPCA_RANK_TOL * w.max())
             assert m.info["rank_tol"] == solver.KPCA_RANK_TOL
@@ -563,18 +560,17 @@ class TestLowRankKernelSolve:
 
     def test_saved_model_objective_equals_printed(self, tmp_path):
         for ds, ks in self.problems():
-            ps = build_pairs(ds)
-            m = solve_kernel(ds, ps, LS, ks, self.CFG)
+            m = solve_kernel(ds, ks, self.CFG)
             save_model(m, tmp_path / "m.json", c=self.CFG.c)
             saved = load_model(tmp_path / "m.json", anchors=ds)
-            recomputed = objective(saved, ds, ps, LS, "fro", self.CFG.c)
+            recomputed = objective(saved, ds, "fro", self.CFG.c)
             assert recomputed == pytest.approx(m.info["objective"], rel=1e-9)
 
     def test_capacity_recomputed_independently(self):
         for ds, ks in self.problems():
-            m = solve_kernel(ds, build_pairs(ds), LS, ks, self.CFG)
+            m = solve_kernel(ds, ks, self.CFG)
             norm = bench_feature_norm(ds, ks.sigma, m.A)
-            assert self.CFG.c * norm <= LS.g0 * (1.0 + 1e-6)
+            assert self.CFG.c * norm <= PAIR_G0 * (1.0 + 1e-6)
             assert norm == pytest.approx(m.info["feature_norm"], rel=1e-9)
 
 
@@ -583,13 +579,13 @@ class TestSolverInfo:
         rng = np.random.default_rng(43)
         ds = random_ds(rng, n=12, d=2)
         c = 0.2
-        m = solve(ds, build_pairs(ds), LS, "l21", SolverConfig(c=c, max_iters=40))
+        m = solve(ds, "l21", SolverConfig(c=c, max_iters=40))
         fractions = m.info["active_fraction"]
         assert len(fractions) == len(m.info["best_history"]) == m.info["iterations"] + 1
         # at M = 0 exactly the different-label pairs are active
         assert fractions[0] == (pair_signs(ds) < 0).mean()
         assert all(0.0 <= f <= 1.0 for f in fractions)
-        assert m.info["capacity_ratio"] == c * reg_norm(m.M, "l21") / LS.g0
+        assert m.info["capacity_ratio"] == c * reg_norm(m.M, "l21") / PAIR_G0
         assert m.info["capacity_ratio"] <= 1.0
 
     def test_triplet_fields(self):
@@ -606,8 +602,8 @@ class TestSolverInfo:
         rng = np.random.default_rng(45)
         ds = random_ds(rng, n=10, d=2)
         cfg = SolverConfig(c=0.3, max_iters=30)
-        m = solve_kernel(ds, build_pairs(ds), LS, KernelSpec("rbf", 1.0), cfg)
-        assert m.info["capacity_ratio"] == 0.3 * m.info["feature_norm"] / LS.g0
+        m = solve_kernel(ds, KernelSpec("rbf", 1.0), cfg)
+        assert m.info["capacity_ratio"] == 0.3 * m.info["feature_norm"] / PAIR_G0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
@@ -619,7 +615,7 @@ def test_pair_solve_reuses_its_buffers():
     rng = np.random.default_rng(46)
     ds = random_ds(rng, n=300, d=2)
     cfg = SolverConfig(c=0.1, max_iters=300)
-    solve(ds, build_pairs(ds), LS, "fro", cfg)  # the first solve may grow the heap
+    solve(ds, "fro", cfg)  # the first solve may grow the heap
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    solve(ds, build_pairs(ds), LS, "fro", cfg)
+    solve(ds, "fro", cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40_000
