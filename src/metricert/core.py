@@ -280,6 +280,12 @@ def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) 
     return metric_rows(m, X1, metric_columns(m, X1 if X2 is None else X2))
 
 
+def quad_rows(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The row-wise quadratic forms a_i^T Q b_i, through one matrix product
+    (a three-operand einsum runs as an unoptimised loop)."""
+    return ((A @ Q) * B).sum(axis=1)
+
+
 def metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
     """Column side of metric_matrix(m, ., X2): the column features (X2, or
     its kernel features) and, for squared-distance metrics, their quadratic
@@ -289,7 +295,7 @@ def metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
     if m.kind == "bilinear":
         return X2, None
     F2, Q = (kernel_coords(m, X2), m.A) if m.kind == "kernelized" else (X2, m.M)
-    return F2, np.einsum("ij,jk,ik->i", F2, Q, F2)
+    return F2, quad_rows(F2, Q, F2)
 
 
 def metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
@@ -301,7 +307,7 @@ def metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
     # (f1_i - f2_j)^T Q (f1_i - f2_j) for symmetric Q
     F1, Q = (kernel_coords(m, X1), m.A) if m.kind == "kernelized" else (X1, m.M)
     G = F1 @ Q @ F2.T
-    q1 = np.einsum("ij,jk,ik->i", F1, Q, F1)
+    q1 = quad_rows(F1, Q, F1)
     return q1[:, None] + q2[None, :] - 2.0 * G
 
 

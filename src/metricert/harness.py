@@ -29,6 +29,7 @@ from .core import (
     kernel_coords,
     metric_columns,
     metric_rows,
+    quad_rows,
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
 from .solver import SolverConfig, solve, solve_kernel, solve_triplet
@@ -129,12 +130,12 @@ def true_loss_estimate(
 def _metric_rowwise(m: MetricModel, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     # f(x1_i, x2_i) for matched rows without forming the full matrix
     if m.kind == "bilinear":
-        return np.einsum("ij,jk,ik->i", X1, m.M, X2)
+        return quad_rows(X1, m.M, X2)
     if m.kind == "kernelized":
         D = kernel_coords(m, X1) - kernel_coords(m, X2)
-        return np.einsum("ij,jk,ik->i", D, m.A, D)
+        return quad_rows(D, m.A, D)
     D = X1 - X2
-    return np.einsum("ij,jk,ik->i", D, m.M, D)
+    return quad_rows(D, m.M, D)
 
 
 def _true_triplet_loss_estimate(m, spec, M_mc, seed):

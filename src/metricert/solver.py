@@ -5,9 +5,12 @@ with M constrained to the PSD cone for distance metrics.  Each iteration
 takes a subgradient step on the loss, applies the prox of the chosen norm,
 then projects onto the PSD cone.  Each iterate is evaluated once, into
 buffers allocated once per solve: the same evaluation gives its loss and
-the subgradient of the next step.  The best iterate by objective is kept and
-the zero matrix is always a fallback, which guarantees the capacity bound
-||M*|| <= g0/c used by the robustness constants.
+the subgradient of the next step.  For distance metrics the same-label
+pairs enter as one linear term <M, S> and only the other-label pairs are
+evaluated, in label-sorted row tiles (see _pair_eval).  The best iterate
+by objective is kept and the zero matrix is always a fallback, which
+guarantees the capacity bound ||M*|| <= g0/c used by the robustness
+constants.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     PAIR_G0,
     TRIPLET_G0,
@@ -24,6 +28,7 @@ from .core import (
     MetricModel,
     empirical_loss,
     kernel_gram,
+    quad_rows,
     triplet_hinge,
 )
 
@@ -137,24 +142,22 @@ def _laplacian_form(X: np.ndarray, W: np.ndarray, L: np.ndarray, XtL: np.ndarray
     return np.matmul(np.matmul(X.T, L, out=XtL), X, out=out)
 
 
-def _pair_eval(X: np.ndarray, Y: np.ndarray, kind: str):
-    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean hinge
-    over all n^2 ordered pairs, with labels Y_ij = +1 (same) / -1.
+def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
+    """eval_fn(M) for the bilinear similarity f = x_i^T M x_j: the mean hinge
+    over all n^2 ordered pairs, with Y_ij = +1 (same label) / -1.
 
     Every n x n intermediate goes into buffers allocated here, once per
-    solve, so an iteration allocates nothing of size n x n.  The returned
-    subgradient is one of those buffers: it is valid until the next call.
+    solve.  The returned subgradient is one of those buffers: it is valid
+    until the next call.
     """
     n, d = X.shape
-    XM, XtL, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
+    Y = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+    XM, XtW, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
     F, T = np.empty((n, n)), np.empty((n, n))
     active = np.empty((n, n), dtype=bool)
 
     def eval_fn(M):
-        if kind == "bilinear":
-            np.matmul(np.matmul(X, M, out=XM), X.T, out=F)
-        else:
-            _sq_dist_into(X, M, XM, F, T)
+        np.matmul(np.matmul(X, M, out=XM), X.T, out=F)
         # hinge argument y(1 - f); active pairs sit strictly below the
         # margin, the kink itself contributes the 0-side subgradient
         np.subtract(1.0, F, out=T)
@@ -164,11 +167,90 @@ def _pair_eval(X: np.ndarray, Y: np.ndarray, kind: str):
         loss = float(np.maximum(0.0, F, out=F).mean())
         W = np.multiply(Y, active, out=F)
         np.divide(W, n * n, out=W)
-        if kind == "bilinear":
-            np.matmul(np.matmul(X.T, W, out=XtL), X, out=grad)
-        else:
-            _laplacian_form(X, W, T, XtL, grad)
+        np.matmul(np.matmul(X.T, W, out=XtW), X, out=grad)
         return loss, grad, np.count_nonzero(active) / (n * n)
+
+    return eval_fn
+
+
+def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
+    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean hinge
+    over all n^2 ordered pairs, for f = (x_i - x_j)^T M (x_i - x_j) with M
+    on the PSD cone (or f = x_i^T M x_j for kind "bilinear").
+
+    On the PSD cone f >= 0, so a same-label pair's hinge max(0, f) is f
+    itself, and the same-label sum is linear in M:
+    sum_same f_ij = <M, S>, S = 2 sum_a (n_a X_a^T X_a - s_a s_a^T) with s_a
+    the sum of the n_a rows X_a of label a.  S is built once, as
+    2 sum_a n_a Xc_a^T Xc_a over the class-centred rows Xc_a, which does not
+    cancel.  An iterate's same-label loss is <M, S> and its subgradient S.
+    At M = 0 both are 0 and no same-label pair is active, as the kink takes
+    the 0-side subgradient; at M != 0 every same-label pair of two different
+    indices counts as active, also one whose difference lies in null(M).
+
+    Only the other-label pairs are evaluated, each once: the points are
+    sorted by label, and core.BLOCK_ROWS rows at a time meet the columns from
+    the first point of a later label on, masked to label_j > label_i; each
+    such pair stands for its two ordered pairs.  The tile buffers are
+    allocated here, once per solve, so the evaluator holds O(BLOCK_ROWS * n)
+    memory, not n x n.  The sum of the hinges runs in another order than a
+    full n x n evaluation, so it agrees with one to rounding.
+    """
+    if kind == "bilinear":
+        return _bilinear_eval(X, labels)
+    n, d = X.shape
+    order = np.argsort(labels, kind="stable")
+    X, labels = X[order], labels[order]
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    Xc = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
+    S = 2.0 * Xc.T @ (np.repeat(counts, counts)[:, None] * Xc)
+    same_pairs = int((counts * (counts - 1)).sum())
+    # each row meets the columns from the first point of a later label on;
+    # rows of the last label have none
+    later = np.repeat(np.r_[starts[1:], n], counts)
+    block = core.BLOCK_ROWS
+    tiles = [(s, min(s + block, starts[-1])) for s in range(0, starts[-1], block)]
+    size = max([(e - s) * (n - later[s]) for s, e in tiles], default=0)
+    H, W, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    deg = np.empty(n)
+
+    def eval_fn(M):
+        XM2 = X @ (2.0 * M)
+        q = quad_rows(X, M, X)
+        deg.fill(0.0)
+        P = np.zeros((d, d))
+        hinge, count = 0.0, 0
+        for s, e in tiles:
+            c0 = later[s]
+            Xr, Xcol = X[s:e], X[c0:]
+            h = H[: (e - s) * (n - c0)].reshape(e - s, n - c0)
+            w = W[: h.size].reshape(h.shape)
+            # h = 2 - f, the other-label hinge before clamping at 0
+            np.matmul(XM2[s:e], Xcol.T, out=h)
+            h -= q[c0:]
+            h += 2.0 - q[s:e, None]
+            if labels[s] != labels[e - 1]:
+                # rows of a later label than row s: zero their pairs with
+                # columns of their own label or an earlier one (inactive)
+                mk = mask[: h.size].reshape(h.shape)
+                np.greater(labels[c0:], labels[s:e, None], out=mk)
+                h *= mk
+            np.greater(h, 0.0, out=w)
+            hinge += float(h.ravel() @ w.ravel())
+            r = w.sum(axis=1)
+            count += int(r.sum())
+            deg[s:e] += r
+            deg[c0:] += w.sum(axis=0)
+            P += Xr.T @ (w @ Xcol)
+        # sum of (x_i - x_j)(x_i - x_j)^T over the active other-label pairs
+        L = X.T @ (deg[:, None] * X) - P - P.T
+        loss, grad, active = 2.0 * hinge, -2.0 * L, 2 * count
+        if M.any():
+            loss += float((M * S).sum())
+            grad += S
+            active += same_pairs
+        return loss / (n * n), grad / (n * n), active / (n * n)
 
     return eval_fn
 
@@ -193,17 +275,12 @@ def _triplet_eval(X: np.ndarray, labels: np.ndarray):
     return eval_fn
 
 
-def _pair_signs(ds: Dataset) -> np.ndarray:
-    li = ds.label_indices()
-    return np.where(li[:, None] == li[None, :], 1.0, -1.0)
-
-
 def loss_subgradient(m: MetricModel, ds: Dataset) -> np.ndarray:
     """Subgradient of the mean hinge pair loss with respect to M, from the
     solver's own pair evaluation."""
     if m.kind not in ("mahalanobis", "bilinear"):
         raise ValueError(f"loss_subgradient handles mahalanobis/bilinear, got {m.kind!r}")
-    return _pair_eval(ds.X, _pair_signs(ds), m.kind)(m.M)[1]
+    return _pair_eval(ds.X, ds.label_indices(), m.kind)(m.M)[1]
 
 
 def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[np.ndarray, dict]:
@@ -267,7 +344,7 @@ def solve(ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis") -
         raise ValueError(f"unknown regularizer {reg!r}")
     if kind not in ("mahalanobis", "bilinear"):
         raise ValueError(f"solve handles mahalanobis/bilinear, got {kind!r}")
-    eval_fn = _pair_eval(ds.X, _pair_signs(ds), kind)
+    eval_fn = _pair_eval(ds.X, ds.label_indices(), kind)
     best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"))
     info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / PAIR_G0
     return MetricModel(kind=kind, M=best, regularizer=reg, info=info)
@@ -311,7 +388,7 @@ def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     keep = w > KPCA_RANK_TOL * w.max()
     w, U = w[keep], U[:, keep]
     Psi = U * np.sqrt(w)
-    H, info = _iterate(len(w), _pair_eval(Psi, _pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True)
+    H, info = _iterate(len(w), _pair_eval(Psi, ds.label_indices(), "mahalanobis"), "fro", cfg, psd=True)
     B = U / np.sqrt(w)
     A = B @ H @ B.T
     A = (A + A.T) / 2.0

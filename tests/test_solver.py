@@ -13,7 +13,7 @@ from metricert.core import (
     empirical_triplet_loss,
     kernel_gram,
 )
-from metricert import solver
+from metricert import core, solver
 from metricert.io import load_model, save_model
 from metricert.solver import (
     SolverConfig,
@@ -318,7 +318,7 @@ class TestSolveKernel:
     def test_non_psd_gram_rejected(self):
         # corrupting the points cannot break PSD-ness of a true Gram matrix,
         # so exercise the check through the internal entry point
-        from metricert import solver
+        from metricert import core, solver
 
         ds = make_ds([[0.0], [1.0]], "ab")
         orig = solver.kernel_gram
@@ -444,6 +444,9 @@ class TestSingleEvaluationMatchesReference:
         ],
     )
     def test_pair_solve_bitwise(self, kind, reg, tol):
+        # the bilinear solve evaluates the same n x n array as the reference;
+        # the distance solve sums the same-label pairs as <M, S> and the
+        # other-label pairs in another order, so it agrees to rounding
         rng = np.random.default_rng(40)
         for n, d in ((30, 3), (9, 2)):
             ds = random_ds(rng, n=n, d=d)
@@ -453,8 +456,12 @@ class TestSingleEvaluationMatchesReference:
                 d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
                 psd=(kind == "mahalanobis"),
             )
-            assert np.array_equal(m.M, M)
-            assert m.info["best_history"] == history
+            if kind == "bilinear":
+                assert np.array_equal(m.M, M)
+                assert m.info["best_history"] == history
+            else:
+                assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
+                assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
 
     @pytest.mark.parametrize("reg", ["fro", "l21"])
@@ -474,6 +481,64 @@ class TestSingleEvaluationMatchesReference:
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
+
+
+def psd_matrices(rng, d):
+    # M = 0, a generic PSD M, a larger one (some other-label pairs beyond the
+    # margin) and one with a zero column and row
+    A = rng.standard_normal((d, d))
+    P = A @ A.T
+    Z = P.copy()
+    Z[:, 1] = Z[1, :] = 0.0
+    return np.zeros((d, d)), P, 4.0 * P, Z
+
+
+class TestDistanceEvalMatchesReference:
+    """The distance evaluator sums the same-label pairs as <M, S> and visits
+    each other-label pair once, in label-sorted row tiles.  When M != 0 it
+    counts every same-label pair of two different indices as active, also a
+    pair whose difference lies in null(M): the reference counts such a pair
+    by the sign of its rounded f, so its count depended on rounding."""
+
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 10, 40])
+    def test_loss_subgradient_and_active_fraction(self, monkeypatch, n_labels):
+        # 40 points in tiles of 8 rows, the labels interleaved in input order;
+        # from 3 labels on, some tile holds rows of two labels
+        monkeypatch.setattr(core, "BLOCK_ROWS", 8)
+        rng = np.random.default_rng(48 + n_labels)
+        n, d = 40, 3
+        X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
+        ds = Dataset(X, [f"c{i % n_labels}" for i in range(n)], 1.0)
+        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "mahalanobis")
+        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "mahalanobis")
+        for M in psd_matrices(rng, d):
+            loss, grad, active = eval_fn(M)
+            ref_grad = grad_fn(M)
+            assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            assert active == active_fn(M)
+
+    def test_duplicate_points_count_as_active(self):
+        # ten distinct points, each three times; the copies share a label
+        rng = np.random.default_rng(49)
+        base = rng.uniform(-0.5, 0.5, size=(10, 2))
+        idx = np.arange(30) % 10
+        ds = Dataset(base[idx], ["a" if i < 5 else "b" for i in idx], 1.0)
+        n = ds.n
+        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "mahalanobis")
+        Y = pair_signs(ds)
+        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, Y, "mahalanobis")
+        for M in psd_matrices(rng, 2):
+            loss, grad, active = eval_fn(M)
+            ref_grad = grad_fn(M)
+            assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            F = ref_pair_F(ds.X, M, "mahalanobis")
+            other = np.count_nonzero((Y < 0) & (F < 2.0))
+            same = np.count_nonzero(Y > 0) - n if M.any() else 0
+            assert active == (same + other) / n**2
+            # the reference's f of two copies is exactly 0: it leaves them out
+            assert (active > active_fn(M)) == bool(M.any())
 
 
 def mixture_ds(rng, n, d=2):
