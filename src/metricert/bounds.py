@@ -5,12 +5,11 @@ Monte-Carlo check of the multinomial concentration inequality."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import core
-from .core import FAMILIES, Dataset, MetricModel, hinge, metric_columns, metric_matrix, metric_rows
+from .core import FAMILIES, Dataset, MetricModel, metric_matrix, pair_loss_blocks
 from .cover import Partition, assign_cells
 
 
@@ -101,18 +100,6 @@ class EpsilonEstimate:
         return self.value
 
 
-def _loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):
-    """Pair losses of the points X against themselves, BLOCK_ROWS rows at a
-    time: yields (start, losses of X[start:start + BLOCK_ROWS] against all
-    of X); `labels` holds one label index per point."""
-    columns = metric_columns(m, X)
-    for start in range(0, len(X), core.BLOCK_ROWS):
-        rows = slice(start, start + core.BLOCK_ROWS)
-        F = metric_rows(m, X[rows], columns)
-        Y = np.where(labels[rows, None] == labels[None, :], 1.0, -1.0)
-        yield start, hinge(Y * (1.0 - F))
-
-
 def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
     """Per-cell-pair min and max of the probe pair loss.
 
@@ -127,10 +114,10 @@ def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray)
     labels = ids // p.centers.shape[0]
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
-    for start, L in _loss_blocks(m, X, labels):
+    for start, L in pair_loss_blocks(m, X, labels):
         # runs of the block's rows: local starts and their positions in `cells`
         first = np.searchsorted(starts, start, side="right") - 1
-        last = np.searchsorted(starts, min(start + core.BLOCK_ROWS, len(ids)), side="left")
+        last = np.searchsorted(starts, start + len(L), side="left")
         local = np.maximum(starts[first:last] - start, 0)
         at = slice(first, last)
         lo[at] = np.minimum(lo[at], np.minimum.reduceat(
@@ -179,7 +166,7 @@ def cell_stats(
     hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
     labels = ids_tr // p.centers.shape[0]
     worst, count = 0.0, 0
-    for start, L in _loss_blocks(m, ds.X, labels):
+    for start, L in pair_loss_blocks(m, ds.X, labels):
         row_pos = pos[start : start + len(L)]
         lo = lo_p[row_pos][:, pos]
         hi = hi_p[row_pos][:, pos]
@@ -226,10 +213,9 @@ def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.n
     j in cell b and k in cell c is the hinge of fl(1 - max_c F_ik) and
     min_b F_ij (likewise for the maximum), bit for bit.
     """
-    F = metric_matrix(m, X)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    F = F[np.ix_(order, order)]
+    F = metric_matrix(m, X[order])
     cells, starts = np.unique(ids, return_index=True)
     fmin = np.minimum.reduceat(F, starts, axis=1)
     fmax = np.maximum.reduceat(F, starts, axis=1)
@@ -336,6 +322,10 @@ def bhc_simulate(
 
 @dataclass
 class BoundReport:
+    """Certified quantities of one model.  `holds` (empirical_gap within
+    the certified bound) is None when no gap was measured; `sound` says
+    whether epsilon_empirical <= epsilon_theoretical."""
+
     family: str
     U: float
     R: float
@@ -349,7 +339,8 @@ class BoundReport:
     epsilon_empirical: float
     bound_pair: float
     empirical_gap: float
-    holds: bool
+    holds: bool | None
+    sound: bool
     excluded_probes: int
     seed: int
     bound_pseudo: float | None = None
@@ -357,27 +348,11 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The fields, less the unset optional bounds, merged with `extra`."""
         out = {
-            "family": self.family,
-            "U": self.U,
-            "R": self.R,
-            "gamma": self.gamma,
-            "g0": self.g0,
-            "c": self.c,
-            "K_theoretical": self.K_theoretical,
-            "K_empirical": self.K_empirical,
-            "B": self.B,
-            "epsilon_theoretical": self.epsilon_theoretical,
-            "epsilon_empirical": self.epsilon_empirical,
-            "bound_pair": self.bound_pair,
-            "empirical_gap": self.empirical_gap,
-            "holds": self.holds,
-            "excluded_probes": self.excluded_probes,
-            "seed": self.seed,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "extra" and not (f.default is None and getattr(self, f.name) is None)
         }
-        if self.bound_pseudo is not None:
-            out["bound_pseudo"] = self.bound_pseudo
-        if self.bound_triplet is not None:
-            out["bound_triplet"] = self.bound_triplet
         out.update(self.extra)
         return out

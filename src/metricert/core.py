@@ -241,17 +241,20 @@ def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) ->
     X2 = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
     if ks.kind == "linear":
         return X1 @ X2.T
-    sq = (
-        np.sum(X1 * X1, axis=1)[:, None]
-        + np.sum(X2 * X2, axis=1)[None, :]
-        - 2.0 * X1 @ X2.T
-    )
+    eye = np.eye(X1.shape[1])
+    sq = sq_dists(X1, eye, X2, quad_rows(X2, eye, X2))
     return np.exp(-np.maximum(sq, 0.0) / (2.0 * ks.sigma**2))
 
 
-def kernel_coords(m: MetricModel, X: np.ndarray) -> np.ndarray:
-    """Kernel feature rows k(x)_i = k(anchor_i, x) for each row x of X."""
-    return kernel_gram(m.kernel, np.atleast_2d(X), m.anchors.X)
+def features(m: MetricModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and form matrix (F, Q) of a model, with f(x, x') =
+    (phi(x) - phi(x'))^T Q (phi(x) - phi(x')), or phi(x)^T Q phi(x') for a
+    bilinear model: (X, M) for mahalanobis and bilinear models, and the
+    kernel vectors k(anchor_i, x) of the rows of X with A for kernelized ones."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if m.kind == "kernelized":
+        return kernel_gram(m.kernel, X, m.anchors.X), m.A
+    return X, m.M
 
 
 def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
@@ -264,7 +267,7 @@ def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
             raise ValueError(
                 f"expected dimension {m.anchors.d}, got {x1.shape[0]}"
             )
-        kd = (kernel_coords(m, x1) - kernel_coords(m, x2)).ravel()
+        kd = (features(m, x1)[0] - features(m, x2)[0]).ravel()
         return float(kd @ m.A @ kd)
     if x1.shape[0] != m.M.shape[0]:
         raise ValueError(f"expected dimension {m.M.shape[0]}, got {x1.shape[0]}")
@@ -274,41 +277,47 @@ def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
     return float(diff @ m.M @ diff)
 
 
-def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs metric values f(x1_i, x2_j), vectorized."""
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    return metric_rows(m, X1, metric_columns(m, X1 if X2 is None else X2))
-
-
 def quad_rows(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The row-wise quadratic forms a_i^T Q b_i, through one matrix product
     (a three-operand einsum runs as an unoptimised loop)."""
     return ((A @ Q) * B).sum(axis=1)
 
 
-def metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
-    """Column side of metric_matrix(m, ., X2): the column features (X2, or
-    its kernel features) and, for squared-distance metrics, their quadratic
-    terms (None for bilinear).  Computed once, it serves every row block
-    passed to metric_rows."""
-    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-    if m.kind == "bilinear":
-        return X2, None
-    F2, Q = (kernel_coords(m, X2), m.A) if m.kind == "kernelized" else (X2, m.M)
-    return F2, quad_rows(F2, Q, F2)
+def sq_dists(F1: np.ndarray, Q: np.ndarray, F2: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """All-pairs (f1_i - f2_j)^T Q (f1_i - f2_j) for symmetric Q, expanded
+    as q1_i + q2_j - 2 f1_i^T Q f2_j; q2 = quad_rows(F2, Q, F2) is passed in
+    so a column side used by many row blocks is computed once."""
+    return quad_rows(F1, Q, F1)[:, None] + q2[None, :] - 2.0 * (F1 @ Q @ F2.T)
 
 
-def metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
-    """metric_matrix(m, X1, X2) from the metric_columns(m, X2) of X2."""
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+def _metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
+    # the column features and, for squared-distance metrics, their
+    # quadratic terms (None for bilinear)
+    F2, Q = features(m, X2)
+    return F2, None if m.kind == "bilinear" else quad_rows(F2, Q, F2)
+
+
+def _metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
+    F1, Q = features(m, X1)
     F2, q2 = columns
     if m.kind == "bilinear":
-        return X1 @ m.M @ F2.T
-    # (f1_i - f2_j)^T Q (f1_i - f2_j) for symmetric Q
-    F1, Q = (kernel_coords(m, X1), m.A) if m.kind == "kernelized" else (X1, m.M)
-    G = F1 @ Q @ F2.T
-    q1 = quad_rows(F1, Q, F1)
-    return q1[:, None] + q2[None, :] - 2.0 * G
+        return F1 @ Q @ F2.T
+    return sq_dists(F1, Q, F2, q2)
+
+
+def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs metric values f(x1_i, x2_j), vectorized; X2 defaults to X1."""
+    return _metric_rows(m, X1, _metric_columns(m, X1 if X2 is None else X2))
+
+
+def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
+    """metric_matrix(m, X1, X2) in row blocks: yields (start, f of the rows
+    X1[start:start + BLOCK_ROWS] against all of X2).  The column side is
+    computed once, so memory is O(BLOCK_ROWS * len(X2))."""
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    columns = _metric_columns(m, X1 if X2 is None else X2)
+    for start in range(0, len(X1), BLOCK_ROWS):
+        yield start, _metric_rows(m, X1[start : start + BLOCK_ROWS], columns)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +339,19 @@ def triplet_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample, z3: Lab
     return float(max(0.0, 1.0 - f13 + f12))
 
 
-def pair_loss_matrix(m: MetricModel, ds: Dataset) -> np.ndarray:
-    """n x n matrix of pair losses over a dataset's points."""
-    F = metric_matrix(m, ds.X)
-    li = ds.label_indices()
-    Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
-    return hinge(Y * (1.0 - F))
+def pair_loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):
+    """Pair losses of the points X against themselves in row blocks: yields
+    (start, losses of X[start:start + BLOCK_ROWS] against all of X);
+    `labels` holds one label index per point."""
+    for start, F in metric_blocks(m, X):
+        Y = np.where(labels[start : start + len(F), None] == labels[None, :], 1.0, -1.0)
+        yield start, hinge(Y * (1.0 - F))
 
 
 def empirical_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean pair loss over all n^2 ordered pairs."""
-    return float(pair_loss_matrix(m, ds).mean())
+    """Mean pair loss over all n^2 ordered pairs, summed in row blocks."""
+    total = sum(float(L.sum()) for _, L in pair_loss_blocks(m, ds.X, ds.label_indices()))
+    return total / ds.n**2
 
 
 def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int]:

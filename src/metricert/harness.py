@@ -16,7 +16,6 @@ from .bounds import (
     empirical_epsilon_triplet,
     epsilon_theoretical,
 )
-from . import core
 from .core import (
     FAMILIES,
     HINGE_U,
@@ -25,10 +24,9 @@ from .core import (
     MetricModel,
     empirical_loss,
     empirical_triplet_loss,
+    features,
     hinge,
-    kernel_coords,
-    metric_columns,
-    metric_rows,
+    metric_blocks,
     quad_rows,
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
@@ -129,13 +127,11 @@ def true_loss_estimate(
 
 def _metric_rowwise(m: MetricModel, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     # f(x1_i, x2_i) for matched rows without forming the full matrix
+    (F1, Q), (F2, _) = features(m, X1), features(m, X2)
     if m.kind == "bilinear":
-        return quad_rows(X1, m.M, X2)
-    if m.kind == "kernelized":
-        D = kernel_coords(m, X1) - kernel_coords(m, X2)
-        return quad_rows(D, m.A, D)
-    D = X1 - X2
-    return quad_rows(D, m.M, D)
+        return quad_rows(F1, Q, F2)
+    D = F1 - F2
+    return quad_rows(D, Q, D)
 
 
 def _true_triplet_loss_estimate(m, spec, M_mc, seed):
@@ -190,17 +186,28 @@ def certify(
     cover_cfg: CoverConfig,
     c: float,
     delta: float,
-    sigma: float = 1.0,
     seed: int = 0,
     gap: float | None = None,
     pseudo_eps_scale: float = 0.5,
 ) -> BoundReport:
-    """Build the partition and assemble all certified quantities."""
+    """Build the partition and assemble all certified quantities.
+
+    The constants hold only for the family the model was fitted as, so a
+    model of another kind or regularizer is refused; kernel-rbf reads its
+    bandwidth from the model's kernel.  `holds` is None unless a measured
+    gap is given.
+    """
     fam = FAMILIES[family]
+    # a pair/triplet swap is not visible here: the model stores its kind
+    # and regularizer, not its family
+    if (model.kind, model.regularizer) != (fam.kind, fam.reg):
+        raise ValueError(f"model is {model.kind}/{model.regularizer}, not a {family} model")
+    if fam.kind == "kernelized" and model.kernel.kind != "rbf":
+        raise ValueError(f"model has a {model.kernel.kind} kernel, not a {family} model")
     part = build_partition(ds, cover_cfg, probe=probe)
     q = RobustnessQuery(
         family=family, U=HINGE_U, R=ds.R, gamma=cover_cfg.gamma, g0=fam.g0, c=c,
-        sigma=sigma if fam.kind == "kernelized" else 0.0,
+        sigma=model.kernel.sigma if fam.kind == "kernelized" else 0.0,
     )
     eps_theo = epsilon_theoretical(q)
     pseudo_eps = pseudo_eps_scale * eps_theo
@@ -246,7 +253,8 @@ def certify(
         bound_pseudo=bound_pseudo,
         bound_triplet=bound_triplet,
         empirical_gap=gap_val,
-        holds=bool(gap_val <= certified),
+        holds=None if gap is None else bool(gap_val <= certified),
+        sound=bool(est.value <= eps_theo),
         excluded_probes=est.excluded_probes,
         seed=seed,
     )
@@ -256,8 +264,7 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     spec = replace(cfg.synthetic, seed=rep_seed)
     ds = gen_synthetic(spec)
     scfg = replace(cfg.solver, seed=rep_seed)
-    sigma = 1.0
-    model = train_family(ds, cfg.family, scfg, sigma)
+    model = train_family(ds, cfg.family, scfg)
     probe_spec = replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000)
     probe = gen_synthetic(probe_spec)
     if FAMILIES[cfg.family].triplet:
@@ -269,7 +276,7 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     gap = abs(true_est - l_emp)
     report = certify(
         model, ds, probe, cfg.family, cfg.cover, cfg.solver.c, cfg.delta,
-        sigma=sigma, seed=rep_seed, gap=gap,
+        seed=rep_seed, gap=gap,
         pseudo_eps_scale=cfg.pseudo_eps_scale,
     )
     report.extra["empirical_loss"] = l_emp
@@ -333,11 +340,8 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     lookup = {lab: i for i, lab in enumerate(label_order)}
     train_lab = np.array([lookup[lab] for lab in train.y])
     test_lab = np.array([lookup.get(lab, -1) for lab in test.y])
-    columns = metric_columns(m, train.X)
     correct = 0
-    for start in range(0, test.n, core.BLOCK_ROWS):
-        rows = slice(start, start + core.BLOCK_ROWS)
-        F = metric_rows(m, test.X[rows], columns)
+    for start, F in metric_blocks(m, test.X, train.X):
         # the k smallest under a stable sort: every value below the k-th,
         # then the lowest-index ties at the k-th value
         kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
@@ -349,5 +353,5 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
         votes = np.bincount(
             r * len(label_order) + train_lab[j], minlength=len(F) * len(label_order)
         ).reshape(len(F), len(label_order))
-        correct += int((votes.argmax(axis=1) == test_lab[rows]).sum())
+        correct += int((votes.argmax(axis=1) == test_lab[start : start + len(F)]).sum())
     return correct / test.n

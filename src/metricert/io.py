@@ -111,18 +111,8 @@ def load_model(path: str, anchors: Dataset | None = None) -> MetricModel:
 
 
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "synthetic": asdict(cfg.synthetic),
-        "solver": asdict(cfg.solver),
-        "cover": asdict(cfg.cover),
-        "family": cfg.family,
-        "delta": cfg.delta,
-        "probe_size": cfg.probe_size,
-        "mc_size": cfg.mc_size,
-        "repetitions": cfg.repetitions,
-        "pseudo_eps_scale": cfg.pseudo_eps_scale,
-    }
+    out = asdict(cfg)
+    out["schema_version"] = SCHEMA_VERSION
     out["synthetic"]["means"] = [list(mv) for mv in cfg.synthetic.means]
     return out
 

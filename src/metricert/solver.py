@@ -29,6 +29,7 @@ from .core import (
     empirical_loss,
     kernel_gram,
     quad_rows,
+    sq_dists,
     triplet_hinge,
 )
 
@@ -118,16 +119,6 @@ def prox(M: np.ndarray, tau: float, reg: str) -> np.ndarray:
         scale = np.where(nrm > tau, 1.0 - tau / np.maximum(nrm, 1e-300), 0.0)
         return M * scale[None, :]
     raise ValueError(f"unknown regularizer {reg!r}")
-
-
-def _sq_dist_into(X: np.ndarray, M: np.ndarray, XM: np.ndarray, F: np.ndarray, G: np.ndarray):
-    # F = q_i + q_j - G_ij - G_ji with G = X M X^T and q = diag(G); XM and G
-    # are scratch buffers
-    np.matmul(np.matmul(X, M, out=XM), X.T, out=G)
-    q = G.diagonal().copy()
-    np.add(q[:, None], q[None, :], out=F)
-    np.subtract(F, G, out=F)
-    np.subtract(F, G.T, out=F)
 
 
 def _laplacian_form(X: np.ndarray, W: np.ndarray, L: np.ndarray, XtL: np.ndarray, out: np.ndarray):
@@ -260,16 +251,15 @@ def _triplet_eval(X: np.ndarray, labels: np.ndarray):
     triplet hinge over every admissible triplet, from the exact sorted
     active-set counts of core.triplet_hinge; memory is O(n^2)."""
     n, d = X.shape
-    XM, XtL, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
-    F, G = np.empty((n, n)), np.empty((n, n))
+    XtL, grad, L = np.empty((d, n)), np.empty((d, d)), np.empty((n, n))
 
     def eval_fn(M):
-        _sq_dist_into(X, M, XM, F, G)
+        F = sq_dists(X, M, X, quad_rows(X, M, X))
         loss, Wp, Wn, nt = triplet_hinge(F, labels)
         active = Wp.sum() / nt
         W = np.subtract(Wp, Wn, out=Wp)
         np.divide(W, nt, out=W)
-        _laplacian_form(X, W, G, XtL, grad)
+        _laplacian_form(X, W, L, XtL, grad)
         return loss, grad, float(active)
 
     return eval_fn

@@ -102,7 +102,7 @@ def test_criterion_02_robustness_soundness():
             model = train_family(ds, family, cfg, sigma=1.0)
             rep = certify(
                 model, ds, probe, family, CoverConfig(gamma=gamma),
-                c=c, delta=0.05, sigma=1.0,
+                c=c, delta=0.05,
             )
             if rep.epsilon_empirical > rep.epsilon_theoretical + 1e-12:
                 violations += 1

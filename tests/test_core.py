@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metricert import core
 from metricert.core import (
     FAMILIES,
     HINGE_U,
@@ -14,6 +17,7 @@ from metricert.core import (
     empirical_loss,
     empirical_triplet_loss,
     hinge,
+    kernel_gram,
     metric_eval,
     metric_matrix,
     pair_loss,
@@ -263,6 +267,71 @@ class TestEmpiricalLoss:
             [pair_loss(m, ds[i], ds[j]) for i in range(8) for j in range(8)]
         )
         assert empirical_loss(m, ds) == pytest.approx(expected)
+
+
+def models_of_every_kind(rng, d):
+    """One model of each kind: mahalanobis, bilinear, and kernelized with
+    an rbf and with a linear kernel."""
+    G = rng.standard_normal((d, d))
+    anchors = Dataset(rng.uniform(-0.5, 0.5, size=(6, d)), list("aabbcc"), R=2.0)
+    H = rng.standard_normal((6, 6))
+    return {
+        "mahalanobis": MetricModel("mahalanobis", M=G @ G.T),
+        "bilinear": MetricModel("bilinear", M=G),
+        "kernel-rbf": MetricModel(
+            "kernelized", A=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors
+        ),
+        "kernel-linear": MetricModel(
+            "kernelized", A=H @ H.T, kernel=KernelSpec("linear"), anchors=anchors
+        ),
+    }
+
+
+class TestBlockedEmpiricalLoss:
+    @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear", "kernel-rbf", "kernel-linear"])
+    def test_blocks_match_full_hinge_mean(self, monkeypatch, kind):
+        # 30 rows in blocks of 7 leave a short last block; three interleaved
+        # labels put every label in every block
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(16)
+        X = rng.uniform(-0.5, 0.5, size=(30, 2))
+        ds = make_ds(X, [("a", "b", "c")[i % 3] for i in range(30)])
+        m = models_of_every_kind(rng, 2)[kind]
+        li = ds.label_indices()
+        Y = np.where(li[:, None] == li[None, :], 1.0, -1.0)
+        expected = float(hinge(Y * (1.0 - metric_matrix(m, X))).mean())
+        assert expected > 0.0
+        assert empirical_loss(m, ds) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_memory_is_not_quadratic(self):
+        # one n x n float array is 72 MB at n = 3000; the full loss matrix
+        # and its temporaries peaked at several of them
+        rng = np.random.default_rng(3)
+        ds = make_ds(rng.uniform(-0.5, 0.5, size=(3000, 2)), rng.choice(["a", "b"], size=3000))
+        m = MetricModel("mahalanobis", M=np.eye(2))
+        tracemalloc.start()
+        try:
+            empirical_loss(m, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+
+class TestKernelGram:
+    def test_rbf_equals_explicit_expansion(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n1, n2, d = (int(v) for v in rng.integers(1, 40, size=3))
+            X1, X2 = rng.standard_normal((n1, d)), rng.standard_normal((n2, d))
+            sigma = float(rng.uniform(0.2, 3.0))
+            sq = (
+                np.sum(X1 * X1, axis=1)[:, None]
+                + np.sum(X2 * X2, axis=1)[None, :]
+                - 2.0 * X1 @ X2.T
+            )
+            expected = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
+            assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X1, X2), expected)
 
 
 class TestLossBoundB:

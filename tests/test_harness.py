@@ -3,18 +3,21 @@ import pytest
 from scipy.stats import ks_2samp
 
 from metricert import core, harness
-from metricert.core import Dataset, MetricModel, metric_matrix
+from metricert.bounds import RobustnessQuery, epsilon_theoretical
+from metricert.core import HINGE_U, Dataset, KernelSpec, MetricModel, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
     ExperimentConfig,
     SyntheticSpec,
+    certify,
     gap_curve,
     gen_synthetic,
     knn_eval,
     run_experiment,
     true_loss_estimate,
 )
-from metricert.solver import SolverConfig
+from metricert.solver import SolverConfig, solve_kernel
+from test_core import models_of_every_kind
 
 class TestGenSynthetic:
     def test_zero_scale_points_equal_means(self):
@@ -210,6 +213,60 @@ class TestRunExperiment:
         assert r.bound_triplet is not None
         assert r.g0 == 1.0
         assert r.holds == (r.empirical_gap <= r.bound_triplet)
+
+
+class TestCertify:
+    def _data(self):
+        ds = gen_synthetic(SyntheticSpec(n=30, seed=5))
+        probe = gen_synthetic(SyntheticSpec(n=20, seed=6))
+        return ds, probe
+
+    def test_kernel_rbf_reads_sigma_from_the_model(self):
+        ds, probe = self._data()
+        model = solve_kernel(ds, KernelSpec("rbf", 0.5), SolverConfig(c=0.5, max_iters=20))
+        rep = certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), c=0.5, delta=0.05)
+        q = RobustnessQuery("kernel-rbf", U=HINGE_U, R=ds.R, gamma=0.5, g0=2.0, c=0.5, sigma=0.5)
+        assert rep.epsilon_theoretical == epsilon_theoretical(q)
+        assert rep.sound
+
+    @pytest.mark.parametrize(
+        "model,family",
+        [
+            (MetricModel("mahalanobis", M=np.eye(2)), "kernel-rbf"),
+            (MetricModel("bilinear", M=np.eye(2)), "fro"),
+            (MetricModel("mahalanobis", M=np.eye(2), regularizer="l1"), "fro"),
+        ],
+    )
+    def test_refuses_a_model_of_another_family(self, model, family):
+        ds, probe = self._data()
+        with pytest.raises(ValueError, match=f"not a {family} model"):
+            certify(model, ds, probe, family, CoverConfig(gamma=0.5), c=0.5, delta=0.05)
+
+    def test_refuses_a_linear_kernel_as_kernel_rbf(self):
+        ds, probe = self._data()
+        model = MetricModel("kernelized", A=np.eye(ds.n), kernel=KernelSpec("linear"), anchors=ds)
+        with pytest.raises(ValueError, match="not a kernel-rbf model"):
+            certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), c=0.5, delta=0.05)
+
+    def test_holds_only_with_a_measured_gap(self):
+        ds, probe = self._data()
+        model = MetricModel("mahalanobis", M=np.eye(2))
+        args = (model, ds, probe, "fro", CoverConfig(gamma=0.5))
+        rep = certify(*args, c=0.5, delta=0.05)
+        assert rep.holds is None and rep.to_json_dict()["holds"] is None
+        assert rep.sound is True and rep.to_json_dict()["sound"] is True
+        assert certify(*args, c=0.5, delta=0.05, gap=0.0).holds is True
+        assert certify(*args, c=0.5, delta=0.05, gap=1e9).holds is False
+
+
+class TestMetricRowwise:
+    def test_is_the_diagonal_of_metric_matrix(self):
+        rng = np.random.default_rng(8)
+        X1, X2 = rng.uniform(-0.5, 0.5, size=(2, 25, 3))
+        for kind, m in models_of_every_kind(rng, 3).items():
+            expected = np.diag(metric_matrix(m, X1, X2))
+            got = harness._metric_rowwise(m, X1, X2)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), kind
 
 
 class TestGapCurve:

@@ -192,6 +192,30 @@ class TestCli:
         assert (code, written) == (1, False)
         assert f"not a {audited} model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma,code", [("0.5", 0), ("1.0", 1), ("100", 1)])
+    def test_audit_refuses_another_sigma(self, tmp_path, capsys, sigma, code):
+        # at --sigma 100 the certified epsilon would fall below the empirical one
+        result = self._train_audit(
+            tmp_path, ["--family", "kernel-rbf", "--c", "0.5", "--sigma", "0.5"],
+            ["--family", "kernel-rbf", "--c", "0.5", "--sigma", sigma],
+        )
+        assert result == (code, code == 0)
+        if code:
+            assert "trained at sigma=0.5" in capsys.readouterr().err
+
+    def test_audit_ignores_sigma_of_other_families(self, tmp_path):
+        code, written = self._train_audit(tmp_path, ["--c", "0.5"], ["--c", "0.5", "--sigma", "7"])
+        assert (code, written) == (0, True)
+
+    def test_audit_report_has_no_gap_verdict(self, tmp_path):
+        # no gap is measured, so the report cannot say the bound holds
+        code, _ = self._train_audit(tmp_path, ["--c", "0.5"], ["--c", "0.5"])
+        obj = json.loads((tmp_path / "report.json").read_text())
+        assert code == 0
+        assert obj["holds"] is None
+        assert obj["sound"] is (obj["epsilon_empirical"] <= obj["epsilon_theoretical"])
+        assert obj["sound"] is True
+
     def test_audit_accepts_a_model_without_c(self, tmp_path):
         # model files written by the library without c cannot be checked
         data = self._gen(tmp_path)
