@@ -100,30 +100,57 @@ class EpsilonEstimate:
         return self.value
 
 
+def _run_extrema(L: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarray):
+    """Min and max of a row block over each run of rows of one cell, per
+    column cell.
+
+    L holds the rows start, start + 1, ... of cell-sorted points against all
+    of them; `starts` and `sizes` give each cell's first point and its
+    number of points.  Returns the slice of cells whose runs the block
+    holds, the run lengths and the (runs x cells) minima and maxima.  Each
+    run reduces as one contiguous slice, then `reduceat` merges the column
+    cells of the small result; min and max are exact in any order.
+    """
+    first = np.searchsorted(starts, start, side="right") - 1
+    last = np.searchsorted(starts, start + len(L), side="left")
+    a = np.maximum(starts[first:last] - start, 0)
+    b = np.minimum(starts[first:last] + sizes[first:last] - start, len(L))
+    lo = np.empty((last - first, L.shape[1]))
+    hi = np.empty_like(lo)
+    for k, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
+        L[s:e].min(axis=0, out=lo[k])
+        L[s:e].max(axis=0, out=hi[k])
+    return (
+        slice(first, last),
+        b - a,
+        np.minimum.reduceat(lo, starts, axis=1),
+        np.maximum.reduceat(hi, starts, axis=1),
+    )
+
+
+def _cell_runs(ids: np.ndarray):
+    # the stable cell order of the points, and per occupied cell (ascending)
+    # its id, its first position in that order and its number of points
+    order = np.argsort(ids, kind="stable")
+    cells, starts, sizes = np.unique(ids[order], return_index=True, return_counts=True)
+    return order, cells, starts, sizes
+
+
 def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
     """Per-cell-pair min and max of the probe pair loss.
 
     Returns the occupied cell ids (ascending) and two tables indexed by
     their positions.  Points are sorted by cell, so every cell is a run of
-    rows and columns and each row block reduces with `reduceat` on both
-    axes; a cell whose run straddles two blocks is merged into the table.
+    rows and columns; each row block reduces through `_run_extrema`, and a
+    cell whose run straddles two blocks is merged into the table.
     """
-    order = np.argsort(ids, kind="stable")
-    X, ids = X[order], ids[order]
-    cells, starts = np.unique(ids, return_index=True)
-    labels = ids // p.centers.shape[0]
+    order, cells, starts, sizes = _cell_runs(ids)
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
-    for start, L in pair_loss_blocks(m, X, labels):
-        # runs of the block's rows: local starts and their positions in `cells`
-        first = np.searchsorted(starts, start, side="right") - 1
-        last = np.searchsorted(starts, start + len(L), side="left")
-        local = np.maximum(starts[first:last] - start, 0)
-        at = slice(first, last)
-        lo[at] = np.minimum(lo[at], np.minimum.reduceat(
-            np.minimum.reduceat(L, starts, axis=1), local, axis=0))
-        hi[at] = np.maximum(hi[at], np.maximum.reduceat(
-            np.maximum.reduceat(L, starts, axis=1), local, axis=0))
+    for start, L in pair_loss_blocks(m, X[order], ids[order] // p.centers.shape[0]):
+        at, _, lo_run, hi_run = _run_extrema(L, start, starts, sizes)
+        np.minimum(lo[at], lo_run, out=lo[at])
+        np.maximum(hi[at], hi_run, out=hi[at])
     return cells, lo, hi
 
 
@@ -139,13 +166,22 @@ def cell_stats(
     A training pair (i, j) is matched when some kept probe pair shares its
     cell pair; its deviation is the larger of L_ij minus the probe minimum
     and the probe maximum minus L_ij over that cell pair.  The estimate is
-    the largest deviation over matched pairs (0 when none match), which is
-    the max over cell pairs of hi_train - lo_probe and hi_probe - lo_train;
-    the count is the number of pairs that are unmatched or deviate by at
-    most `epsilon`.  Probe points outside the cover are excluded and
-    counted; training points outside it are an error.  The loss is
-    evaluated in row blocks, so memory is O(block * n) plus the
-    cell-pair tables of the probe.
+    the largest deviation over matched pairs (0 when none match); the
+    count is the number of pairs that are unmatched or deviate by at most
+    `epsilon`.  Probe points outside the cover are excluded and counted;
+    training points outside it are an error.
+
+    Both sides are sorted by cell, so the pairs of one run of block rows
+    and one column cell form a sub-block with one pair of probe extrema
+    (lo, hi).  fl(a - c) is monotone in a, so the sub-block's largest
+    deviation is max(fl(hi_run - lo), fl(hi - lo_run)) exactly, from the
+    run extrema of `_run_extrema`; every pair of the sub-block is within
+    `epsilon` when both terms are, and none is when fl(lo_run - lo) or
+    fl(hi - hi_run) exceeds it.  Only a block with an undecided sub-block
+    tests its pairs one by one, masked to those sub-blocks.  Cells the
+    probe does not occupy have extrema (+inf, -inf): their pairs count and
+    deviate by -inf.  The loss is evaluated in row blocks, so memory is
+    O(block * n) plus the cell-pair tables of the probe.
     """
     ids_tr = assign_cells(p, ds.X, ds.y)
     if (ids_tr < 0).any():
@@ -157,22 +193,30 @@ def cell_stats(
     if not keep.any():
         return EpsilonEstimate(0.0, excluded), n * n
     cells, lo_p, hi_p = _probe_extrema(m, p, probe.X[keep], ids_pr[keep])
+    order, cells_t, starts, sizes = _cell_runs(ids_tr)
     # each training cell's position among the probe cells; a cell the probe
     # does not occupy points at an appended row and column of empty extrema
-    # (+inf, -inf), whose deviation is -inf
-    pos = np.searchsorted(cells, ids_tr)
-    pos[cells[np.minimum(pos, len(cells) - 1)] != ids_tr] = len(cells)
+    pos = np.searchsorted(cells, cells_t)
+    pos[cells[np.minimum(pos, len(cells) - 1)] != cells_t] = len(cells)
     lo_p = np.pad(lo_p, (0, 1), constant_values=np.inf)
     hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
-    labels = ids_tr // p.centers.shape[0]
+    tol = epsilon + 1e-12
     worst, count = 0.0, 0
-    for start, L in pair_loss_blocks(m, ds.X, labels):
-        row_pos = pos[start : start + len(L)]
-        lo = lo_p[row_pos][:, pos]
-        hi = hi_p[row_pos][:, pos]
-        dev = np.maximum(L - lo, hi - L)
-        worst = max(worst, float(dev.max()))
-        count += int((dev <= epsilon + 1e-12).sum())
+    for start, L in pair_loss_blocks(m, ds.X[order], ids_tr[order] // p.centers.shape[0]):
+        at, runs, lo_run, hi_run = _run_extrema(L, start, starts, sizes)
+        cell_pairs = np.ix_(pos[at], pos)
+        lo, hi = lo_p[cell_pairs], hi_p[cell_pairs]
+        up, down = hi_run - lo, hi - lo_run
+        worst = max(worst, float(up.max()), float(down.max()))
+        good = (up <= tol) & (down <= tol)
+        count += int(runs @ (good @ sizes))
+        undecided = ~good & (lo_run - lo <= tol) & (hi - hi_run <= tol)
+        if undecided.any():
+            # the per-pair test, on the undecided sub-blocks only: the
+            # others get NaN extrema, which no comparison passes
+            lo = np.repeat(np.repeat(np.where(undecided, lo, np.nan), runs, axis=0), sizes, axis=1)
+            hi = np.repeat(np.repeat(np.where(undecided, hi, np.nan), runs, axis=0), sizes, axis=1)
+            count += int(((L - lo <= tol) & (hi - L <= tol)).sum())
     return EpsilonEstimate(worst, excluded), count
 
 
@@ -185,9 +229,11 @@ def empirical_epsilon(
     """Max loss deviation between training pairs and cell-matched probe pairs.
 
     Exhaustive over all n^2 training pairs and all matched probe pairs;
-    probe points outside the cover are excluded and counted.
+    probe points outside the cover are excluded and counted.  The count is
+    discarded, so it is asked at epsilon = inf, where every sub-block is
+    decided without a per-pair test.
     """
-    return cell_stats(m, p, ds, probe, 0.0)[0]
+    return cell_stats(m, p, ds, probe, math.inf)[0]
 
 
 def pseudo_robust_count(
@@ -322,9 +368,9 @@ def bhc_simulate(
 
 @dataclass
 class BoundReport:
-    """Certified quantities of one model.  `holds` (empirical_gap within
-    the certified bound) is None when no gap was measured; `sound` says
-    whether epsilon_empirical <= epsilon_theoretical."""
+    """Certified quantities of one model.  `empirical_gap` and `holds`
+    (the gap within the certified bound) are None when no gap was measured;
+    `sound` says whether epsilon_empirical <= epsilon_theoretical."""
 
     family: str
     U: float
@@ -338,7 +384,7 @@ class BoundReport:
     epsilon_theoretical: float
     epsilon_empirical: float
     bound_pair: float
-    empirical_gap: float
+    empirical_gap: float | None
     holds: bool | None
     sound: bool
     excluded_probes: int

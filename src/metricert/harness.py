@@ -135,16 +135,21 @@ def _metric_rowwise(m: MetricModel, X1: np.ndarray, X2: np.ndarray) -> np.ndarra
 
 
 def _true_triplet_loss_estimate(m, spec, M_mc, seed):
+    """Monte-Carlo mean triplet hinge over the admissible triples
+    (y_a = y_b != y_c) among M_mc independent draws, with its SE over those
+    triples: the quantity empirical_triplet_loss averages over a sample."""
     rng = np.random.default_rng(seed)
     X1, y1 = _sample_points(spec, 3 * M_mc, rng)
     a, b, c = X1[:M_mc], X1[M_mc : 2 * M_mc], X1[2 * M_mc :]
     y1 = np.asarray(y1)
     ya, yb, yc = y1[:M_mc], y1[M_mc : 2 * M_mc], y1[2 * M_mc :]
-    f13 = _metric_rowwise(m, a, c)
-    f12 = _metric_rowwise(m, a, b)
     admissible = (ya == yb) & (ya != yc)
-    losses = np.where(admissible, np.maximum(0.0, 1.0 - f13 + f12), 0.0)
-    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
+    if admissible.sum() < 2:
+        raise ValueError("fewer than two admissible triples; increase mc_size")
+    f13 = _metric_rowwise(m, a[admissible], c[admissible])
+    f12 = _metric_rowwise(m, a[admissible], b[admissible])
+    losses = np.maximum(0.0, 1.0 - f13 + f12)
+    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(len(losses)))
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,8 @@ def certify(
 
     The constants hold only for the family the model was fitted as, so a
     model of another kind or regularizer is refused; kernel-rbf reads its
-    bandwidth from the model's kernel.  `holds` is None unless a measured
-    gap is given.
+    bandwidth from the model's kernel.  `empirical_gap` and `holds` are
+    None unless a measured gap is given.
     """
     fam = FAMILIES[family]
     # a pair/triplet swap is not visible here: the model stores its kind
@@ -235,7 +240,6 @@ def certify(
                 mode="pseudo", p_hat=p_hat,
             )
         )
-    gap_val = float(gap) if gap is not None else 0.0
     certified = bound_triplet if fam.triplet else bound_pair
     return BoundReport(
         family=family,
@@ -252,8 +256,8 @@ def certify(
         bound_pair=bound_pair,
         bound_pseudo=bound_pseudo,
         bound_triplet=bound_triplet,
-        empirical_gap=gap_val,
-        holds=None if gap is None else bool(gap_val <= certified),
+        empirical_gap=None if gap is None else float(gap),
+        holds=None if gap is None else bool(gap <= certified),
         sound=bool(est.value <= eps_theo),
         excluded_probes=est.excluded_probes,
         seed=seed,

@@ -20,6 +20,7 @@ from metricert.bounds import (
 from metricert.core import (
     FAMILIES,
     Dataset,
+    KernelSpec,
     MetricModel,
     build_triplets,
     metric_matrix,
@@ -255,6 +256,112 @@ class TestCellStats:
         model = MetricModel("mahalanobis", M=np.eye(2))
         est, p_hat = cell_stats(model, part, ds, probe, 0.0)
         assert (est.value, est.excluded_probes, p_hat) == (0.0, 1, ds.n**2)
+
+
+def reference_deviations(m, part, ds, probe):
+    """The per-pair sweep cell_stats used before it read per-cell extrema,
+    kept as the reference: yields (start, deviation rows) of the training
+    pairs in ds order against the gathered per-pair probe extrema, -inf for
+    unmatched pairs.  Needs some covered probe point."""
+    ids_tr = assign_cells(part, ds.X, ds.y)
+    ids_pr = assign_cells(part, probe.X, probe.y)
+    keep = ids_pr >= 0
+    order = np.argsort(ids_pr[keep], kind="stable")
+    X, ids = probe.X[keep][order], ids_pr[keep][order]
+    cells, starts = np.unique(ids, return_index=True)
+    lo = np.full((len(cells), len(cells)), np.inf)
+    hi = np.full((len(cells), len(cells)), -np.inf)
+    for start, L in core.pair_loss_blocks(m, X, ids // part.centers.shape[0]):
+        first = np.searchsorted(starts, start, side="right") - 1
+        last = np.searchsorted(starts, start + len(L), side="left")
+        local = np.maximum(starts[first:last] - start, 0)
+        at = slice(first, last)
+        lo[at] = np.minimum(lo[at], np.minimum.reduceat(
+            np.minimum.reduceat(L, starts, axis=1), local, axis=0))
+        hi[at] = np.maximum(hi[at], np.maximum.reduceat(
+            np.maximum.reduceat(L, starts, axis=1), local, axis=0))
+    pos = np.searchsorted(cells, ids_tr)
+    pos[cells[np.minimum(pos, len(cells) - 1)] != ids_tr] = len(cells)
+    lo = np.pad(lo, (0, 1), constant_values=np.inf)
+    hi = np.pad(hi, (0, 1), constant_values=-np.inf)
+    for start, L in core.pair_loss_blocks(m, ds.X, ids_tr // part.centers.shape[0]):
+        row_pos = pos[start : start + len(L)]
+        yield start, np.maximum(L - lo[row_pos][:, pos], hi[row_pos][:, pos] - L)
+
+
+def reference_cell_stats(m, part, ds, probe, epsilon):
+    """(estimate, excluded probes, count) of the reference per-pair sweep."""
+    excluded = int((assign_cells(part, probe.X, probe.y) < 0).sum())
+    if excluded == probe.n:
+        return 0.0, excluded, ds.n**2
+    worst, count = 0.0, 0
+    for _, dev in reference_deviations(m, part, ds, probe):
+        worst = max(worst, float(dev.max()))
+        count += int((dev <= epsilon + 1e-12).sum())
+    return worst, excluded, count
+
+
+def sweep_cases(rng, n=40, m=25):
+    """Mahalanobis, bilinear and kernelized models on a cover where some
+    training cells hold no probe point and one probe point is uncovered."""
+    Xtr = rng.uniform(-1, 1, size=(n, 2))
+    Xpr = np.vstack([rng.uniform(-0.5, 0.5, size=(m - 1, 2)), [[2.5, 0.0]]])
+    R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+    ds = make_ds(Xtr, rng.choice(["a", "b"], size=n), R=R)
+    probe = make_ds(Xpr, rng.choice(["a", "b"], size=m), R=R)
+    covered = make_ds(Xpr[:-1], probe.y[:-1], R=R)
+    part = build_partition(ds, CoverConfig(gamma=0.7), probe=covered)
+    assert set(assign_cells(part, ds.X, ds.y)) - set(assign_cells(part, probe.X, probe.y))
+    A = rng.standard_normal((2, 2))
+    H = rng.standard_normal((6, 6))
+    anchors = make_ds(rng.uniform(-1, 1, size=(6, 2)), "abab" + "ab", R=2.0)
+    models = [
+        MetricModel("mahalanobis", M=A @ A.T),
+        MetricModel("bilinear", M=A),
+        MetricModel("kernelized", A=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors),
+    ]
+    return models, part, ds, probe
+
+
+class TestCellSweep:
+    @pytest.mark.parametrize("rows", [2, 7, 256])
+    def test_matches_per_pair_reference(self, monkeypatch, rows):
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(23)
+        # more training than probe points, then more probe points
+        for n, m in ((40, 25), (20, 60)):
+            models, part, ds, probe = sweep_cases(rng, n, m)
+            for model in models:
+                eps = reference_cell_stats(model, part, ds, probe, 0.0)[0]
+                assert eps > 0.0
+                for epsilon in (0.0, 0.4 * eps, eps, math.inf):
+                    est, p_hat = cell_stats(model, part, ds, probe, epsilon)
+                    got = (est.value, est.excluded_probes, p_hat)
+                    assert got == reference_cell_stats(model, part, ds, probe, epsilon)
+                    assert est.excluded_probes == 1
+                assert empirical_epsilon(model, part, ds, probe).value == eps
+
+    def test_a_block_holds_decided_and_undecided_sub_blocks(self, monkeypatch):
+        # cell_stats sweeps the training points in stable cell order; a
+        # sub-block (run of block rows x column cell) whose pairs are partly
+        # within epsilon and partly not is left open by the extrema, one
+        # whose pairs are all within it is decided
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        models, part, ds, probe = sweep_cases(np.random.default_rng(23))
+        order = np.argsort(assign_cells(part, ds.X, ds.y), kind="stable")
+        ds = Dataset(ds.X[order], [ds.y[i] for i in order], ds.R, ds.labels)
+        ids = assign_cells(part, ds.X, ds.y)
+        cuts = np.flatnonzero(np.diff(ids)) + 1
+        tol = 0.4 * reference_cell_stats(models[0], part, ds, probe, 0.0)[0] + 1e-12
+        found = False
+        for start, dev in reference_deviations(models[0], part, ds, probe):
+            kinds = set()
+            for run in np.split(dev, cuts[(cuts > start) & (cuts < start + len(dev))] - start):
+                for sub in np.split(run, cuts, axis=1):
+                    within = sub <= tol
+                    kinds.add("decided" if within.all() else "open" if within.any() else "out")
+            found |= {"decided", "open"} <= kinds
+        assert found
 
 
 def dict_loop_epsilon_triplet(m, part, ds, probe):

@@ -166,6 +166,24 @@ class TestTrueLossEstimate:
         assert abs(e1 - e2) <= 3 * np.hypot(s1, s2)
 
 
+class TestTrueTripletLossEstimate:
+    def test_estimates_the_admissible_mean(self):
+        # empirical_triplet_loss averages over admissible triplets only, so
+        # on a fresh sample it is what the Monte-Carlo estimate must match
+        spec = SyntheticSpec(n=40, seed=0)
+        m = harness.train_family(gen_synthetic(spec), "triplet-fro", SolverConfig(c=0.1))
+        fresh = core.empirical_triplet_loss(m, gen_synthetic(SyntheticSpec(n=600, seed=1)))
+        est, se = harness._true_triplet_loss_estimate(m, spec, 20_000, 7)
+        assert 0.0 < se < 0.02
+        assert est == pytest.approx(fresh, abs=4 * se + 0.02)
+
+    def test_needs_two_admissible_triples(self):
+        spec = SyntheticSpec(n=10, classes=1, seed=2)
+        zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="admissible"):
+            harness._true_triplet_loss_estimate(zero, spec, 100, 0)
+
+
 class TestRunExperiment:
     def test_single_class_degenerate_holds(self):
         cfg = ExperimentConfig(

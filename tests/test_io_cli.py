@@ -216,6 +216,12 @@ class TestCli:
         assert obj["sound"] is (obj["epsilon_empirical"] <= obj["epsilon_theoretical"])
         assert obj["sound"] is True
 
+    def test_audit_report_states_no_unmeasured_gap(self, tmp_path):
+        code, _ = self._train_audit(tmp_path, ["--c", "0.5"], ["--c", "0.5"])
+        obj = json.loads((tmp_path / "report.json").read_text())
+        assert code == 0
+        assert obj["empirical_gap"] is None
+
     def test_audit_accepts_a_model_without_c(self, tmp_path):
         # model files written by the library without c cannot be checked
         data = self._gen(tmp_path)
