@@ -320,7 +320,12 @@ def empirical_epsilon_triplet(
 # ---------------------------------------------------------------------------
 # Bretagnolle-Huber-Carol simulation
 
-_BHC_CHUNK = 4096  # trials drawn at a time; bounds memory at _BHC_CHUNK * K counts
+_BHC_DRAWS = 1 << 16  # values drawn per chunk of whole trials; bhc holds O(_BHC_DRAWS + n)
+# Per trial the alias sampler draws n uniforms and rng.multinomial K - 1
+# binomials.  One binomial cost as much as 4 to 15 alias draws (timed at
+# K = 2 ... 256, n = 2K ... 32K, uniform and skewed mu), so the alias
+# sampler draws when n <= 4 (K - 1).
+_BINOMIAL_COST = 4
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,62 @@ class BhcResult:
     cap: float
     std_error: float
     violated: bool
+
+
+def _alias_table(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table of the categorical law mu: a uniform column j of
+    K stays in cell j with probability prob[j] and goes to alias[j] otherwise,
+    so cell i gets (prob[i] + sum over alias[j] = i of (1 - prob[j])) / K = mu_i.
+    Cells of zero mass get prob 0 and are never an alias."""
+    K = len(mu)
+    scaled = mu * K
+    prob = np.ones(K)
+    alias = np.arange(K)
+    small = [i for i in range(K) if scaled[i] < 1.0]
+    large = [i for i in range(K) if scaled[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    # what is left on either list holds 1 up to rounding, and keeps prob 1
+    return prob, alias
+
+
+def _multinomial_chunks(rng, n: int, mu: np.ndarray, trials: int):
+    """Yield the cell counts of `trials` independent multinomial(n, mu)
+    draws, a (chunk, K) integer array at a time, each chunk about
+    _BHC_DRAWS values.  Successive draws continue the generator's stream,
+    so the counts do not depend on the chunk size."""
+    K = len(mu)
+    if n > _BINOMIAL_COST * (K - 1):
+        t = max(1, _BHC_DRAWS // K)
+        for start in range(0, trials, t):
+            yield rng.multinomial(n, mu, size=min(t, trials - start))
+        return
+    # one point per uniform u: x = u K, column j = floor(x) (< K, since
+    # u <= 1 - 2^-53), then cell j if x - j < prob[j], else alias[j]
+    prob, alias = _alias_table(mu)
+    t = max(1, _BHC_DRAWS // n)
+    x = np.empty(t * n)
+    j = np.empty(t * n, dtype=np.intp)
+    p = np.empty(t * n)
+    moves = np.empty(t * n, dtype=bool)
+    offset = np.repeat(np.arange(t) * K, n)  # trial * K, so one bincount counts all trials
+    for start in range(0, trials, t):
+        rows = min(t, trials - start)
+        m = rows * n
+        xs, js, ps, ms = x[:m], j[:m], p[:m], moves[:m]
+        rng.random(out=xs)
+        np.multiply(xs, K, out=xs)
+        np.copyto(js, xs, casting="unsafe")
+        np.subtract(xs, js, out=xs)
+        np.take(prob, js, out=ps, mode="clip")  # "clip": in range, and unbuffered
+        np.greater_equal(xs, ps, out=ms)
+        at = np.flatnonzero(ms)
+        js[at] = alias[js[at]]
+        np.add(js, offset[:m], out=js)
+        yield np.bincount(js, minlength=rows * K).reshape(rows, K)
 
 
 def bhc_simulate(
@@ -340,20 +401,24 @@ def bhc_simulate(
     seed: int = 0,
 ) -> BhcResult:
     """Monte-Carlo tail of sum_i |N_i/n - mu_i| against the 2^K exp(-n lam^2/2)
-    cap; flags a violation beyond 3 Monte-Carlo standard errors."""
+    cap; flags a violation beyond 3 Monte-Carlo standard errors.
+
+    The counts N are exact multinomial(n, mu) draws: Vose's alias method
+    when n <= 4 (K - 1), numpy's conditional binomials above that."""
     mu = np.asarray(mu, dtype=float)
     if len(mu) != K:
         raise ValueError("mu must have length K")
-    if (mu < 0).any() or abs(mu.sum() - 1.0) > 1e-12:
-        raise ValueError("mu must be a probability vector summing to 1")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not np.isfinite(mu).all() or (mu < 0).any() or abs(mu.sum() - 1.0) > 1e-12:
+        raise ValueError("mu must be a finite probability vector summing to 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive")
     rng = np.random.default_rng(seed)
-    # successive draws from one generator continue its stream, so chunks
-    # give the rows a single trials x K draw would
     hits = 0
-    for start in range(0, trials, _BHC_CHUNK):
-        counts = rng.multinomial(n, mu, size=min(_BHC_CHUNK, trials - start))
+    for counts in _multinomial_chunks(rng, n, mu, trials):
         stat = np.abs(counts / n - mu[None, :]).sum(axis=1)
         hits += int((stat >= lam).sum())
     tail = hits / trials

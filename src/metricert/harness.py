@@ -347,12 +347,16 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     correct = 0
     for start, F in metric_blocks(m, test.X, train.X):
         # the k smallest under a stable sort: every value below the k-th,
-        # then the lowest-index ties at the k-th value
+        # then the lowest-index ties at the k-th value; only rows with more
+        # than k values at or below the k-th have ties left out
         kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
-        below = F < kth
-        ties = F == kth
-        need = k - below.sum(axis=1, keepdims=True)
-        chosen = below | (ties & (np.cumsum(ties, axis=1) <= need))
+        chosen = F <= kth
+        over = np.flatnonzero(chosen.sum(axis=1) > k)
+        if len(over):
+            Fo, ko = F[over], kth[over]
+            below, ties = Fo < ko, Fo == ko
+            need = k - below.sum(axis=1, keepdims=True)
+            chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= need))
         r, j = np.nonzero(chosen)
         votes = np.bincount(
             r * len(label_order) + train_lab[j], minlength=len(F) * len(label_order)

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, multinomial
 
 from metricert import bounds, core
 from metricert.bounds import (
@@ -499,16 +500,79 @@ class TestBhc:
         ]
         assert all(b <= a + 0.01 for a, b in zip(tails, tails[1:]))
 
-    def test_chunks_match_one_draw(self, monkeypatch):
-        # 2500 trials in chunks of 1000: the last chunk is partial
-        monkeypatch.setattr(bounds, "_BHC_CHUNK", 1000)
-        mu = np.full(5, 0.2)
-        res = bhc_simulate(5, mu, 40, 0.35, trials=2500, seed=4)
-        counts = np.random.default_rng(4).multinomial(40, mu, size=2500)
-        tail = float((np.abs(counts / 40 - mu[None, :]).sum(axis=1) >= 0.35).mean())
+    # (K, n) on the alias path, then on the conditional-binomial path
+    @pytest.mark.parametrize("K, n", [(8, 20), (3, 40)])
+    def test_result_does_not_depend_on_draw_budget(self, monkeypatch, K, n):
+        # budgets below n, around n, and with a partial last chunk (1003
+        # trials in chunks of 2 or 7)
+        mu = np.array([0.4, 0.25, 0.15, 0.1, 0.05, 0.05, 0.0, 0.0])[:K]
+        mu = mu / mu.sum()
+        results = set()
+        for budget in (n - 3, n, n + 1, 2 * n, 7 * n + 3, 3 * K, 1 << 16):
+            monkeypatch.setattr(bounds, "_BHC_DRAWS", budget)
+            res = bhc_simulate(K, mu, n, 0.3, trials=1003, seed=4)
+            results.add((res.empirical_tail, res.std_error))
+        assert len(results) == 1
+        tail = results.pop()[0]
         assert 0.0 < tail < 1.0
-        assert res.empirical_tail == tail
-        assert res.std_error == math.sqrt(tail * (1.0 - tail) / 2500)
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            np.full(64, 1 / 64),
+            np.full(7, 1 / 7),
+            [0.7, 0.2, 0.1],
+            [0.0, 0.5, 0.0, 0.25, 0.25, 0.0],
+            [1.0],
+            [0.0, 0.0, 1.0],
+            np.random.default_rng(0).dirichlet(np.full(64, 0.2)),
+            np.random.default_rng(1).dirichlet(np.ones(1000)),
+        ],
+    )
+    def test_alias_table_gives_back_mu(self, mu):
+        mu = np.asarray(mu, dtype=float)
+        K = len(mu)
+        prob, alias = bounds._alias_table(mu)
+        assert ((0.0 <= prob) & (prob <= 1.0)).all()
+        back = (prob + np.bincount(alias, weights=1.0 - prob, minlength=K)) / K
+        assert np.abs(back - mu).max() <= 1e-15
+        # a column of a zero-mass cell always moves, and never to such a cell
+        zero = mu == 0.0
+        assert (prob[zero] == 0.0).all()
+        assert not zero[alias[prob < 1.0]].any()
+
+    def test_zero_mass_cells_are_never_counted(self):
+        mu = np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0])
+        n = 20
+        assert n <= bounds._BINOMIAL_COST * (len(mu) - 1)  # the alias path
+        counts = np.vstack(
+            list(bounds._multinomial_chunks(np.random.default_rng(0), n, mu, 5000))
+        )
+        assert counts.shape == (5000, 6)
+        assert (counts.sum(axis=1) == n).all()
+        assert (counts[:, mu == 0.0] == 0).all()
+
+    def test_largest_uniform_stays_in_the_last_column(self):
+        # rng.random() is at most nextafter(1, 0), so floor(u K) < K needs no clamp
+        K = np.arange(1, 10_001)
+        assert (np.floor(np.nextafter(1.0, 0.0) * K) < K).all()
+
+    @pytest.mark.parametrize(
+        "mu, n, lam", [([0.6, 0.3, 0.1], 8, 0.45), ([0.55, 0.0, 0.3, 0.15], 12, 0.3)]
+    )
+    def test_alias_tail_matches_enumeration(self, mu, n, lam):
+        mu = np.asarray(mu)
+        K = len(mu)
+        assert n <= bounds._BINOMIAL_COST * (K - 1)  # the alias path
+        exact = 0.0
+        for head in itertools.product(range(n + 1), repeat=K - 1):
+            if sum(head) <= n:
+                N = np.array([*head, n - sum(head)])
+                if np.abs(N / n - mu).sum() >= lam:
+                    exact += multinomial.pmf(N, n, mu)
+        assert 0.05 < exact < 0.95
+        res = bhc_simulate(K, mu, n, lam, trials=100_000, seed=11)
+        assert abs(res.empirical_tail - exact) <= 3 * res.std_error
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):

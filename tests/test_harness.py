@@ -395,6 +395,37 @@ class TestKnnEval:
                 correct += winner == test.y[i]
             assert knn_eval(m, train, test, k) == correct / test.n
 
+    @pytest.mark.parametrize("block_rows", [2, 7, 256])
+    def test_matches_full_row_tie_rule(self, monkeypatch, block_rows):
+        # the cumsum over every whole row that knn_eval used to take, on an
+        # integer grid where most rows tie at the k-th distance
+        def full_row_accuracy(F, train_lab, test_lab, k, n_labels):
+            kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
+            below, ties = F < kth, F == kth
+            need = k - below.sum(axis=1, keepdims=True)
+            chosen = below | (ties & (np.cumsum(ties, axis=1) <= need))
+            r, j = np.nonzero(chosen)
+            votes = np.bincount(r * n_labels + train_lab[j], minlength=len(F) * n_labels)
+            return float((votes.reshape(len(F), n_labels).argmax(axis=1) == test_lab).mean())
+
+        monkeypatch.setattr(core, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        labels = ["a", "b", "c"]
+        m = MetricModel("mahalanobis", M=np.eye(2))
+        for _ in range(4):
+            train_X = rng.integers(-3, 4, size=(60, 2)).astype(float)
+            test_X = rng.integers(-3, 4, size=(31, 2)).astype(float)
+            train_lab, test_lab = rng.integers(3, size=60), rng.integers(3, size=31)
+            train = Dataset(train_X, [labels[v] for v in train_lab], R=5.0)
+            test = Dataset(test_X, [labels[v] for v in test_lab], R=5.0)
+            F = metric_matrix(m, test.X, train.X)
+            for k in (1, 2, 3, 6, 60):
+                kth = np.sort(F, axis=1)[:, k - 1 : k]
+                if k < train.n:  # some rows leave ties out, some do not
+                    assert 0 < ((F <= kth).sum(axis=1) > k).sum() < test.n
+                expected = full_row_accuracy(F, train_lab, test_lab, k, 3)
+                assert knn_eval(m, train, test, k) == expected
+
     def test_bilinear_ranks_by_smallest_similarity(self):
         # the two-class mixture of the benchmark: balanced classes at
         # +/- 0.5 e_1 with scale 0.3, resampled into the unit ball

@@ -319,6 +319,19 @@ class TestCli:
             ["bhc", "--K", "2", "--mu", "0.9,0.9", "--n", "10", "--lam", "0.1"]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "0"), ("--trials", "-3"), ("--n", "0"), ("--lam", "nan"),
+         ("--lam", "inf"), ("--mu", "0.5,nan")],
+    )
+    def test_bad_bhc_input_exit_1(self, capsys, flag, value):
+        args = {"--K": "2", "--mu": "0.5,0.5", "--n": "10", "--lam": "0.1", "--trials": "100"}
+        args[flag] = value
+        assert main(["bhc", *(tok for item in args.items() for tok in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_overflow_exit_2(self, tmp_path, capsys):
         data = self._gen(tmp_path)
         model = tmp_path / "model.json"
