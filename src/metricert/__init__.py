@@ -17,6 +17,7 @@ from .core import (
     hinge,
     metric_eval,
     pair_loss,
+    rbf_fH,
     triplet_loss,
 )
 from .solver import (
@@ -44,14 +45,11 @@ from .bounds import (
     BoundQuery,
     BoundReport,
     EpsilonEstimate,
-    RobustnessQuery,
     bhc_simulate,
     bound_value,
     cell_stats,
     empirical_epsilon,
-    epsilon_theoretical,
     pseudo_robust_count,
-    rbf_fH,
 )
 from .harness import (
     ExperimentConfig,

@@ -1,6 +1,7 @@
-"""Robustness constants, empirical robustness estimation and the
-generalization bounds (pair, triplet and pseudo-robust variants), plus a
-Monte-Carlo check of the multinomial concentration inequality."""
+"""Empirical robustness estimation and the generalization bounds (pair,
+triplet and pseudo-robust variants), plus a Monte-Carlo check of the
+multinomial concentration inequality.  The closed-form robustness constant
+of each family is core.Family.epsilon."""
 
 from __future__ import annotations
 
@@ -9,48 +10,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import FAMILIES, Dataset, MetricModel, metric_matrix, pair_loss_blocks
+from .core import Dataset, MetricModel, metric_blocks, pair_loss_blocks
 from .cover import Partition, assign_cells
-
-
-@dataclass(frozen=True)
-class RobustnessQuery:
-    family: str
-    U: float
-    R: float
-    gamma: float
-    g0: float
-    c: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        for name in ("U", "R", "g0", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if FAMILIES[self.family].kind == "kernelized" and self.sigma <= 0:
-            raise ValueError("kernel-rbf requires sigma > 0")
-
-
-def rbf_fH(gamma: float, sigma: float) -> float:
-    """sup of k(a,a) + k(b,b) - 2k(a,b) over ||a - b|| <= gamma for the rbf
-    kernel; monotone in the distance, so the sup is at distance gamma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return 2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2)))
-
-
-def epsilon_theoretical(q: RobustnessQuery) -> float:
-    """Certified loss-deviation constant for cell-matched pairs; for the rbf
-    kernel a cell of diameter gamma has feature-space diameter sqrt(f_H)."""
-    fam = FAMILIES[q.family]
-    scale = math.sqrt(rbf_fH(q.gamma, q.sigma)) if fam.kind == "kernelized" else q.gamma
-    return fam.eps_coef * fam.radius(q.R) * scale * (q.U * q.g0 / q.c)
 
 
 @dataclass(frozen=True)
@@ -76,9 +37,14 @@ class BoundQuery:
             raise ValueError("p_hat must lie in [0, n^2]")
 
 
+def concentration_root(K: int, n: int, delta: float) -> float:
+    """The concentration term sqrt((2 K ln 2 + 2 ln(1/delta)) / n) of every family."""
+    return math.sqrt((2.0 * K * math.log(2.0) + 2.0 * math.log(1.0 / delta)) / n)
+
+
 def bound_value(q: BoundQuery) -> float:
     """Generalization bound on |true loss - empirical loss|."""
-    root = math.sqrt((2.0 * q.K * math.log(2.0) + 2.0 * math.log(1.0 / q.delta)) / q.n)
+    root = concentration_root(q.K, q.n, q.delta)
     if q.mode == "pair":
         return q.epsilon + 2.0 * q.B * root
     if q.mode == "triplet":
@@ -95,9 +61,6 @@ def bound_value(q: BoundQuery) -> float:
 class EpsilonEstimate:
     value: float
     excluded_probes: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _run_extrema(L: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarray):
@@ -134,6 +97,16 @@ def _cell_runs(ids: np.ndarray):
     order = np.argsort(ids, kind="stable")
     cells, starts, sizes = np.unique(ids[order], return_index=True, return_counts=True)
     return order, cells, starts, sizes
+
+
+def _assign(p: Partition, ds: Dataset, probe: Dataset):
+    """Training cell ids, then the covered probe points, their ids and the excluded count."""
+    ids_tr = assign_cells(p, ds.X, ds.y)
+    if (ids_tr < 0).any():
+        raise ValueError("training points outside the cover")
+    ids_pr = assign_cells(p, probe.X, probe.y)
+    keep = ids_pr >= 0
+    return ids_tr, probe.X[keep], ids_pr[keep], int((~keep).sum())
 
 
 def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
@@ -183,16 +156,10 @@ def cell_stats(
     deviate by -inf.  The loss is evaluated in row blocks, so memory is
     O(block * n) plus the cell-pair tables of the probe.
     """
-    ids_tr = assign_cells(p, ds.X, ds.y)
-    if (ids_tr < 0).any():
-        raise ValueError("training points outside the cover")
-    ids_pr = assign_cells(p, probe.X, probe.y)
-    keep = ids_pr >= 0
-    excluded = int((~keep).sum())
-    n = ds.n
-    if not keep.any():
-        return EpsilonEstimate(0.0, excluded), n * n
-    cells, lo_p, hi_p = _probe_extrema(m, p, probe.X[keep], ids_pr[keep])
+    ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
+    if not len(ids_pr):
+        return EpsilonEstimate(0.0, excluded), ds.n**2
+    cells, lo_p, hi_p = _probe_extrema(m, p, X_pr, ids_pr)
     order, cells_t, starts, sizes = _cell_runs(ids_tr)
     # each training cell's position among the probe cells; a cell the probe
     # does not occupy points at an appended row and column of empty extrema
@@ -257,14 +224,15 @@ def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.n
     anchor i, the hinge max(0, fl(1 - F_ik) + F_ij) is monotone in F_ij and
     in fl(1 - F_ik), and fl(1 - x) is monotone in x, so its minimum over
     j in cell b and k in cell c is the hinge of fl(1 - max_c F_ik) and
-    min_b F_ij (likewise for the maximum), bit for bit.
+    min_b F_ij (likewise for the maximum), bit for bit.  F is reduced a row
+    block at a time into n x C tables, so memory is O(block * n + n * C).
     """
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    F = metric_matrix(m, X[order])
-    cells, starts = np.unique(ids, return_index=True)
-    fmin = np.minimum.reduceat(F, starts, axis=1)
-    fmax = np.maximum.reduceat(F, starts, axis=1)
+    order, cells, starts, _ = _cell_runs(ids)
+    fmin = np.empty((len(ids), len(cells)))
+    fmax = np.empty_like(fmin)
+    for start, F in metric_blocks(m, X[order]):
+        np.minimum.reduceat(F, starts, axis=1, out=fmin[start : start + len(F)])
+        np.maximum.reduceat(F, starts, axis=1, out=fmax[start : start + len(F)])
     labels = cells // p.centers.shape[0]
     out = {}
     for a, rows in enumerate(np.split(np.arange(len(ids)), starts[1:])):
@@ -294,16 +262,11 @@ def empirical_epsilon_triplet(
     The triplets come from the labels; each side reduces to per-cell-triple
     extrema, so time is O(n^2 + n C^2) for C occupied cells, not O(n^3).
     """
-    ids_tr = assign_cells(p, ds.X, ds.y)
-    if (ids_tr < 0).any():
-        raise ValueError("training points outside the cover")
-    ids_pr = assign_cells(p, probe.X, probe.y)
-    keep = ids_pr >= 0
-    excluded = int((~keep).sum())
-    if not keep.any():
+    ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
+    if not len(ids_pr):
         return EpsilonEstimate(0.0, excluded)
     tr = _triplet_cell_extrema(m, p, ds.X, ids_tr)
-    pr = _triplet_cell_extrema(m, p, probe.X[keep], ids_pr[keep])
+    pr = _triplet_cell_extrema(m, p, X_pr, ids_pr)
     dev = 0.0
     for a, (same_t, other_t, lo_t, hi_t) in tr.items():
         if a not in pr:
@@ -422,7 +385,10 @@ def bhc_simulate(
         stat = np.abs(counts / n - mu[None, :]).sum(axis=1)
         hits += int((stat >= lam).sum())
     tail = hits / trials
-    cap = float(2.0**K * math.exp(-n * lam * lam / 2.0))
+    try:
+        cap = math.exp(K * math.log(2.0) - n * lam * lam / 2.0)
+    except OverflowError:  # 2^K exp(-n lam^2/2) beyond the float range
+        cap = math.inf
     se = math.sqrt(max(tail * (1.0 - tail), 1.0 / trials) / trials)
     return BhcResult(tail, cap, se, tail > cap + 3.0 * se)
 

@@ -40,7 +40,6 @@ def _add_train(sub):
     p.add_argument("--step0", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_audit(sub):
@@ -115,7 +114,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = io.dataset_from_csv(args.data, R=args.radius)
-    cfg = SolverConfig(c=args.c, max_iters=args.iters, step0=args.step0, seed=args.seed)
+    cfg = SolverConfig(c=args.c, max_iters=args.iters, step0=args.step0)
     model = train_family(ds, args.family, cfg, args.sigma)
     io.save_model(model, args.out, c=args.c)
     rank = f" rank={model.info['rank']}" if "rank" in model.info else ""

@@ -8,6 +8,7 @@ which gives Lipschitz constant U = 1 and zero-matrix loss g0 = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,13 +155,23 @@ def hinge(t):
     return np.maximum(0.0, 1.0 - np.asarray(t, dtype=float))
 
 
+def rbf_fH(gamma: float, sigma: float) -> float:
+    """sup of k(a,a) + k(b,b) - 2k(a,b) over ||a - b|| <= gamma for the rbf
+    kernel; monotone in the distance, so the sup is at distance gamma."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    return 2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2)))
+
+
 @dataclass(frozen=True)
 class Family:
     """One model family: the model it fits and its certificate constants,
     a loss-deviation bound times the capacity g0/c.
 
-    epsilon = eps_coef * radius * scale * U g0/c (bounds.epsilon_theoretical)
-    and B = g0 + f_coef * radius^2 * g0/c.  Data only: harness.train_family
+    epsilon = eps_coef * radius * scale * U g0/c and
+    B = g0 + f_coef * radius^2 * g0/c.  Data only: harness.train_family
     picks the solver from these fields.
     """
 
@@ -177,16 +188,26 @@ class Family:
     def radius(self, R: float) -> float:
         """Radius of the feature space: R, or 1 for the rbf kernel, whose
         features have norm sqrt(k(x, x)) = 1."""
+        if R <= 0:
+            raise ValueError("radius R must be positive")
         return 1.0 if self.kind == "kernelized" else R
 
     def loss_bound(self, R: float, c: float) -> float:
         """Uniform loss bound B from the capacity inequality ||M*|| <= g0/c."""
         if c <= 0:
             raise ValueError("regularization weight c must be positive")
-        if R <= 0:
-            raise ValueError("radius R must be positive")
         r = self.radius(R)
         return self.g0 + self.f_coef * r * r * self.g0 / c
+
+    def epsilon(self, R: float, gamma: float, c: float, sigma: float = 0.0) -> float:
+        """Certified loss-deviation constant at cell diameter gamma; a
+        kernel-rbf cell has feature-space diameter sqrt(rbf_fH(gamma, sigma))."""
+        if c <= 0:
+            raise ValueError("regularization weight c must be positive")
+        if gamma < 0:
+            raise ValueError("gamma must be nonnegative")
+        scale = math.sqrt(rbf_fH(gamma, sigma)) if self.kind == "kernelized" else gamma
+        return self.eps_coef * self.radius(R) * scale * (HINGE_U * self.g0 / c)
 
 
 # squared distances |f| <= 4 R^2 ||M|| (||x - x'|| <= 2R), the bilinear

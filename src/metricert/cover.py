@@ -104,15 +104,6 @@ class Partition:
     def radius(self) -> float:
         return self.gamma / 2.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "norm": self.norm,
-            "centers": self.centers.tolist(),
-            "labels": list(self.labels),
-            "K": self.K,
-        }
-
 
 def build_partition(ds: Dataset, cfg: CoverConfig, probe: Dataset | None = None) -> Partition:
     """Cover the dataset points (plus optional probe points) at radius

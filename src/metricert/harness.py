@@ -10,11 +10,10 @@ import numpy as np
 from .bounds import (
     BoundQuery,
     BoundReport,
-    RobustnessQuery,
     bound_value,
     cell_stats,
+    concentration_root,
     empirical_epsilon_triplet,
-    epsilon_theoretical,
 )
 from .core import (
     FAMILIES,
@@ -31,6 +30,9 @@ from .core import (
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
 from .solver import SolverConfig, solve, solve_kernel, solve_triplet
+
+# the pseudo-robust bound's epsilon as a fraction of the certified one
+PSEUDO_EPS_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,6 @@ class ExperimentConfig:
     probe_size: int = 100
     mc_size: int = 20_000
     repetitions: int = 1
-    pseudo_eps_scale: float = 0.5  # pseudo-robust epsilon as a fraction of the certified one
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -193,7 +194,6 @@ def certify(
     delta: float,
     seed: int = 0,
     gap: float | None = None,
-    pseudo_eps_scale: float = 0.5,
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities.
 
@@ -210,36 +210,23 @@ def certify(
     if fam.kind == "kernelized" and model.kernel.kind != "rbf":
         raise ValueError(f"model has a {model.kernel.kind} kernel, not a {family} model")
     part = build_partition(ds, cover_cfg, probe=probe)
-    q = RobustnessQuery(
-        family=family, U=HINGE_U, R=ds.R, gamma=cover_cfg.gamma, g0=fam.g0, c=c,
-        sigma=model.kernel.sigma if fam.kind == "kernelized" else 0.0,
-    )
-    eps_theo = epsilon_theoretical(q)
-    pseudo_eps = pseudo_eps_scale * eps_theo
+    sigma = model.kernel.sigma if fam.kind == "kernelized" else 0.0
+    eps_theo = fam.epsilon(ds.R, cover_cfg.gamma, c, sigma)
+    pseudo_eps = PSEUDO_EPS_SCALE * eps_theo
     if fam.triplet:
         est = empirical_epsilon_triplet(model, part, ds, probe)
     else:
         est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
     B = fam.loss_bound(ds.R, c)
-    radius = cover_cfg.gamma / 2.0
     K_theo = len(ds.labels) * covering_number_upper_bound(
-        ds.R, radius, ds.d, cover_cfg.norm
+        ds.R, cover_cfg.gamma / 2.0, ds.d, cover_cfg.norm
     )
-    n = ds.n
-    bq = BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="pair")
-    bound_pair = bound_value(bq)
-    bound_triplet = bound_pseudo = None
-    if fam.triplet:
-        bound_triplet = bound_value(
-            BoundQuery(epsilon=eps_theo, B=B, K=K_theo, n=n, delta=delta, mode="triplet")
-        )
-    else:
-        bound_pseudo = bound_value(
-            BoundQuery(
-                epsilon=pseudo_eps, B=B, K=K_theo, n=n, delta=delta,
-                mode="pseudo", p_hat=p_hat,
-            )
-        )
+
+    def bound(mode: str, epsilon: float = eps_theo, p_hat: int = 0) -> float:
+        return bound_value(BoundQuery(epsilon, B, K_theo, ds.n, delta, mode, p_hat))
+
+    bound_pair = bound("pair")
+    bound_triplet = bound("triplet") if fam.triplet else None
     certified = bound_triplet if fam.triplet else bound_pair
     return BoundReport(
         family=family,
@@ -254,7 +241,7 @@ def certify(
         epsilon_theoretical=eps_theo,
         epsilon_empirical=est.value,
         bound_pair=bound_pair,
-        bound_pseudo=bound_pseudo,
+        bound_pseudo=None if fam.triplet else bound("pseudo", pseudo_eps, p_hat),
         bound_triplet=bound_triplet,
         empirical_gap=None if gap is None else float(gap),
         holds=None if gap is None else bool(gap <= certified),
@@ -267,8 +254,7 @@ def certify(
 def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     spec = replace(cfg.synthetic, seed=rep_seed)
     ds = gen_synthetic(spec)
-    scfg = replace(cfg.solver, seed=rep_seed)
-    model = train_family(ds, cfg.family, scfg)
+    model = train_family(ds, cfg.family, cfg.solver)
     probe_spec = replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000)
     probe = gen_synthetic(probe_spec)
     if FAMILIES[cfg.family].triplet:
@@ -281,7 +267,6 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     report = certify(
         model, ds, probe, cfg.family, cfg.cover, cfg.solver.c, cfg.delta,
         seed=rep_seed, gap=gap,
-        pseudo_eps_scale=cfg.pseudo_eps_scale,
     )
     report.extra["empirical_loss"] = l_emp
     report.extra["true_loss_estimate"] = true_est
@@ -314,9 +299,7 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
         sub = replace(cfg, synthetic=replace(cfg.synthetic, n=n))
         reports, summary = run_experiment(sub)
         r0 = reports[0]
-        root = math.sqrt(
-            (2.0 * r0.K_theoretical * math.log(2.0) + 2.0 * math.log(1.0 / cfg.delta)) / n
-        )
+        root = concentration_root(r0.K_theoretical, n, cfg.delta)
         rows.append(
             {
                 "n": n,

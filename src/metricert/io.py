@@ -9,13 +9,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .core import Dataset, KernelSpec, MetricModel
 from .cover import CoverConfig
-from .harness import ExperimentConfig, SyntheticSpec
+from .harness import PSEUDO_EPS_SCALE, ExperimentConfig, SyntheticSpec
 from .solver import SolverConfig
 
 SCHEMA_VERSION = 1
@@ -117,22 +117,36 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _known(cls, obj: dict, where: str) -> dict:
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key " + ", ".join(where + k for k in unknown))
+    return obj
+
+
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
+    # older schema-1 files may hold solver.seed, which no solver read, and
+    # pseudo_eps_scale, which is now the constant PSEUDO_EPS_SCALE
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    syn = dict(obj["synthetic"])
+    top = {k: v for k, v in obj.items() if k != "schema_version"}
+    scale = top.pop("pseudo_eps_scale", PSEUDO_EPS_SCALE)
+    if scale != PSEUDO_EPS_SCALE:
+        raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
+    _known(ExperimentConfig, top, "")
+    syn = dict(_known(SyntheticSpec, top["synthetic"], "synthetic."))
     syn["means"] = tuple(tuple(mv) for mv in syn.get("means", ()))
+    solver = {k: v for k, v in top["solver"].items() if k != "seed"}
     return ExperimentConfig(
         synthetic=SyntheticSpec(**syn),
-        solver=SolverConfig(**obj["solver"]),
-        cover=CoverConfig(**obj["cover"]),
-        family=obj["family"],
-        delta=obj["delta"],
-        probe_size=obj["probe_size"],
-        mc_size=obj["mc_size"],
-        repetitions=obj["repetitions"],
-        pseudo_eps_scale=obj.get("pseudo_eps_scale", 0.5),
+        solver=SolverConfig(**_known(SolverConfig, solver, "solver.")),
+        cover=CoverConfig(**_known(CoverConfig, top["cover"], "cover.")),
+        family=top["family"],
+        delta=top["delta"],
+        probe_size=top["probe_size"],
+        mc_size=top["mc_size"],
+        repetitions=top["repetitions"],
     )
 
 

@@ -47,7 +47,6 @@ class SolverConfig:
     max_iters: int = 300
     step0: float = 1.0
     tol: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.c <= 0:
@@ -74,12 +73,12 @@ def objective(m: MetricModel, ds: Dataset, reg: str, c: float) -> float:
     """c*||M||_reg + empirical pair loss.
 
     For kernelized models the penalized norm is the feature-space Frobenius
-    norm ||K^{1/2} A K^{1/2}||_F over the anchor Gram matrix K.
+    norm ||K^{1/2} A K^{1/2}||_F over the anchor Gram matrix K, computed as
+    sqrt(tr(AKAK)) = sqrt(sum (AK) * (AK)^T) without a square root of K.
     """
     if m.kind == "kernelized":
-        K = kernel_gram(m.kernel, m.anchors.X)
-        S = _sym_sqrt(K)
-        norm = float(np.linalg.norm(S @ m.A @ S, "fro"))
+        AK = m.A @ kernel_gram(m.kernel, m.anchors.X)
+        norm = float(np.sqrt(max((AK * AK.T).sum(), 0.0)))
     else:
         norm = reg_norm(m.M, reg)
     return c * norm + empirical_loss(m, ds)
@@ -350,11 +349,6 @@ def solve_triplet(ds: Dataset, reg: str, cfg: SolverConfig) -> MetricModel:
     best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=True)
     info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / TRIPLET_G0
     return MetricModel(kind="mahalanobis", M=best, regularizer=reg, info=info)
-
-
-def _sym_sqrt(K: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((K + K.T) / 2.0)
-    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
 def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:

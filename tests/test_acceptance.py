@@ -9,17 +9,17 @@ import pytest
 from scipy.stats import binom
 
 from metricert.bounds import (
-    FAMILIES,
     BoundQuery,
     bhc_simulate,
     bound_value,
-    rbf_fH,
 )
 from metricert.core import (
+    FAMILIES,
     PAIR_G0,
     Dataset,
     KernelSpec,
     empirical_loss,
+    rbf_fH,
 )
 from metricert.cover import CoverConfig
 from metricert.harness import (
@@ -71,7 +71,7 @@ def test_criterion_01_capacity_invariant():
         d = int(rng.integers(2, 6))
         c = float(rng.uniform(0.05, 2.0))
         ds = _random_dataset(rng, n, d)
-        cfg = SolverConfig(c=c, max_iters=60, seed=i)
+        cfg = SolverConfig(c=c, max_iters=60)
         if family == "kernel-rbf":
             m = solve_kernel(ds, KernelSpec("rbf", 1.0), cfg)
             norm = m.info["feature_norm"]
@@ -98,7 +98,7 @@ def test_criterion_02_robustness_soundness():
             gamma = float(rng.uniform(0.3, 0.8))
             ds = _random_dataset(rng, n, d)
             probe = _random_dataset(rng, 20, d)
-            cfg = SolverConfig(c=c, max_iters=40, seed=i)
+            cfg = SolverConfig(c=c, max_iters=40)
             model = train_family(ds, family, cfg, sigma=1.0)
             rep = certify(
                 model, ds, probe, family, CoverConfig(gamma=gamma),
@@ -245,7 +245,7 @@ def test_criterion_07_kernel_consistency():
     ok = True
     for i in range(5):
         ds = _random_dataset(rng, 10, 2)
-        cfg = SolverConfig(c=0.5, max_iters=200, seed=i)
+        cfg = SolverConfig(c=0.5, max_iters=200)
         plain = solve(ds, "fro", cfg)
         kern = solve_kernel(ds, KernelSpec("linear"), cfg)
         lp = empirical_loss(plain, ds)
@@ -288,7 +288,7 @@ def test_criterion_09_sparsity_contrast():
     z_fro, z_l1, cols_l21, cols_fro = [], [], [], []
     for seed in range(10):
         ds = gen_synthetic(SyntheticSpec(d=5, n=60, seed=seed))
-        cfg = SolverConfig(c=0.1, max_iters=200, seed=seed)
+        cfg = SolverConfig(c=0.1, max_iters=200)
         mf = solve(ds, "fro", cfg)
         m1 = solve(ds, "l1", cfg)
         m21 = solve(ds, "l21", cfg)

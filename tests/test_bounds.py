@@ -8,24 +8,23 @@ from scipy.stats import binom, multinomial
 from metricert import bounds, core
 from metricert.bounds import (
     BoundQuery,
-    RobustnessQuery,
     bhc_simulate,
     bound_value,
     cell_stats,
     empirical_epsilon,
     empirical_epsilon_triplet,
-    epsilon_theoretical,
     pseudo_robust_count,
-    rbf_fH,
 )
 from metricert.core import (
     FAMILIES,
+    HINGE_U,
     Dataset,
     KernelSpec,
     MetricModel,
     build_triplets,
     metric_matrix,
     pair_loss,
+    rbf_fH,
 )
 from metricert.cover import CoverConfig, assign_cells, build_partition
 from metricert.harness import SyntheticSpec, gen_synthetic
@@ -40,43 +39,64 @@ def make_ds(points, labels, R=None):
 
 class TestEpsilonTheoretical:
     def test_fro_hand_value(self):
-        q = RobustnessQuery("fro", U=1, R=1, gamma=0.1, g0=2, c=1)
-        assert epsilon_theoretical(q) == pytest.approx(1.6)
+        assert FAMILIES["fro"].epsilon(R=1, gamma=0.1, c=1) == pytest.approx(1.6)
 
     def test_gamma_zero(self):
         for fam in ("fro", "l1", "l21", "bilinear", "triplet-fro"):
-            q = RobustnessQuery(fam, U=1, R=1, gamma=0.0, g0=2, c=1)
-            assert epsilon_theoretical(q) == 0.0
-        qk = RobustnessQuery("kernel-rbf", U=1, R=1, gamma=0.0, g0=2, c=1, sigma=1.0)
-        assert epsilon_theoretical(qk) == 0.0
+            assert FAMILIES[fam].epsilon(R=1, gamma=0.0, c=1) == 0.0
+        assert FAMILIES["kernel-rbf"].epsilon(R=1, gamma=0.0, c=1, sigma=1.0) == 0.0
 
     def test_triplet_is_twice_pair(self):
-        qp = RobustnessQuery("fro", U=1, R=1, gamma=0.1, g0=2, c=1)
-        qt = RobustnessQuery("triplet-fro", U=1, R=1, gamma=0.1, g0=2, c=1)
-        assert epsilon_theoretical(qt) == pytest.approx(2 * epsilon_theoretical(qp))
-        assert epsilon_theoretical(qt) == pytest.approx(3.2)
+        # twice the pair coefficient at half the zero-matrix loss g0
+        fro, trip = FAMILIES["fro"], FAMILIES["triplet-fro"]
+        assert trip.eps_coef == 2 * fro.eps_coef and 2 * trip.g0 == fro.g0
+        assert trip.epsilon(R=1, gamma=0.1, c=1) == pytest.approx(fro.epsilon(R=1, gamma=0.1, c=1))
+        assert trip.epsilon(R=1, gamma=0.1, c=1) == pytest.approx(1.6)
 
     def test_bilinear_quarter_of_fro(self):
-        qb = RobustnessQuery("bilinear", U=1, R=1, gamma=0.1, g0=2, c=1)
-        assert epsilon_theoretical(qb) == pytest.approx(0.4)
+        assert FAMILIES["bilinear"].epsilon(R=1, gamma=0.1, c=1) == pytest.approx(0.4)
 
     def test_table_keeps_each_closed_form_bit_for_bit(self):
         # the per-family formulas, written out in their operation order
         R, gamma, c, sigma = 0.7, 0.3, 0.13, 0.9
-        base = 1.0 * 2.0 / c
+        pair, triplet = 1.0 * 2.0 / c, 1.0 * 1.0 / c
         expected = {
-            "fro": 8.0 * R * gamma * base,
-            "l1": 8.0 * R * gamma * base,
-            "l21": 8.0 * R * gamma * base,
-            "bilinear": 2.0 * R * gamma * base,
-            "kernel-rbf": 8.0 * 1.0 * math.sqrt(rbf_fH(gamma, sigma)) * base,
-            "triplet-fro": 16.0 * R * gamma * base,
-            "triplet-l21": 16.0 * R * gamma * base,
+            "fro": 8.0 * R * gamma * pair,
+            "l1": 8.0 * R * gamma * pair,
+            "l21": 8.0 * R * gamma * pair,
+            "bilinear": 2.0 * R * gamma * pair,
+            "kernel-rbf": 8.0 * 1.0 * math.sqrt(rbf_fH(gamma, sigma)) * pair,
+            "triplet-fro": 16.0 * R * gamma * triplet,
+            "triplet-l21": 16.0 * R * gamma * triplet,
         }
         assert list(expected) == list(FAMILIES)
         for fam, eps in expected.items():
-            q = RobustnessQuery(fam, U=1.0, R=R, gamma=gamma, g0=2.0, c=c, sigma=sigma)
-            assert epsilon_theoretical(q) == eps
+            assert FAMILIES[fam].epsilon(R, gamma, c, sigma) == eps
+
+    def test_grid_matches_the_query_formula_bit_for_bit(self):
+        # the formula of the former RobustnessQuery path, inline: eps_coef *
+        # radius * scale * (U * g0 / c), with U = HINGE_U and the family's g0
+        for name, fam in FAMILIES.items():
+            for R, gamma, c, sigma in itertools.product(
+                (0.3, 1.0, 2.7), (0.0, 0.05, 0.5, 1.3), (0.01, 0.1, 0.37, 5.0), (0.2, 1.0, 3.1)
+            ):
+                if fam.kind == "kernelized":
+                    radius = 1.0
+                    scale = math.sqrt(2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2))))
+                else:
+                    radius, scale = R, gamma
+                g0 = 1.0 if fam.triplet else 2.0
+                want = fam.eps_coef * radius * scale * (HINGE_U * g0 / c)
+                assert fam.epsilon(R, gamma, c, sigma) == want, (name, R, gamma, c, sigma)
+
+    @pytest.mark.parametrize(
+        "family, R, gamma, c, sigma",
+        [("fro", 0.0, 0.1, 1.0, 0.0), ("fro", 1.0, 0.1, 0.0, 0.0), ("fro", 1.0, -0.1, 1.0, 0.0),
+         ("kernel-rbf", 1.0, 0.1, 1.0, 0.0), ("triplet-fro", -1.0, 0.1, 1.0, 0.0)],
+    )
+    def test_invalid_inputs_refused(self, family, R, gamma, c, sigma):
+        with pytest.raises(ValueError):
+            FAMILIES[family].epsilon(R, gamma, c, sigma)
 
 
 class TestRbfFH:
@@ -168,8 +188,7 @@ class TestEmpiricalEpsilon:
             gamma = 0.5
             part = build_partition(ds, CoverConfig(gamma=gamma), probe=probe)
             got = empirical_epsilon(model, part, ds, probe)
-            q = RobustnessQuery("fro", U=1, R=ds.R, gamma=gamma, g0=2, c=c)
-            assert got.value <= epsilon_theoretical(q) + 1e-9
+            assert got.value <= FAMILIES["fro"].epsilon(ds.R, gamma, c) + 1e-9
 
 
 class TestPseudoRobustCount:
@@ -418,6 +437,29 @@ class TestEmpiricalEpsilonTriplet:
             value, excluded = dict_loop_epsilon_triplet(model, part, ds, probe)
             assert est.value == value
             assert est.excluded_probes == excluded == 1
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_row_blocks_match_dict_loop_oracle(self, monkeypatch, rows):
+        # the per-cell tables are reduced a row block at a time; cells whose
+        # runs straddle block boundaries must give the same bits
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(24)
+        for labels in (["a", "b"], ["a", "b", "c"]):
+            n, m = 26, 18
+            Xtr = rng.uniform(-1, 1, size=(n, 2))
+            Xpr = np.vstack([rng.uniform(-0.6, 0.6, size=(m - 1, 2)), [[2.5, 0.0]]])
+            R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+            ds = make_ds(Xtr, labels + list(rng.choice(labels, size=n - len(labels))), R=R)
+            probe = make_ds(Xpr, list(rng.choice(labels, size=m)), R=R)
+            covered = make_ds(Xpr[:-1], probe.y[:-1], R=R)
+            part = build_partition(ds, CoverConfig(gamma=1.6), probe=covered)
+            sizes = np.unique(assign_cells(part, ds.X, ds.y), return_counts=True)[1]
+            starts = np.cumsum(sizes) - sizes  # positions in the cell-sorted order
+            assert (starts // rows != (starts + sizes - 1) // rows).any()
+            A = rng.standard_normal((2, 2))
+            model = MetricModel("mahalanobis", M=A @ A.T)
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            assert (est.value, est.excluded_probes) == dict_loop_epsilon_triplet(model, part, ds, probe)
 
     def test_integer_grid_ties(self):
         # integer points with M = I: equal losses inside cells and hinges at 0

@@ -3,8 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from metricert import core, harness
-from metricert.bounds import RobustnessQuery, epsilon_theoretical
-from metricert.core import HINGE_U, Dataset, KernelSpec, MetricModel, metric_matrix
+from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
     ExperimentConfig,
@@ -243,8 +242,7 @@ class TestCertify:
         ds, probe = self._data()
         model = solve_kernel(ds, KernelSpec("rbf", 0.5), SolverConfig(c=0.5, max_iters=20))
         rep = certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), c=0.5, delta=0.05)
-        q = RobustnessQuery("kernel-rbf", U=HINGE_U, R=ds.R, gamma=0.5, g0=2.0, c=0.5, sigma=0.5)
-        assert rep.epsilon_theoretical == epsilon_theoretical(q)
+        assert rep.epsilon_theoretical == FAMILIES["kernel-rbf"].epsilon(ds.R, 0.5, 0.5, sigma=0.5)
         assert rep.sound
 
     @pytest.mark.parametrize(

@@ -110,6 +110,50 @@ class TestConfigJson:
         obj = config_to_json_dict(ExperimentConfig())
         assert dumps(obj) == dumps(json.loads(dumps(obj)))
 
+    def test_written_config_has_no_legacy_keys(self):
+        obj = config_to_json_dict(ExperimentConfig())
+        assert "pseudo_eps_scale" not in obj and "seed" not in obj["solver"]
+
+
+# a config as save_config wrote it while SolverConfig had a seed and
+# ExperimentConfig a pseudo_eps_scale
+LEGACY_CONFIG = (
+    '{"cover":{"gamma":0.5,"norm":"l2"},"delta":0.05,"family":"fro","mc_size":200,'
+    '"probe_size":10,"pseudo_eps_scale":0.5,"repetitions":1,"schema_version":1,'
+    '"solver":{"c":0.5,"max_iters":20,"seed":0,"step0":1.0,"tol":0.0},'
+    '"synthetic":{"R":1.0,"classes":2,"cov_scale":0.3,"d":2,'
+    '"means":[[0.5,0.0],[0.0,0.5]],"n":20,"seed":1}}\n'
+)
+
+
+class TestLegacyConfig:
+    def _curve(self, tmp_path, text):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(text)
+        return main(["curve", "--config", str(cpath), "--n-ladder", "20,40",
+                     "--out", str(tmp_path / "curve.csv")])
+
+    def test_legacy_config_loads_and_runs_curve(self, tmp_path):
+        cfg = config_from_json_dict(json.loads(LEGACY_CONFIG))
+        assert cfg.solver == SolverConfig(c=0.5, max_iters=20)
+        assert self._curve(tmp_path, LEGACY_CONFIG) == 0
+        assert len((tmp_path / "curve.csv").read_text().splitlines()) == 3
+
+    def test_other_pseudo_eps_scale_refused(self, tmp_path, capsys):
+        obj = json.loads(LEGACY_CONFIG)
+        obj["pseudo_eps_scale"] = 0.3
+        assert self._curve(tmp_path, json.dumps(obj)) == 1
+        assert "pseudo_eps_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["synthetic", "solver", "cover", None])
+    def test_unknown_key_refused_by_name(self, tmp_path, capsys, section):
+        obj = json.loads(LEGACY_CONFIG)
+        (obj if section is None else obj[section])["bogus"] = 1
+        assert self._curve(tmp_path, json.dumps(obj)) == 1
+        name = "bogus" if section is None else f"{section}.bogus"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
 
 class TestCli:
     def _gen(self, tmp_path, name="data.csv", n=30, seed=0):
@@ -313,6 +357,14 @@ class TestCli:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "m.json")]) == 1
+
+    def test_bhc_cap_beyond_float_range(self, capsys):
+        # 2^1100 overflows a float: the cap is infinite, not a failure
+        mu = ",".join([repr(1.0 / 1024)] * 1024 + ["0.0"] * 76)
+        assert main(["bhc", "--K", "1100", "--mu", mu, "--n", "200", "--lam", "0.5",
+                     "--trials", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "cap=inf" in out and "violated=False" in out
 
     def test_invalid_mu_exit_1(self, capsys):
         assert main(

@@ -1,9 +1,10 @@
 """Checks that tie the package to the files around it: the benchmark's
-traced function names and the README's library example."""
+traced function names and the README's library and command-line examples."""
 
 import ast
 import importlib
 import re
+import shlex
 import types
 from pathlib import Path
 
@@ -53,3 +54,17 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     eps_emp, eps_theo, bound = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 <= eps_emp <= eps_theo <= bound
+
+
+def test_readme_command_lines_parse():
+    from metricert.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "metricert"
+        parser.parse_args(argv[1:])
