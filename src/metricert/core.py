@@ -225,7 +225,8 @@ FAMILIES = {
 
 # ---------------------------------------------------------------------------
 # pair / triplet enumeration: oracles for the tests; the solvers and the
-# certificates work on n x n arrays and never build these lists
+# certificates work on row blocks of all-pairs arrays and never build these
+# lists
 
 
 def build_pairs(ds: Dataset) -> list:
@@ -375,32 +376,31 @@ def empirical_loss(m: MetricModel, ds: Dataset) -> float:
     return total / ds.n**2
 
 
-def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Mean triplet hinge over every admissible (i, j, k) of an n x n metric
-    matrix F, without enumerating the triplets.
+def triplet_hinge(F: np.ndarray, row_labels: np.ndarray, labels: np.ndarray) -> tuple:
+    """Triplet hinge of a block of anchors (the rows of F, f against all n
+    points) over every admissible (i, j, k), without enumerating them.
 
-    `labels` holds one label index per point.  For an anchor i, let
+    `row_labels` and `labels` hold label indices.  For an anchor i, let
     A_k = fl(1 - F_ik) over the other-label k and B_j = F_ij over the
     same-label j (j = i included).  Triplet (i, j, k) is active when
     A_k + B_j rounds above 0, which holds exactly when A_k > -B_j.  One
     stable sort of the row [A, -B] (ties keep A first, so equality counts
     as inactive) gives the integer counts Wp[i, j] = #active k and
     Wn[i, k] = #active j; they equal the enumeration exactly.  Returns
-    (loss, Wp, Wn, nt) with nt the number of admissible triplets and loss
-    (sum Wn * (1 - F) + sum Wp * F) / nt.  Memory is O(n^2).
+    (total, Wp, Wn, nt): hinge sum sum Wn * (1 - F) + sum Wp * F over the
+    block's nt admissible triplets.  Memory is O(len(F) * n).
     """
-    n = len(labels)
-    Wp = np.zeros((n, n))
-    Wn = np.zeros((n, n))
+    Wp = np.zeros(F.shape)
+    Wn = np.zeros(F.shape)
     total, nt = 0.0, 0
-    for a in np.unique(labels):
+    for a in np.unique(row_labels):
+        rows = np.flatnonzero(row_labels == a)
         same = np.flatnonzero(labels == a)
         other = np.flatnonzero(labels != a)
         if len(other) == 0:
             continue
-        rows = F[same]
-        A = 1.0 - rows[:, other]
-        B = rows[:, same]
+        A = 1.0 - F[np.ix_(rows, other)]
+        B = F[np.ix_(rows, same)]
         order = np.argsort(np.concatenate([A, -B], axis=1), axis=1, kind="stable")
         is_b = order >= len(other)
         # at a sorted A entry, the -F_ij values before it (active j); at a
@@ -411,15 +411,20 @@ def triplet_hinge(F: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray,
         counts = np.empty_like(sorted_counts)
         np.put_along_axis(counts, order, sorted_counts, axis=1)
         cn, cp = counts[:, : len(other)], counts[:, len(other) :]
-        Wn[np.ix_(same, other)] = cn
-        Wp[np.ix_(same, same)] = cp
+        Wn[np.ix_(rows, other)] = cn
+        Wp[np.ix_(rows, same)] = cp
         total += float((cn * A).sum() + (cp * B).sum())
-        nt += len(same) ** 2 * len(other)
+        nt += len(rows) * len(same) * len(other)
     if nt == 0:
         raise ValueError("empty triplet set (fewer than two labels?)")
-    return total / nt, Wp, Wn, nt
+    return total, Wp, Wn, nt
 
 
 def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean triplet hinge loss over all admissible triplets of the sample."""
-    return triplet_hinge(metric_matrix(m, ds.X), ds.label_indices())[0]
+    """Mean triplet hinge loss over all admissible triplets, in row blocks."""
+    labels = ds.label_indices()
+    total, nt = 0.0, 0
+    for start, F in metric_blocks(m, ds.X):
+        block = triplet_hinge(F, labels[start : start + len(F)], labels)
+        total, nt = total + block[0], nt + block[3]
+    return total / nt

@@ -29,7 +29,7 @@ from .core import (
     quad_rows,
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
-from .solver import SolverConfig, solve, solve_kernel, solve_triplet
+from .solver import SolverConfig, model_norm, solve, solve_kernel, solve_triplet
 
 # the pseudo-robust bound's epsilon as a fraction of the certified one
 PSEUDO_EPS_SCALE = 0.5
@@ -197,9 +197,10 @@ def certify(
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities.
 
-    The constants hold only for the family the model was fitted as, so a
-    model of another kind or regularizer is refused; kernel-rbf reads its
-    bandwidth from the model's kernel.  `empirical_gap` and `holds` are
+    The constants hold only for the family the model was fitted as and
+    within its capacity, so a model of another kind or regularizer, or one
+    with c*||M||_reg > g0, is refused; kernel-rbf reads its bandwidth from
+    the model's kernel.  `empirical_gap` and `holds` are
     None unless a measured gap is given.
     """
     fam = FAMILIES[family]
@@ -209,6 +210,10 @@ def certify(
         raise ValueError(f"model is {model.kind}/{model.regularizer}, not a {family} model")
     if fam.kind == "kernelized" and model.kernel.kind != "rbf":
         raise ValueError(f"model has a {model.kernel.kind} kernel, not a {family} model")
+    # epsilon and B hold for models within the capacity ||M|| <= g0/c
+    capacity = c * model_norm(model, fam.reg)
+    if capacity > fam.g0:
+        raise ValueError(f"model is over capacity: c*||M|| = {capacity:.6g} > g0 = {fam.g0:g}")
     part = build_partition(ds, cover_cfg, probe=probe)
     sigma = model.kernel.sigma if fam.kind == "kernelized" else 0.0
     eps_theo = fam.epsilon(ds.R, cover_cfg.gamma, c, sigma)

@@ -9,14 +9,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, fields
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
 from .core import Dataset, KernelSpec, MetricModel
-from .cover import CoverConfig
-from .harness import PSEUDO_EPS_SCALE, ExperimentConfig, SyntheticSpec
-from .solver import SolverConfig
+from .harness import PSEUDO_EPS_SCALE, ExperimentConfig
 
 SCHEMA_VERSION = 1
 
@@ -117,16 +116,42 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _known(cls, obj: dict, where: str) -> dict:
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError("unknown config key " + ", ".join(where + k for k in unknown))
-    return obj
+def _has_json_type(value, tp) -> bool:
+    # an int field refuses a bool or a float, a float field takes an int, and
+    # the one tuple field (the class means) is an array of number arrays
+    if tp is tuple:
+        return isinstance(value, list) and all(
+            isinstance(row, list) and all(_has_json_type(v, float) for v in row) for row in value
+        )
+    return isinstance(value, (int, float) if tp is float else tp) and not isinstance(value, bool)
+
+
+def _read(cls, obj, where: str = ""):
+    # one config object into the dataclass cls; an unknown or missing key and
+    # a value of the wrong JSON type are refused by name
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {where.rstrip('.') or 'file'} must be an object")
+    types = typing.get_type_hints(cls)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for keys, what in ((set(obj) - set(types), "unknown"), (required - set(obj), "missing")):
+        if keys:
+            raise ValueError(f"{what} config key " + ", ".join(where + k for k in sorted(keys)))
+    values = {}
+    for key, value in obj.items():
+        tp = types[key]
+        if is_dataclass(tp):
+            value = _read(tp, value, f"{where}{key}.")
+        elif not _has_json_type(value, tp):
+            raise ValueError(f"config key {where}{key} must be {tp.__name__}, not {value!r}")
+        values[key] = tuple(map(tuple, value)) if tp is tuple else value
+    return cls(**values)
 
 
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
     # older schema-1 files may hold solver.seed, which no solver read, and
     # pseudo_eps_scale, which is now the constant PSEUDO_EPS_SCALE
+    if not isinstance(obj, dict):
+        raise ValueError("config file must be an object")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
@@ -134,20 +159,9 @@ def config_from_json_dict(obj: dict) -> ExperimentConfig:
     scale = top.pop("pseudo_eps_scale", PSEUDO_EPS_SCALE)
     if scale != PSEUDO_EPS_SCALE:
         raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
-    _known(ExperimentConfig, top, "")
-    syn = dict(_known(SyntheticSpec, top["synthetic"], "synthetic."))
-    syn["means"] = tuple(tuple(mv) for mv in syn.get("means", ()))
-    solver = {k: v for k, v in top["solver"].items() if k != "seed"}
-    return ExperimentConfig(
-        synthetic=SyntheticSpec(**syn),
-        solver=SolverConfig(**_known(SolverConfig, solver, "solver.")),
-        cover=CoverConfig(**_known(CoverConfig, top["cover"], "cover.")),
-        family=top["family"],
-        delta=top["delta"],
-        probe_size=top["probe_size"],
-        mc_size=top["mc_size"],
-        repetitions=top["repetitions"],
-    )
+    if isinstance(top.get("solver"), dict):
+        top["solver"] = {k: v for k, v in top["solver"].items() if k != "seed"}
+    return _read(ExperimentConfig, top)
 
 
 def load_config(path: str) -> ExperimentConfig:

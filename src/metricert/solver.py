@@ -69,19 +69,22 @@ def reg_norm(M: np.ndarray, reg: str) -> float:
     raise ValueError(f"unknown regularizer {reg!r}")
 
 
-def objective(m: MetricModel, ds: Dataset, reg: str, c: float) -> float:
-    """c*||M||_reg + empirical pair loss.
+def model_norm(m: MetricModel, reg: str) -> float:
+    """||M||_reg, the norm the capacity bound ||M*|| <= g0/c is about.
 
-    For kernelized models the penalized norm is the feature-space Frobenius
-    norm ||K^{1/2} A K^{1/2}||_F over the anchor Gram matrix K, computed as
+    For kernelized models it is the feature-space Frobenius norm
+    ||K^{1/2} A K^{1/2}||_F over the anchor Gram matrix K, computed as
     sqrt(tr(AKAK)) = sqrt(sum (AK) * (AK)^T) without a square root of K.
     """
     if m.kind == "kernelized":
         AK = m.A @ kernel_gram(m.kernel, m.anchors.X)
-        norm = float(np.sqrt(max((AK * AK.T).sum(), 0.0)))
-    else:
-        norm = reg_norm(m.M, reg)
-    return c * norm + empirical_loss(m, ds)
+        return float(np.sqrt(max((AK * AK.T).sum(), 0.0)))
+    return reg_norm(m.M, reg)
+
+
+def objective(m: MetricModel, ds: Dataset, reg: str, c: float) -> float:
+    """c*||M||_reg (model_norm) + empirical pair loss."""
+    return c * model_norm(m, reg) + empirical_loss(m, ds)
 
 
 def psd_project(M: np.ndarray) -> np.ndarray:
@@ -120,16 +123,11 @@ def prox(M: np.ndarray, tau: float, reg: str) -> np.ndarray:
     raise ValueError(f"unknown regularizer {reg!r}")
 
 
-def _laplacian_form(X: np.ndarray, W: np.ndarray, L: np.ndarray, XtL: np.ndarray, out: np.ndarray):
-    # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T = X^T (diag(r + c) - W - W^T) X,
-    # with the n x n middle factor built in the buffer L
-    r = W.sum(axis=1)
-    c = W.sum(axis=0)
-    L.fill(0.0)
-    np.fill_diagonal(L, r + c)
-    np.subtract(L, W, out=L)
-    np.subtract(L, W.T, out=L)
-    return np.matmul(np.matmul(X.T, L, out=XtL), X, out=out)
+def _laplacian(X: np.ndarray, deg: np.ndarray, P: np.ndarray) -> np.ndarray:
+    # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T = X^T (diag(deg) - W - W^T) X for
+    # pair weights W, from the degrees deg = row plus column sums of W and
+    # P = X^T W X, so W itself is never held whole
+    return X.T @ (deg[:, None] * X) - P - P.T
 
 
 def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
@@ -203,13 +201,11 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     tiles = [(s, min(s + block, starts[-1])) for s in range(0, starts[-1], block)]
     size = max([(e - s) * (n - later[s]) for s, e in tiles], default=0)
     H, W, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    deg = np.empty(n)
 
     def eval_fn(M):
         XM2 = X @ (2.0 * M)
         q = quad_rows(X, M, X)
-        deg.fill(0.0)
-        P = np.zeros((d, d))
+        deg, P = np.zeros(n), np.zeros((d, d))
         hinge, count = 0.0, 0
         for s, e in tiles:
             c0 = later[s]
@@ -234,8 +230,7 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
             deg[c0:] += w.sum(axis=0)
             P += Xr.T @ (w @ Xcol)
         # sum of (x_i - x_j)(x_i - x_j)^T over the active other-label pairs
-        L = X.T @ (deg[:, None] * X) - P - P.T
-        loss, grad, active = 2.0 * hinge, -2.0 * L, 2 * count
+        loss, grad, active = 2.0 * hinge, -2.0 * _laplacian(X, deg, P), 2 * count
         if M.any():
             loss += float((M * S).sum())
             grad += S
@@ -248,18 +243,24 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
 def _triplet_eval(X: np.ndarray, labels: np.ndarray):
     """eval_fn(M) -> (loss, subgradient, active fraction) for the mean
     triplet hinge over every admissible triplet, from the exact sorted
-    active-set counts of core.triplet_hinge; memory is O(n^2)."""
+    active-set counts of core.triplet_hinge, core.BLOCK_ROWS anchors at a
+    time; memory is O(BLOCK_ROWS * n)."""
     n, d = X.shape
-    XtL, grad, L = np.empty((d, n)), np.empty((d, d)), np.empty((n, n))
 
     def eval_fn(M):
-        F = sq_dists(X, M, X, quad_rows(X, M, X))
-        loss, Wp, Wn, nt = triplet_hinge(F, labels)
-        active = Wp.sum() / nt
-        W = np.subtract(Wp, Wn, out=Wp)
-        np.divide(W, nt, out=W)
-        _laplacian_form(X, W, L, XtL, grad)
-        return loss, grad, float(active)
+        q = quad_rows(X, M, X)
+        deg, P = np.zeros(n), np.zeros((d, d))
+        total, active, nt = 0.0, 0.0, 0
+        for s in range(0, n, core.BLOCK_ROWS):
+            e = min(s + core.BLOCK_ROWS, n)
+            F = sq_dists(X[s:e], M, X, q)
+            block_total, Wp, Wn, block_nt = triplet_hinge(F, labels[s:e], labels)
+            total, active, nt = total + block_total, active + Wp.sum(), nt + block_nt
+            W = np.subtract(Wp, Wn, out=Wp)
+            deg[s:e] += W.sum(axis=1)
+            deg += W.sum(axis=0)
+            P += X[s:e].T @ (W @ X)
+        return total / nt, _laplacian(X, deg, P) / nt, float(active / nt)
 
     return eval_fn
 

@@ -98,15 +98,29 @@ def enumerated_triplet_hinge(F, labels):
     return float(np.maximum(0.0, args).mean()), Wp, Wn, len(i), int((args == 0.0).sum())
 
 
+def blocked_triplet_hinge(F, labels, rows):
+    """triplet_hinge over the anchors in blocks of `rows`, its Wp and Wn rows
+    stacked back into n x n arrays and its loss the mean over all blocks."""
+    parts = [
+        triplet_hinge(F[s : s + rows], labels[s : s + rows], labels)
+        for s in range(0, len(F), rows)
+    ]
+    nt = sum(p[3] for p in parts)
+    Wp, Wn = (np.vstack([p[k] for p in parts]) for k in (1, 2))
+    return sum(p[0] for p in parts) / nt, Wp, Wn, nt
+
+
 class TestTripletHinge:
     def _check(self, m, ds):
         F = metric_matrix(m, ds.X)
-        loss, Wp, Wn, nt = triplet_hinge(F, ds.label_indices())
         ref_loss, ref_p, ref_n, ref_nt, kinks = enumerated_triplet_hinge(F, ds.y)
-        assert nt == ref_nt
-        assert np.array_equal(Wp, ref_p)
-        assert np.array_equal(Wn, ref_n)
-        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        for rows in (1, 7, ds.n):
+            loss, Wp, Wn, nt = blocked_triplet_hinge(F, ds.label_indices(), rows)
+            assert nt == ref_nt
+            assert np.array_equal(Wp, ref_p)
+            assert np.array_equal(Wn, ref_n)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        # one block of all rows: the same sums in the same order
         assert empirical_triplet_loss(m, ds) == loss
         return kinks
 
@@ -136,9 +150,9 @@ class TestTripletHinge:
             self._check(MetricModel("mahalanobis", M=M), ds)
 
     def test_single_label_rejected(self):
-        ds = make_ds([[0.0], [1.0]], "aa")
+        labels = make_ds([[0.0], [1.0]], "aa").label_indices()
         with pytest.raises(ValueError):
-            triplet_hinge(np.zeros((2, 2)), ds.label_indices())
+            triplet_hinge(np.zeros((2, 2)), labels, labels)
 
 
 class TestMetricEval:

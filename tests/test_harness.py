@@ -15,7 +15,7 @@ from metricert.harness import (
     run_experiment,
     true_loss_estimate,
 )
-from metricert.solver import SolverConfig, solve_kernel
+from metricert.solver import SolverConfig, model_norm, solve_kernel
 from test_core import models_of_every_kind
 
 class TestGenSynthetic:
@@ -263,6 +263,42 @@ class TestCertify:
         model = MetricModel("kernelized", A=np.eye(ds.n), kernel=KernelSpec("linear"), anchors=ds)
         with pytest.raises(ValueError, match="not a kernel-rbf model"):
             certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), c=0.5, delta=0.05)
+
+    @pytest.mark.parametrize(
+        "M,family",
+        [
+            # c*||M||_F = 30 against g0 = 2: the empirical epsilon exceeds
+            # the certified one by a factor of three
+            (np.diag([300.0, 0.0]), "fro"),
+            (np.diag([300.0, 0.0]), "l21"),
+            # 1.5: within the pair capacity 2, beyond the triplet capacity 1
+            (np.diag([15.0, 0.0]), "triplet-fro"),
+        ],
+    )
+    def test_refuses_a_model_over_capacity(self, M, family):
+        ds, probe = self._data()
+        model = MetricModel("mahalanobis", M=M, regularizer=FAMILIES[family].reg)
+        with pytest.raises(ValueError, match="over capacity"):
+            certify(model, ds, probe, family, CoverConfig(gamma=0.5), c=0.1, delta=0.05)
+
+    def test_capacity_is_the_family_g0(self):
+        ds, probe = self._data()
+        model = MetricModel("mahalanobis", M=np.diag([15.0, 0.0]))
+        assert certify(model, ds, probe, "fro", CoverConfig(gamma=0.5), c=0.1, delta=0.05).sound
+
+    def test_refuses_a_kernel_model_over_capacity_in_feature_norm(self):
+        ds, probe = self._data()
+        kernel = KernelSpec("rbf", 0.5)
+
+        def model(scale):
+            return MetricModel("kernelized", A=scale * np.eye(ds.n), kernel=kernel, anchors=ds)
+
+        # the feature norm is linear in A: c*||.|| is g0 at scale `limit`
+        limit = FAMILIES["kernel-rbf"].g0 / (0.5 * model_norm(model(1.0), "fro"))
+        args = (ds, probe, "kernel-rbf", CoverConfig(gamma=0.5))
+        assert certify(model(0.5 * limit), *args, c=0.5, delta=0.05).sound
+        with pytest.raises(ValueError, match="over capacity"):
+            certify(model(2.0 * limit), *args, c=0.5, delta=0.05)
 
     def test_holds_only_with_a_measured_gap(self):
         ds, probe = self._data()

@@ -126,34 +126,76 @@ LEGACY_CONFIG = (
 )
 
 
+def run_curve(tmp_path, text):
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(text)
+    return main(["curve", "--config", str(cpath), "--n-ladder", "20,40",
+                 "--out", str(tmp_path / "curve.csv")])
+
+
 class TestLegacyConfig:
-    def _curve(self, tmp_path, text):
-        cpath = tmp_path / "cfg.json"
-        cpath.write_text(text)
-        return main(["curve", "--config", str(cpath), "--n-ladder", "20,40",
-                     "--out", str(tmp_path / "curve.csv")])
 
     def test_legacy_config_loads_and_runs_curve(self, tmp_path):
         cfg = config_from_json_dict(json.loads(LEGACY_CONFIG))
         assert cfg.solver == SolverConfig(c=0.5, max_iters=20)
-        assert self._curve(tmp_path, LEGACY_CONFIG) == 0
+        assert run_curve(tmp_path, LEGACY_CONFIG) == 0
         assert len((tmp_path / "curve.csv").read_text().splitlines()) == 3
 
     def test_other_pseudo_eps_scale_refused(self, tmp_path, capsys):
         obj = json.loads(LEGACY_CONFIG)
         obj["pseudo_eps_scale"] = 0.3
-        assert self._curve(tmp_path, json.dumps(obj)) == 1
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
         assert "pseudo_eps_scale" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["synthetic", "solver", "cover", None])
     def test_unknown_key_refused_by_name(self, tmp_path, capsys, section):
         obj = json.loads(LEGACY_CONFIG)
         (obj if section is None else obj[section])["bogus"] = 1
-        assert self._curve(tmp_path, json.dumps(obj)) == 1
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
         name = "bogus" if section is None else f"{section}.bogus"
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
 
+
+class TestConfigValueTypes:
+    # each config replaces one value of LEGACY_CONFIG; the key named in the
+    # error is the one whose value has the wrong JSON type
+    @pytest.mark.parametrize(
+        "section, key, value, name",
+        [
+            ("synthetic", "n", "abc", "synthetic.n"),
+            (None, "solver", 5, "solver"),
+            ("cover", "gamma", "x", "cover.gamma"),
+            (None, "delta", "0.05", "delta"),
+            (None, "repetitions", 1.5, "repetitions"),
+            (None, "family", ["fro"], "family"),
+            ("synthetic", "n", True, "synthetic.n"),
+            ("synthetic", "means", [0.5, 0.0], "synthetic.means"),
+        ],
+    )
+    def test_wrong_type_exits_1_by_name(self, tmp_path, capsys, section, key, value, name):
+        obj = json.loads(LEGACY_CONFIG)
+        (obj if section is None else obj[section])[key] = value
+        with pytest.raises(ValueError, match=re.escape(name)):
+            config_from_json_dict(obj)
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    def test_float_field_takes_an_int(self):
+        obj = json.loads(LEGACY_CONFIG)
+        obj["solver"]["c"] = 1
+        assert config_from_json_dict(obj).solver.c == 1
+
+    def test_missing_key_without_default_refused(self):
+        obj = json.loads(LEGACY_CONFIG)
+        del obj["cover"]["gamma"]
+        with pytest.raises(ValueError, match="cover.gamma"):
+            config_from_json_dict(obj)
+
+    def test_non_object_file_refused(self):
+        with pytest.raises(ValueError, match="object"):
+            config_from_json_dict([1, 2])
 
 class TestCli:
     def _gen(self, tmp_path, name="data.csv", n=30, seed=0):
@@ -272,8 +314,19 @@ class TestCli:
         model, report = tmp_path / "model.json", tmp_path / "report.json"
         save_model(MetricModel("mahalanobis", M=np.eye(2)), model)
         assert main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
-                     "--c", "3.0", "--gamma", "0.5", "--radius", "1.0"]) == 0
-        assert json.loads(report.read_text())["c"] == 3.0
+                     "--c", "1.0", "--gamma", "0.5", "--radius", "1.0"]) == 0
+        assert json.loads(report.read_text())["c"] == 1.0
+
+    def test_audit_refuses_a_model_over_capacity(self, tmp_path, capsys):
+        # c*||M||_F = 30 > g0 = 2; the report would claim a certificate whose
+        # empirical epsilon is three times the certified one
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(MetricModel("mahalanobis", M=np.diag([300.0, 0.0])), model, c=0.1)
+        assert main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+                     "--c", "0.1", "--gamma", "0.5", "--radius", "1.0"]) == 1
+        assert not report.exists()
+        assert "over capacity" in capsys.readouterr().err
 
     def test_train_triplet_family(self, tmp_path):
         data = self._gen(tmp_path, n=12)

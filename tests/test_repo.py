@@ -1,10 +1,12 @@
 """Checks that tie the package to the files around it: the benchmark's
-traced function names and the README's library and command-line examples."""
+traced function names, the README's library and command-line examples and
+the package's own imports."""
 
 import ast
 import importlib
 import re
 import shlex
+import sys
 import types
 from pathlib import Path
 
@@ -68,3 +70,21 @@ def test_readme_command_lines_parse():
     for argv in commands:
         assert argv[0] == "metricert"
         parser.parse_args(argv[1:])
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the package stays numpy-only: every import of every module names the
+    # standard library, numpy or the package itself
+    modules = sorted((ROOT / "src" / "metricert").glob("*.py"))
+    assert len(modules) >= 8
+    allowed = set(sys.stdlib_module_names) | {"numpy", "metricert"}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,50 @@ class TestDistanceEvalMatchesReference:
             assert active == (same + other) / n**2
             # the reference's f of two copies is exactly 0: it leaves them out
             assert (active > active_fn(M)) == bool(M.any())
+
+
+class TestTripletEvalInBlocks:
+    """The triplet evaluator visits the anchors core.BLOCK_ROWS rows at a
+    time, so it agrees with the n x n reference to rounding and holds no
+    n x n array."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_matches_full_reference(self, monkeypatch, rows):
+        # 30 points with three interleaved labels: blocks of 7 leave a short
+        # last block and put every label in every block
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(60)
+        n, d = 30, 3
+        X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
+        ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
+        eval_fn = solver._triplet_eval(ds.X, ds.label_indices())
+        loss_fn, grad_fn, active_fn = ref_triplet_callbacks(ds.X, build_triplets(ds))
+        for M in psd_matrices(rng, d):
+            loss, grad, active = eval_fn(M)
+            ref_grad = grad_fn(M)
+            assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            assert active == active_fn(M)
+
+    def test_memory_below_one_n_by_n_array(self, monkeypatch):
+        # one n x n float64 array is 11.5 MB at n = 1200; the n x n path
+        # peaked at several of them
+        monkeypatch.setattr(core, "BLOCK_ROWS", 64)
+        n = 1200
+        ds = random_ds(np.random.default_rng(61), n=n)
+        model = MetricModel("mahalanobis", M=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        runs = (
+            lambda: solve_triplet(ds, "fro", SolverConfig(c=0.1, max_iters=1)),
+            lambda: empirical_triplet_loss(model, ds),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
 
 
 def mixture_ds(rng, n, d=2):
