@@ -8,7 +8,6 @@ from .core import (
     Dataset,
     Family,
     KernelSpec,
-    LabeledExample,
     MetricModel,
     build_pairs,
     build_triplets,
@@ -16,9 +15,7 @@ from .core import (
     empirical_triplet_loss,
     hinge,
     metric_eval,
-    pair_loss,
     rbf_fH,
-    triplet_loss,
 )
 from .solver import (
     SolverConfig,
@@ -32,11 +29,8 @@ from .solver import (
 )
 from .cover import (
     CoverConfig,
-    OutOfCover,
     Partition,
-    assign_cell,
     build_partition,
-    cell_counts,
     covering_number_upper_bound,
     greedy_cover,
 )

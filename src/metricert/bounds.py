@@ -25,8 +25,9 @@ class BoundQuery:
     p_hat: int = 0            # pseudo mode only, in [0, n^2]
 
     def __post_init__(self):
-        if self.epsilon < 0 or self.B < 0:
-            raise ValueError("epsilon and B must be nonnegative")
+        for name, value in (("epsilon", self.epsilon), ("B", self.B)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, not {value!r}")
         if self.K < 1 or self.n < 1:
             raise ValueError("K and n must be positive integers")
         if not 0.0 < self.delta < 1.0:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen, train, audit, bound, bhc, curve, knn.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -203,7 +203,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, and 0 after --help
+        return 1 if e.code else 0
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as e:

@@ -22,12 +22,6 @@ ATOL = 1e-8
 BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    x: np.ndarray
-    y: object
-
-
 @dataclass
 class Dataset:
     """An ordered sample of labeled points inside the radius-R ball."""
@@ -73,9 +67,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(self.X[i], self.y[i])
-
     def label_indices(self) -> np.ndarray:
         lookup = {lab: k for k, lab in enumerate(self.labels)}
         return np.array([lookup[lab] for lab in self.y], dtype=int)
@@ -89,8 +80,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.sigma <= 0:
-            raise ValueError("rbf bandwidth sigma must be positive")
+        if self.kind == "rbf" and not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"rbf bandwidth sigma must be positive and finite, not {self.sigma!r}")
 
 
 @dataclass
@@ -99,13 +90,12 @@ class MetricModel:
 
     kind "mahalanobis": f(x, x') = (x - x')^T M (x - x'), M symmetric PSD.
     kind "bilinear":    f(x, x') = x^T M x', no PSD constraint.
-    kind "kernelized":  f(x, x') = (k(x) - k(x'))^T A (k(x) - k(x')) where
-    k(x) is the kernel vector against the anchor points and A is PSD.
+    kind "kernelized":  f(x, x') = (k(x) - k(x'))^T M (k(x) - k(x')) where
+    k(x) is the kernel vector against the anchor points and M is PSD.
     """
 
     kind: str
-    M: np.ndarray | None = None
-    A: np.ndarray | None = None
+    M: np.ndarray
     kernel: KernelSpec | None = None
     anchors: "Dataset | None" = None
     regularizer: str = "fro"
@@ -114,33 +104,23 @@ class MetricModel:
     def __post_init__(self):
         if self.kind not in ("mahalanobis", "bilinear", "kernelized"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "kernelized":
-            if self.A is None or self.kernel is None or self.anchors is None:
-                raise ValueError("kernelized model needs A, kernel and anchors")
-            self.A = np.asarray(self.A, dtype=float)
-            _check_sym_psd(self.A, "A")
-        else:
-            if self.M is None:
-                raise ValueError(f"{self.kind} model needs a matrix M")
-            self.M = np.asarray(self.M, dtype=float)
-            if self.M.shape[0] != self.M.shape[1]:
-                raise ValueError("M must be square")
-            if self.kind == "mahalanobis":
-                _check_sym_psd(self.M, "M")
+        if self.kind == "kernelized" and (self.kernel is None or self.anchors is None):
+            raise ValueError("kernelized model needs a kernel and anchors")
+        self.M = np.asarray(self.M, dtype=float)
+        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
+            raise ValueError("M must be square")
+        if self.kind != "bilinear":
+            if not np.allclose(self.M, self.M.T, atol=1e-7):
+                raise ValueError("M must be symmetric")
+            w = np.linalg.eigvalsh((self.M + self.M.T) / 2.0)
+            if w.min() < -ATOL:
+                raise ValueError(f"M has negative eigenvalue {w.min():.3g}")
 
     @property
     def d(self) -> int:
         if self.kind == "kernelized":
             return self.anchors.d
         return self.M.shape[0]
-
-
-def _check_sym_psd(M: np.ndarray, name: str) -> None:
-    if not np.allclose(M, M.T, atol=1e-7):
-        raise ValueError(f"{name} must be symmetric")
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if w.min() < -ATOL:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3g}")
 
 
 # the hinge g(t) = max(0, 1 - t): Lipschitz constant U, and the loss of the
@@ -158,10 +138,10 @@ def hinge(t):
 def rbf_fH(gamma: float, sigma: float) -> float:
     """sup of k(a,a) + k(b,b) - 2k(a,b) over ||a - b|| <= gamma for the rbf
     kernel; monotone in the distance, so the sup is at distance gamma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, not {sigma!r}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, not {gamma!r}")
     return 2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2)))
 
 
@@ -188,24 +168,24 @@ class Family:
     def radius(self, R: float) -> float:
         """Radius of the feature space: R, or 1 for the rbf kernel, whose
         features have norm sqrt(k(x, x)) = 1."""
-        if R <= 0:
-            raise ValueError("radius R must be positive")
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"radius R must be positive and finite, not {R!r}")
         return 1.0 if self.kind == "kernelized" else R
 
     def loss_bound(self, R: float, c: float) -> float:
         """Uniform loss bound B from the capacity inequality ||M*|| <= g0/c."""
-        if c <= 0:
-            raise ValueError("regularization weight c must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"regularization weight c must be positive and finite, not {c!r}")
         r = self.radius(R)
         return self.g0 + self.f_coef * r * r * self.g0 / c
 
     def epsilon(self, R: float, gamma: float, c: float, sigma: float = 0.0) -> float:
         """Certified loss-deviation constant at cell diameter gamma; a
         kernel-rbf cell has feature-space diameter sqrt(rbf_fH(gamma, sigma))."""
-        if c <= 0:
-            raise ValueError("regularization weight c must be positive")
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"regularization weight c must be positive and finite, not {c!r}")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, not {gamma!r}")
         scale = math.sqrt(rbf_fH(gamma, sigma)) if self.kind == "kernelized" else gamma
         return self.eps_coef * self.radius(R) * scale * (HINGE_U * self.g0 / c)
 
@@ -271,32 +251,28 @@ def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) ->
 def features(m: MetricModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows and form matrix (F, Q) of a model, with f(x, x') =
     (phi(x) - phi(x'))^T Q (phi(x) - phi(x')), or phi(x)^T Q phi(x') for a
-    bilinear model: (X, M) for mahalanobis and bilinear models, and the
-    kernel vectors k(anchor_i, x) of the rows of X with A for kernelized ones."""
+    bilinear model: the rows of X for mahalanobis and bilinear models and
+    their kernel vectors k(anchor_i, x) for kernelized ones, with M."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if m.kind == "kernelized":
-        return kernel_gram(m.kernel, X, m.anchors.X), m.A
+        X = kernel_gram(m.kernel, X, m.anchors.X)
     return X, m.M
 
 
 def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
+    """f(x1, x2) of one pair of points, in the unexpanded form."""
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
     if x1.shape != x2.shape:
         raise ValueError("input vectors have mismatched dimensions")
-    if m.kind == "kernelized":
-        if x1.shape[0] != m.anchors.d:
-            raise ValueError(
-                f"expected dimension {m.anchors.d}, got {x1.shape[0]}"
-            )
-        kd = (features(m, x1)[0] - features(m, x2)[0]).ravel()
-        return float(kd @ m.A @ kd)
-    if x1.shape[0] != m.M.shape[0]:
-        raise ValueError(f"expected dimension {m.M.shape[0]}, got {x1.shape[0]}")
+    if x1.shape[0] != m.d:
+        raise ValueError(f"expected dimension {m.d}, got {x1.shape[0]}")
+    (f1,), Q = features(m, x1)
+    (f2,), _ = features(m, x2)
     if m.kind == "bilinear":
-        return float(x1 @ m.M @ x2)
-    diff = x1 - x2
-    return float(diff @ m.M @ diff)
+        return float(f1 @ Q @ f2)
+    diff = f1 - f2
+    return float(diff @ Q @ diff)
 
 
 def quad_rows(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -344,21 +320,6 @@ def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def pair_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample) -> float:
-    y12 = 1.0 if z1.y == z2.y else -1.0
-    f = metric_eval(m, z1.x, z2.x)
-    return float(hinge(y12 * (1.0 - f)))
-
-
-def triplet_loss(m: MetricModel, z1: LabeledExample, z2: LabeledExample, z3: LabeledExample) -> float:
-    """Hinge of 1 - f(x1, x3) + f(x1, x2); zero for non-admissible triples."""
-    if not (z1.y == z2.y and z1.y != z3.y):
-        return 0.0
-    f13 = metric_eval(m, z1.x, z3.x)
-    f12 = metric_eval(m, z1.x, z2.x)
-    return float(max(0.0, 1.0 - f13 + f12))
 
 
 def pair_loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):

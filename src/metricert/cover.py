@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import Dataset, LabeledExample
+from .core import Dataset
 
 _COUNT_LIMIT = 1e18
-
-
-class OutOfCover(Exception):
-    """A query point is farther than gamma/2 from every cover center."""
 
 
 @dataclass(frozen=True)
@@ -27,8 +23,8 @@ class CoverConfig:
     norm: str = "l2"  # "l1" or "l2"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, not {self.gamma!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
 
@@ -48,8 +44,8 @@ def greedy_cover(points, radius: float, norm: str = "l2") -> np.ndarray:
     block; only the block's survivors are then swept one by one against the
     centers added inside it, so the centers are the point-by-point sweep's.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, not {radius!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return np.zeros((0, points.shape[1] if points.ndim == 2 else 0))
@@ -73,7 +69,7 @@ def covering_number_upper_bound(R: float, gamma_half: float, d: int, norm: str =
     """Volumetric bound (1 + 2R/gamma')^d on the covering number of the
     radius-R l2 ball at radius gamma'; under l1 the ball radius inflates
     by sqrt(d)."""
-    if R <= 0 or gamma_half <= 0 or d < 1:
+    if not (R > 0 and gamma_half > 0) or d < 1:
         raise ValueError("R, gamma_half must be positive and d >= 1")
     eff_R = R * math.sqrt(d) if norm == "l1" else R
     if norm not in ("l1", "l2"):
@@ -137,22 +133,3 @@ def assign_cells(p: Partition, X: np.ndarray, y: list) -> np.ndarray:
     ids[~ok] = -1
     return ids
 
-
-def assign_cell(p: Partition, z: LabeledExample) -> int:
-    """Cell id of a single labeled point; raises OutOfCover beyond gamma/2."""
-    cid = assign_cells(p, z.x[None, :], [z.y])[0]
-    if cid < 0:
-        raise OutOfCover(
-            f"point farther than gamma/2={p.radius:.6g} from every center"
-        )
-    return int(cid)
-
-
-def cell_counts(p: Partition, ds: Dataset) -> np.ndarray:
-    """Occupancy counts N_i over all K cells; sums to n."""
-    ids = assign_cells(p, ds.X, ds.y)
-    if (ids < 0).any():
-        raise ValueError("dataset contains points outside the cover")
-    counts = np.zeros(p.K, dtype=int)
-    np.add.at(counts, ids, 1)
-    return counts

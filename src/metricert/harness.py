@@ -50,10 +50,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.d < 1 or self.n < 1 or self.classes < 1:
             raise ValueError("d, n and classes must be positive")
-        if self.cov_scale < 0:
-            raise ValueError("cov_scale must be nonnegative")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not 0.0 <= self.cov_scale < math.inf:
+            raise ValueError(f"cov_scale must be nonnegative and finite, not {self.cov_scale!r}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, not {self.R!r}")
         means = self.means if self.means else _default_means(self.classes, self.d, self.R)
         means = tuple(tuple(float(v) for v in mvec) for mvec in means)
         if len(means) != self.classes:
@@ -61,7 +61,7 @@ class SyntheticSpec:
         for mvec in means:
             if len(mvec) != self.d:
                 raise ValueError("mean dimension mismatch")
-            if np.linalg.norm(mvec) > self.R + 1e-9:
+            if not np.linalg.norm(mvec) <= self.R + 1e-9:
                 raise ValueError("class means must lie inside the R-ball")
         object.__setattr__(self, "means", means)
 

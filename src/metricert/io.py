@@ -70,15 +70,12 @@ def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:
         "d": m.d,
         "regularizer": m.regularizer,
         "c": c,
+        "matrix": [float(v) for v in m.M.ravel()],
+        "size": m.M.shape[0],
     }
     if m.kind == "kernelized":
-        out["matrix"] = [float(v) for v in m.A.ravel()]
-        out["size"] = m.A.shape[0]
         out["kernel"] = {"kind": m.kernel.kind, "sigma": m.kernel.sigma}
         out["anchors"] = dataset_hash(m.anchors)
-    else:
-        out["matrix"] = [float(v) for v in m.M.ravel()]
-        out["size"] = m.M.shape[0]
     return out
 
 
@@ -87,17 +84,18 @@ def model_from_json_dict(obj: dict, anchors: Dataset | None = None) -> MetricMod
     size = obj["size"]
     info = {"c": obj.get("c")}
     mat = np.asarray(obj["matrix"], dtype=float).reshape(size, size)
+    ks = None
     if obj["kind"] == "kernelized":
         if anchors is None:
             raise ValueError("kernelized model needs the anchor dataset")
         if obj.get("anchors") and dataset_hash(anchors) != obj["anchors"]:
             raise ValueError("anchor dataset does not match the stored hash")
         ks = KernelSpec(obj["kernel"]["kind"], obj["kernel"].get("sigma", 1.0))
-        return MetricModel(
-            kind="kernelized", A=mat, kernel=ks, anchors=anchors,
-            regularizer=obj["regularizer"], info=info,
-        )
-    return MetricModel(kind=obj["kind"], M=mat, regularizer=obj["regularizer"], info=info)
+    else:
+        anchors = None
+    return MetricModel(
+        obj["kind"], mat, kernel=ks, anchors=anchors, regularizer=obj["regularizer"], info=info
+    )
 
 
 def save_model(m: MetricModel, path: str, c: float | None = None) -> None:

@@ -15,6 +15,7 @@ constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,14 @@ class SolverConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, not {self.c!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0.0 < self.step0 < math.inf:
+            raise ValueError(f"step0 must be positive and finite, not {self.step0!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, not {self.tol!r}")
 
 
 def reg_norm(M: np.ndarray, reg: str) -> float:
@@ -73,12 +74,12 @@ def model_norm(m: MetricModel, reg: str) -> float:
     """||M||_reg, the norm the capacity bound ||M*|| <= g0/c is about.
 
     For kernelized models it is the feature-space Frobenius norm
-    ||K^{1/2} A K^{1/2}||_F over the anchor Gram matrix K, computed as
-    sqrt(tr(AKAK)) = sqrt(sum (AK) * (AK)^T) without a square root of K.
+    ||K^{1/2} M K^{1/2}||_F over the anchor Gram matrix K, computed as
+    sqrt(tr(MKMK)) = sqrt(sum (MK) * (MK)^T) without a square root of K.
     """
     if m.kind == "kernelized":
-        AK = m.A @ kernel_gram(m.kernel, m.anchors.X)
-        return float(np.sqrt(max((AK * AK.T).sum(), 0.0)))
+        MK = m.M @ kernel_gram(m.kernel, m.anchors.X)
+        return float(np.sqrt(max((MK * MK.T).sum(), 0.0)))
     return reg_norm(m.M, reg)
 
 
@@ -360,9 +361,9 @@ def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     KPCA_RANK_TOL * lambda_max.  Psi Psi^T reproduces K up to the discarded
     spectrum, so the pair objective reduces to a plain r x r Mahalanobis
     problem on the rows of Psi.  The learned H maps back to the anchor
-    parameterization A = B H B^T with B = U_r Lambda_r^{-1/2}, so that
-    f = (k_1 - k_2)^T A (k_1 - k_2) and K A K = Psi H Psi^T; the feature
-    norm ||K^{1/2} A K^{1/2}||_F equals ||H||_F.  info["rank"] is r.
+    parameterization M = B H B^T with B = U_r Lambda_r^{-1/2}, so that
+    f = (k_1 - k_2)^T M (k_1 - k_2) and K M K = Psi H Psi^T; the feature
+    norm ||K^{1/2} M K^{1/2}||_F equals ||H||_F.  info["rank"] is r.
     """
     K = kernel_gram(ks, ds.X)
     if not np.all(np.isfinite(K)):
@@ -375,12 +376,12 @@ def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     Psi = U * np.sqrt(w)
     H, info = _iterate(len(w), _pair_eval(Psi, ds.label_indices(), "mahalanobis"), "fro", cfg, psd=True)
     B = U / np.sqrt(w)
-    A = B @ H @ B.T
-    A = (A + A.T) / 2.0
+    M = B @ H @ B.T
+    M = (M + M.T) / 2.0
     info["rank"] = len(w)
     info["rank_tol"] = KPCA_RANK_TOL
     info["feature_norm"] = reg_norm(H, "fro")
     info["capacity_ratio"] = cfg.c * info["feature_norm"] / PAIR_G0
     return MetricModel(
-        kind="kernelized", A=A, kernel=ks, anchors=ds, regularizer="fro", info=info
+        kind="kernelized", M=M, kernel=ks, anchors=ds, regularizer="fro", info=info
     )

@@ -22,8 +22,9 @@ from metricert.core import (
     KernelSpec,
     MetricModel,
     build_triplets,
+    hinge,
+    metric_eval,
     metric_matrix,
-    pair_loss,
     rbf_fH,
 )
 from metricert.cover import CoverConfig, assign_cells, build_partition
@@ -126,6 +127,13 @@ class TestRbfFH:
         assert rbf_fH(gamma, sigma) - best <= 1e-3
 
 
+def oracle_pair_loss(m, a, i, b, j):
+    """Per-pair reference: the hinge of y(1 - f) for point i of dataset a
+    and point j of dataset b, from metric_eval."""
+    y = 1.0 if a.y[i] == b.y[j] else -1.0
+    return float(hinge(y * (1.0 - metric_eval(m, a.X[i], b.X[j]))))
+
+
 def brute_force_epsilon(model, part, ds, probe):
     """Independent double-loop oracle for the pair deviation maximum."""
     ids_tr = assign_cells(part, ds.X, ds.y)
@@ -138,8 +146,8 @@ def brute_force_epsilon(model, part, ds, probe):
                     if ids_pr[a] < 0 or ids_pr[b] < 0:
                         continue
                     if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
-                        lt = pair_loss(model, ds[i], ds[j])
-                        lp = pair_loss(model, probe[a], probe[b])
+                        lt = oracle_pair_loss(model, ds, i, ds, j)
+                        lp = oracle_pair_loss(model, probe, a, probe, b)
                         best = max(best, abs(lt - lp))
     return best
 
@@ -226,13 +234,13 @@ def brute_force_count(model, part, ds, probe, eps):
     for i in range(ds.n):
         for j in range(ds.n):
             ok = True
-            lt = pair_loss(model, ds[i], ds[j])
+            lt = oracle_pair_loss(model, ds, i, ds, j)
             for a in range(probe.n):
                 for b in range(probe.n):
                     if ids_pr[a] < 0 or ids_pr[b] < 0:
                         continue
                     if ids_tr[i] == ids_pr[a] and ids_tr[j] == ids_pr[b]:
-                        lp = pair_loss(model, probe[a], probe[b])
+                        lp = oracle_pair_loss(model, probe, a, probe, b)
                         if abs(lt - lp) > eps + 1e-12:
                             ok = False
             count += ok
@@ -338,7 +346,7 @@ def sweep_cases(rng, n=40, m=25):
     models = [
         MetricModel("mahalanobis", M=A @ A.T),
         MetricModel("bilinear", M=A),
-        MetricModel("kernelized", A=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors),
+        MetricModel("kernelized", M=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors),
     ]
     return models, part, ds, probe
 

@@ -10,7 +10,6 @@ from metricert.core import (
     PAIR_G0,
     Dataset,
     KernelSpec,
-    LabeledExample,
     MetricModel,
     build_pairs,
     build_triplets,
@@ -20,9 +19,8 @@ from metricert.core import (
     kernel_gram,
     metric_eval,
     metric_matrix,
-    pair_loss,
+    pair_loss_blocks,
     triplet_hinge,
-    triplet_loss,
 )
 
 
@@ -31,6 +29,18 @@ def make_ds(points, labels, R=None):
     if R is None:
         R = float(np.linalg.norm(X, axis=1).max()) + 1e-12
     return Dataset(X, list(labels), R)
+
+
+def oracle_pair_loss(m, a, i, b, j):
+    """Per-pair reference: the hinge of y(1 - f) for point i of dataset a
+    and point j of dataset b, from metric_eval."""
+    y = 1.0 if a.y[i] == b.y[j] else -1.0
+    return float(hinge(y * (1.0 - metric_eval(m, a.X[i], b.X[j]))))
+
+
+def pair_losses(m, ds):
+    """The n x n pair losses of ds, joined from pair_loss_blocks."""
+    return np.vstack([L for _, L in pair_loss_blocks(m, ds.X, ds.label_indices())])
 
 
 def enumerate_pairs(n):
@@ -189,7 +199,7 @@ class TestMetricEval:
             G = rng.standard_normal((4, 4))
             A = G @ G.T
             km = MetricModel(
-                "kernelized", A=A, kernel=KernelSpec("linear"), anchors=anchors
+                "kernelized", M=A, kernel=KernelSpec("linear"), anchors=anchors
             )
             induced = MetricModel("mahalanobis", M=Xa.T @ A @ Xa)
             x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
@@ -201,30 +211,31 @@ class TestMetricEval:
 class TestPairLoss:
     def test_zero_matrix_equal_labels(self):
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        z1 = LabeledExample(np.array([0.0, 0.0]), "a")
-        z2 = LabeledExample(np.array([1.0, 0.0]), "a")
-        assert pair_loss(m, z1, z2) == 0.0
+        ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "aa")
+        assert pair_losses(m, ds)[0, 1] == 0.0
 
     def test_zero_matrix_different_labels_is_g0(self):
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        z1 = LabeledExample(np.array([0.0, 0.0]), "a")
-        z2 = LabeledExample(np.array([1.0, 0.0]), "b")
-        assert pair_loss(m, z1, z2) == PAIR_G0 == 2.0
+        ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "ab")
+        assert pair_losses(m, ds)[0, 1] == PAIR_G0 == 2.0
 
     def test_identity_hand_value(self):
         m = MetricModel("mahalanobis", M=np.eye(2))
-        z1 = LabeledExample(np.array([0.0, 0.0]), "a")
-        z2 = LabeledExample(np.array([1.0, 0.0]), "a")
-        assert pair_loss(m, z1, z2) == pytest.approx(1.0)
+        ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "aa")
+        assert pair_losses(m, ds)[0, 1] == pytest.approx(1.0)
 
     def test_symmetric_in_arguments(self):
+        # f itself is symmetric bit for bit; the blocked losses expand f as
+        # q_i + q_j - 2 x_i^T M x_j, whose cross term rounds differently in
+        # its two orders, so they agree to rounding
         rng = np.random.default_rng(3)
         A = rng.standard_normal((2, 2))
         m = MetricModel("mahalanobis", M=A @ A.T)
         for _ in range(50):
-            z1 = LabeledExample(rng.standard_normal(2), "a")
-            z2 = LabeledExample(rng.standard_normal(2), rng.choice(["a", "b"]))
-            assert pair_loss(m, z1, z2) == pair_loss(m, z2, z1)
+            ds = make_ds(rng.standard_normal((2, 2)), ["a", rng.choice(["a", "b"])])
+            assert metric_eval(m, ds.X[0], ds.X[1]) == metric_eval(m, ds.X[1], ds.X[0])
+            L = pair_losses(m, ds)
+            assert L[0, 1] == pytest.approx(L[1, 0], rel=1e-12, abs=1e-12)
 
     def test_lipschitz_on_grid(self):
         rng = np.random.default_rng(5)
@@ -236,21 +247,28 @@ class TestPairLoss:
 class TestTripletLoss:
     def test_zero_matrix(self):
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        z = [LabeledExample(np.zeros(2), lab) for lab in "aab"]
-        assert triplet_loss(m, *z) == 1.0
+        ds = make_ds(np.zeros((3, 2)), "aab", R=1.0)
+        assert empirical_triplet_loss(m, ds) == 1.0
 
     def test_clamped_at_zero(self):
-        # f(x1,x3)=3, f(x1,x2)=1 -> [1-3+1]_+ = 0
+        # anchor x1 = 0: f(x1,x3)=3, f(x1,x2)=1 -> [1-3+1]_+ = 0, and its
+        # other admissible triplet (x1, x1, x3) gives [1-3+0]_+ = 0
         m = MetricModel("mahalanobis", M=np.eye(1))
-        z1 = LabeledExample(np.array([0.0]), "a")
-        z2 = LabeledExample(np.array([1.0]), "a")
-        z3 = LabeledExample(np.array([np.sqrt(3.0)]), "b")
-        assert triplet_loss(m, z1, z2, z3) == 0.0
+        ds = make_ds([[0.0], [1.0], [np.sqrt(3.0)]], "aab")
+        labels = ds.label_indices()
+        F = metric_matrix(m, ds.X[:1], ds.X)
+        assert triplet_hinge(F, labels[:1], labels)[0] == 0.0
 
     def test_non_admissible_is_zero(self):
+        # at M = 0 every admissible triplet has hinge 1, so a hinge sum equal
+        # to the admissible count leaves nothing to the others, such as (0, 1, 2)
         m = MetricModel("mahalanobis", M=np.zeros((2, 2)))
-        z = [LabeledExample(np.zeros(2), lab) for lab in "abb"]
-        assert triplet_loss(m, *z) == 0.0
+        ds = make_ds(np.zeros((3, 2)), "abb", R=1.0)
+        labels = ds.label_indices()
+        total, Wp, Wn, nt = triplet_hinge(metric_matrix(m, ds.X), labels, labels)
+        assert total == nt == len(enumerate_triplets("abb"))
+        same = labels[:, None] == labels[None, :]
+        assert not Wp[~same].any() and not Wn[same].any()
 
 
 class TestEmpiricalLoss:
@@ -268,8 +286,7 @@ class TestEmpiricalLoss:
     def test_n1_single_self_pair(self):
         ds = make_ds([[0.5, 0.5]], ["a"])
         m = MetricModel("mahalanobis", M=np.eye(2))
-        z = ds[0]
-        assert empirical_loss(m, ds) == pair_loss(m, z, z)
+        assert empirical_loss(m, ds) == oracle_pair_loss(m, ds, 0, ds, 0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -278,7 +295,7 @@ class TestEmpiricalLoss:
         A = rng.standard_normal((2, 2))
         m = MetricModel("mahalanobis", M=A @ A.T)
         expected = np.mean(
-            [pair_loss(m, ds[i], ds[j]) for i in range(8) for j in range(8)]
+            [oracle_pair_loss(m, ds, i, ds, j) for i in range(8) for j in range(8)]
         )
         assert empirical_loss(m, ds) == pytest.approx(expected)
 
@@ -293,10 +310,10 @@ def models_of_every_kind(rng, d):
         "mahalanobis": MetricModel("mahalanobis", M=G @ G.T),
         "bilinear": MetricModel("bilinear", M=G),
         "kernel-rbf": MetricModel(
-            "kernelized", A=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors
+            "kernelized", M=H @ H.T, kernel=KernelSpec("rbf", 0.7), anchors=anchors
         ),
         "kernel-linear": MetricModel(
-            "kernelized", A=H @ H.T, kernel=KernelSpec("linear"), anchors=anchors
+            "kernelized", M=H @ H.T, kernel=KernelSpec("linear"), anchors=anchors
         ),
     }
 

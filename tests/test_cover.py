@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from metricert import core
-from metricert.core import Dataset, LabeledExample
+from metricert.core import Dataset
 from metricert.cover import (
     CoverConfig,
-    OutOfCover,
     Partition,
-    assign_cell,
     assign_cells,
     build_partition,
-    cell_counts,
     covering_number_upper_bound,
     greedy_cover,
 )
@@ -61,6 +58,13 @@ class TestGreedyCover:
 
     def test_empty_input(self):
         assert len(greedy_cover([], 1.0)) == 0
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_radius_not_positive_refused(self, radius):
+        # a NaN radius passed a `radius <= 0` check and made one centre
+        # stand for every point
+        with pytest.raises(ValueError, match="radius must be positive"):
+            greedy_cover([[0.0], [1.0]], radius)
 
     def test_cover_validity_random(self):
         rng = np.random.default_rng(1)
@@ -158,6 +162,11 @@ class TestCoveringNumberBound:
         with pytest.raises(OverflowError):
             covering_number_upper_bound(1.0, 1e-6, 20)
 
+    @pytest.mark.parametrize("R, gamma_half", [(float("nan"), 0.5), (1.0, float("nan"))])
+    def test_nan_refused_by_name(self, R, gamma_half):
+        with pytest.raises(ValueError, match="R, gamma_half must be positive"):
+            covering_number_upper_bound(R, gamma_half, 2)
+
     def test_dominates_greedy_on_ball_data(self):
         rng = np.random.default_rng(4)
         R = 1.0
@@ -204,18 +213,15 @@ class TestAssignCell:
     def test_center_maps_to_own_cell(self):
         ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "aa")
         p = build_partition(ds, CoverConfig(gamma=0.5))
-        z = LabeledExample(p.centers[1], "a")
-        assert assign_cell(p, z) % p.centers.shape[0] == 1
+        assert assign_cells(p, p.centers[1], ["a"])[0] % p.centers.shape[0] == 1
 
     def test_tie_goes_to_lowest_index(self):
         p = Partition(gamma=2.0, norm="l2", centers=np.array([[0.0], [1.0]]), labels=("a",))
-        z = LabeledExample(np.array([0.5]), "a")
-        assert assign_cell(p, z) == 0
+        assert assign_cells(p, np.array([0.5]), ["a"])[0] == 0
 
-    def test_out_of_cover_raises(self):
+    def test_out_of_cover_is_minus_one(self):
         p = Partition(gamma=0.2, norm="l2", centers=np.array([[0.0]]), labels=("a",))
-        with pytest.raises(OutOfCover):
-            assign_cell(p, LabeledExample(np.array([5.0]), "a"))
+        assert assign_cells(p, np.array([5.0]), ["a"])[0] == -1
 
     def test_round_trip_within_radius(self):
         rng = np.random.default_rng(6)
@@ -231,7 +237,7 @@ class TestCellCounts:
     def test_one_point_per_cell(self):
         ds = make_ds([[0.0], [1.0], [2.0]], "aaa")
         p = build_partition(ds, CoverConfig(gamma=1.0))
-        counts = cell_counts(p, ds)
+        counts = np.bincount(assign_cells(p, ds.X, ds.y), minlength=p.K)
         assert counts.sum() == 3
         assert set(counts) <= {0, 1}
 
@@ -239,7 +245,7 @@ class TestCellCounts:
         rng = np.random.default_rng(7)
         ds = make_ds(rng.uniform(-1, 1, size=(25, 2)), rng.choice(["a", "b"], size=25))
         p = build_partition(ds, CoverConfig(gamma=0.7))
-        assert cell_counts(p, ds).sum() == 25
+        assert np.bincount(assign_cells(p, ds.X, ds.y), minlength=p.K).sum() == 25
 
     def test_multinomial_concentration(self):
         # resampling from a fixed discrete distribution: mean cell frequency

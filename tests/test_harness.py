@@ -260,7 +260,7 @@ class TestCertify:
 
     def test_refuses_a_linear_kernel_as_kernel_rbf(self):
         ds, probe = self._data()
-        model = MetricModel("kernelized", A=np.eye(ds.n), kernel=KernelSpec("linear"), anchors=ds)
+        model = MetricModel("kernelized", M=np.eye(ds.n), kernel=KernelSpec("linear"), anchors=ds)
         with pytest.raises(ValueError, match="not a kernel-rbf model"):
             certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), c=0.5, delta=0.05)
 
@@ -291,7 +291,7 @@ class TestCertify:
         kernel = KernelSpec("rbf", 0.5)
 
         def model(scale):
-            return MetricModel("kernelized", A=scale * np.eye(ds.n), kernel=kernel, anchors=ds)
+            return MetricModel("kernelized", M=scale * np.eye(ds.n), kernel=kernel, anchors=ds)
 
         # the feature norm is linear in A: c*||.|| is g0 at scale `limit`
         limit = FAMILIES["kernel-rbf"].g0 / (0.5 * model_norm(model(1.0), "fro"))

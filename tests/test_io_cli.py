@@ -1,11 +1,13 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from metricert.bounds import BoundQuery
 from metricert.cli import main
-from metricert.core import Dataset, KernelSpec, MetricModel
+from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, rbf_fH
 from metricert.cover import CoverConfig
 from metricert.harness import ExperimentConfig, SyntheticSpec, gen_synthetic
 from metricert.io import (
@@ -73,7 +75,7 @@ class TestModelJson:
     def test_kernelized_needs_matching_anchors(self, tmp_path):
         anchors = gen_synthetic(SyntheticSpec(n=5, seed=3))
         m = MetricModel(
-            "kernelized", A=np.eye(5), kernel=KernelSpec("rbf", 0.7), anchors=anchors,
+            "kernelized", M=np.eye(5), kernel=KernelSpec("rbf", 0.7), anchors=anchors,
             regularizer="fro",
         )
         path = tmp_path / "k.json"
@@ -448,3 +450,97 @@ class TestCli:
              "--gamma", "1e-9", "--radius", "1.0"]
         )
         assert code == 2
+
+
+# one hyper-parameter each; NaN used to pass range checks written as x <= 0
+NON_FINITE_FIELDS = [
+    pytest.param(lambda v: SolverConfig(c=v), "c", id="SolverConfig.c"),
+    pytest.param(lambda v: SolverConfig(step0=v), "step0", id="SolverConfig.step0"),
+    pytest.param(lambda v: SolverConfig(tol=v), "tol", id="SolverConfig.tol"),
+    pytest.param(lambda v: CoverConfig(gamma=v), "gamma", id="CoverConfig.gamma"),
+    pytest.param(lambda v: SyntheticSpec(cov_scale=v), "cov_scale", id="SyntheticSpec.cov_scale"),
+    pytest.param(lambda v: SyntheticSpec(R=v), "R", id="SyntheticSpec.R"),
+    pytest.param(lambda v: SyntheticSpec(means=((v, 0.0), (0.0, 0.5))), "means",
+                 id="SyntheticSpec.means"),
+    pytest.param(lambda v: KernelSpec("rbf", v), "sigma", id="KernelSpec.sigma"),
+    pytest.param(lambda v: rbf_fH(v, 1.0), "gamma", id="rbf_fH.gamma"),
+    pytest.param(lambda v: rbf_fH(0.5, v), "sigma", id="rbf_fH.sigma"),
+    pytest.param(lambda v: FAMILIES["fro"].epsilon(1.0, 0.5, v), "c", id="epsilon.c"),
+    pytest.param(lambda v: FAMILIES["fro"].epsilon(1.0, v, 0.1), "gamma", id="epsilon.gamma"),
+    pytest.param(lambda v: FAMILIES["kernel-rbf"].epsilon(1.0, 0.5, 0.1, v), "sigma",
+                 id="epsilon.sigma"),
+    pytest.param(lambda v: FAMILIES["fro"].loss_bound(1.0, v), "c", id="loss_bound.c"),
+    pytest.param(lambda v: FAMILIES["fro"].loss_bound(v, 0.1), "R", id="loss_bound.R"),
+    pytest.param(lambda v: BoundQuery(v, 1.0, 4, 100, 0.05), "epsilon", id="BoundQuery.epsilon"),
+    pytest.param(lambda v: BoundQuery(0.1, v, 4, 100, 0.05), "B", id="BoundQuery.B"),
+]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, name", NON_FINITE_FIELDS)
+    def test_refused_by_name(self, make, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must "):
+            make(value)
+
+    def _argv(self, tmp_path, command):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert main(["gen", "--out", str(data), "--n", "20"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model), "--iters", "5"]) == 0
+        return {
+            "gen": ["gen", "--out", str(tmp_path / "g.csv")],
+            "train": ["train", "--data", str(data), "--out", str(tmp_path / "t.json")],
+            "audit": ["audit", "--model", str(model), "--data", str(data),
+                      "--out", str(tmp_path / "r.json")],
+            "bound": ["bound", "--epsilon", "0.1", "--B", "3", "--K", "4", "--n", "100",
+                      "--delta", "0.05"],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, name",
+        [
+            ("train", "--c", "nan", "c"),
+            ("train", "--step0", "nan", "step0"),
+            ("train", "--c", "inf", "c"),
+            ("gen", "--radius", "nan", "R"),
+            ("audit", "--gamma", "nan", "gamma"),
+            ("bound", "--epsilon", "nan", "epsilon"),
+            ("bound", "--B", "inf", "B"),
+        ],
+    )
+    def test_command_exits_1_by_name(self, tmp_path, capsys, command, flag, value, name):
+        argv = self._argv(tmp_path, command) + [flag, value]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must ")
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "g.csv").exists()
+
+    def test_curve_config_with_nan_c(self, tmp_path, capsys):
+        obj = json.loads(LEGACY_CONFIG)
+        obj["solver"]["c"] = math.nan
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
+        assert capsys.readouterr().err.startswith("error: c must ")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bound", "--epsilon", "0.1"],
+            ["gen", "--out", "unused.csv", "--bogus", "1"],
+            ["bound", "--epsilon", "0.1", "--B", "3", "--K", "4", "--n", "100",
+             "--delta", "-inf"],
+        ],
+    )
+    def test_exit_1(self, capsys, argv):
+        # argparse's own code is 2, which the CLI keeps for numerical failure
+        assert main(argv) == 1
+        assert "usage: metricert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: metricert")

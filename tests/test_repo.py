@@ -12,6 +12,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# public names that no code in the package calls: entry points kept for
+# users and tests, each with the reason it stays
+ENTRY_POINTS = (
+    ("metric_eval", "f of one pair in unexpanded form, the tests' per-pair oracle"),
+    ("objective", "the training objective of any model, to check a saved one"),
+    ("loss_subgradient", "the solver's pair subgradient at a given model; criterion 06 checks it"),
+    ("save_config", "writes the config file that curve --config reads"),
+)
+
 
 def _assigned(tree: ast.Module, name: str) -> ast.expr:
     for node in tree.body:
@@ -49,11 +58,41 @@ def test_bench_traced_names_are_defined():
         assert obj.__module__ == mod.__name__, f"{name} is defined elsewhere"
 
 
-def test_readme_quick_start_runs(capsys):
+def readme_quick_start() -> str:
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quick start (library)", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md", "exec"), {})
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_every_public_name_is_used():
+    # a public module-level function or class must be referenced by the
+    # package's own code (the re-exports of __init__ do not count), be
+    # traced by the benchmark, appear in the README's Quick start, or be
+    # one of ENTRY_POINTS
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "metricert").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    quick_start = ast.walk(ast.parse(readme_quick_start()))
+    allowed = referenced | {name for name, _ in ENTRY_POINTS}
+    allowed |= {name.split(".")[1] for name in bench_traced_names()}
+    allowed |= {alias.name for node in quick_start if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    unused = sorted(f"{module}.{name}" for name, module in defined.items() if name not in allowed)
+    assert not unused, f"public names nothing uses: {unused}"
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_quick_start(), "README.md", "exec"), {})
     eps_emp, eps_theo, bound = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 <= eps_emp <= eps_theo <= bound
 

@@ -307,7 +307,7 @@ class TestSolveKernel:
     def test_zero_coefficients_objective(self):
         ds = make_ds([[0.0, 0.0], [1.0, 0.0]], "ab")
         zero = MetricModel(
-            "kernelized", A=np.zeros((2, 2)), kernel=KernelSpec("rbf", 1.0), anchors=ds
+            "kernelized", M=np.zeros((2, 2)), kernel=KernelSpec("rbf", 1.0), anchors=ds
         )
         assert objective(zero, ds, "fro", 1.0) == empirical_loss(zero, ds)
 
@@ -628,13 +628,13 @@ def reference_solve_kernel(ds, ks, cfg):
     return S @ H @ S, history, fractions
 
 
-def bench_feature_norm(ds, sigma, A):
-    # ||K^1/2 A K^1/2||_F with K and its square root built independently of
+def bench_feature_norm(ds, sigma, M):
+    # ||K^1/2 M K^1/2||_F with K and its square root built independently of
     # the package, by broadcasting and one eigh
     sq = ((ds.X[:, None, :] - ds.X[None, :, :]) ** 2).sum(axis=2)
     w, V = np.linalg.eigh(np.exp(-sq / (2.0 * sigma**2)))
     S = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
-    return float(np.linalg.norm(S @ A @ S))
+    return float(np.linalg.norm(S @ M @ S))
 
 
 class TestLowRankKernelSolve:
@@ -658,7 +658,7 @@ class TestLowRankKernelSolve:
             if len(np.unique(ds.X, axis=0)) == ds.n:
                 assert m.info["active_fraction"] == fractions
             K = kernel_gram(ks, ds.X)
-            assert np.abs(K @ m.A @ K - SHS).max() <= 1e-8 * np.abs(SHS).max()
+            assert np.abs(K @ m.M @ K - SHS).max() <= 1e-8 * np.abs(SHS).max()
 
     def test_rank_counts_kept_eigenvalues(self):
         ranks = []
@@ -681,7 +681,7 @@ class TestLowRankKernelSolve:
     def test_capacity_recomputed_independently(self):
         for ds, ks in self.problems():
             m = solve_kernel(ds, ks, self.CFG)
-            norm = bench_feature_norm(ds, ks.sigma, m.A)
+            norm = bench_feature_norm(ds, ks.sigma, m.M)
             assert self.CFG.c * norm <= PAIR_G0 * (1.0 + 1e-6)
             assert norm == pytest.approx(m.info["feature_norm"], rel=1e-9)
 
