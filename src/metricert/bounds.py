@@ -6,11 +6,12 @@ of each family is core.Family.epsilon."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, MetricModel, metric_blocks, pair_loss_blocks
+from .core import Dataset, MetricModel, metric_blocks, pair_hinge
 from .cover import Partition, assign_cells
 
 
@@ -30,6 +31,11 @@ class BoundQuery:
                 raise ValueError(f"{name} must be nonnegative and finite, not {value!r}")
         if self.K < 1 or self.n < 1:
             raise ValueError("K and n must be positive integers")
+        for name, value in (("K", self.K), ("n", self.n)):
+            # the bound computes in floats; compared as integers, exactly
+            if value > sys.float_info.max:
+                raise ValueError(f"{name} must be at most {sys.float_info.max!r}, not a "
+                                 f"{value.bit_length()}-bit integer")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in ("pair", "triplet", "pseudo"):
@@ -64,11 +70,11 @@ class EpsilonEstimate:
     excluded_probes: int
 
 
-def _run_extrema(L: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarray):
+def _run_extrema(F: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarray):
     """Min and max of a row block over each run of rows of one cell, per
     column cell.
 
-    L holds the rows start, start + 1, ... of cell-sorted points against all
+    F holds the rows start, start + 1, ... of cell-sorted points against all
     of them; `starts` and `sizes` give each cell's first point and its
     number of points.  Returns the slice of cells whose runs the block
     holds, the run lengths and the (runs x cells) minima and maxima.  Each
@@ -76,19 +82,33 @@ def _run_extrema(L: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarra
     cells of the small result; min and max are exact in any order.
     """
     first = np.searchsorted(starts, start, side="right") - 1
-    last = np.searchsorted(starts, start + len(L), side="left")
+    last = np.searchsorted(starts, start + len(F), side="left")
     a = np.maximum(starts[first:last] - start, 0)
-    b = np.minimum(starts[first:last] + sizes[first:last] - start, len(L))
-    lo = np.empty((last - first, L.shape[1]))
+    b = np.minimum(starts[first:last] + sizes[first:last] - start, len(F))
+    lo = np.empty((last - first, F.shape[1]))
     hi = np.empty_like(lo)
     for k, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
-        L[s:e].min(axis=0, out=lo[k])
-        L[s:e].max(axis=0, out=hi[k])
+        F[s:e].min(axis=0, out=lo[k])
+        F[s:e].max(axis=0, out=hi[k])
     return (
         slice(first, last),
         b - a,
         np.minimum.reduceat(lo, starts, axis=1),
         np.maximum.reduceat(hi, starts, axis=1),
+    )
+
+
+def _loss_extrema(lo_f: np.ndarray, hi_f: np.ndarray, row_labels: np.ndarray, labels: np.ndarray):
+    """Min and max pair loss of cell-pair tables of f extrema.
+
+    Labels are constant within a cell, and fl(1 - f) is monotone in f, so
+    the pair loss hinge(y (1 - f)) is non-decreasing in f when y = +1 and
+    non-increasing when y = -1: its extrema are the losses of the f extrema,
+    bit for bit."""
+    same = row_labels[:, None] == labels[None, :]
+    return (
+        pair_hinge(np.where(same, lo_f, hi_f), row_labels, labels),
+        pair_hinge(np.where(same, hi_f, lo_f), row_labels, labels),
     )
 
 
@@ -115,17 +135,19 @@ def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray)
 
     Returns the occupied cell ids (ascending) and two tables indexed by
     their positions.  Points are sorted by cell, so every cell is a run of
-    rows and columns; each row block reduces through `_run_extrema`, and a
-    cell whose run straddles two blocks is merged into the table.
+    rows and columns; each row block of f reduces through `_run_extrema`,
+    a cell whose run straddles two blocks is merged into the f tables, and
+    `_loss_extrema` maps the finished tables to losses.
     """
     order, cells, starts, sizes = _cell_runs(ids)
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
-    for start, L in pair_loss_blocks(m, X[order], ids[order] // p.centers.shape[0]):
-        at, _, lo_run, hi_run = _run_extrema(L, start, starts, sizes)
+    for start, F in metric_blocks(m, X[order]):
+        at, _, lo_run, hi_run = _run_extrema(F, start, starts, sizes)
         np.minimum(lo[at], lo_run, out=lo[at])
         np.maximum(hi[at], hi_run, out=hi[at])
-    return cells, lo, hi
+    labels = cells // p.centers.shape[0]
+    return (cells, *_loss_extrema(lo, hi, labels, labels))
 
 
 def cell_stats(
@@ -149,12 +171,13 @@ def cell_stats(
     and one column cell form a sub-block with one pair of probe extrema
     (lo, hi).  fl(a - c) is monotone in a, so the sub-block's largest
     deviation is max(fl(hi_run - lo), fl(hi - lo_run)) exactly, from the
-    run extrema of `_run_extrema`; every pair of the sub-block is within
-    `epsilon` when both terms are, and none is when fl(lo_run - lo) or
-    fl(hi - hi_run) exceeds it.  Only a block with an undecided sub-block
-    tests its pairs one by one, masked to those sub-blocks.  Cells the
+    run extrema of f (`_run_extrema`) mapped to losses (`_loss_extrema`);
+    every pair of the sub-block is within `epsilon` when both terms are,
+    and none is when fl(lo_run - lo) or fl(hi - hi_run) exceeds it.  Only
+    a block with an undecided sub-block builds its n-column block of losses
+    and tests its pairs one by one, masked to those sub-blocks.  Cells the
     probe does not occupy have extrema (+inf, -inf): their pairs count and
-    deviate by -inf.  The loss is evaluated in row blocks, so memory is
+    deviate by -inf.  f is evaluated in row blocks, so memory is
     O(block * n) plus the cell-pair tables of the probe.
     """
     ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
@@ -170,8 +193,11 @@ def cell_stats(
     hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
     tol = epsilon + 1e-12
     worst, count = 0.0, 0
-    for start, L in pair_loss_blocks(m, ds.X[order], ids_tr[order] // p.centers.shape[0]):
-        at, runs, lo_run, hi_run = _run_extrema(L, start, starts, sizes)
+    labels = ids_tr[order] // p.centers.shape[0]
+    cell_labels = cells_t // p.centers.shape[0]
+    for start, F in metric_blocks(m, ds.X[order]):
+        at, runs, lo_f, hi_f = _run_extrema(F, start, starts, sizes)
+        lo_run, hi_run = _loss_extrema(lo_f, hi_f, cell_labels[at], cell_labels)
         cell_pairs = np.ix_(pos[at], pos)
         lo, hi = lo_p[cell_pairs], hi_p[cell_pairs]
         up, down = hi_run - lo, hi - lo_run
@@ -182,6 +208,7 @@ def cell_stats(
         if undecided.any():
             # the per-pair test, on the undecided sub-blocks only: the
             # others get NaN extrema, which no comparison passes
+            L = pair_hinge(F, labels[start : start + len(F)], labels)
             lo = np.repeat(np.repeat(np.where(undecided, lo, np.nan), runs, axis=0), sizes, axis=1)
             hi = np.repeat(np.repeat(np.where(undecided, hi, np.nan), runs, axis=0), sizes, axis=1)
             count += int(((L - lo <= tol) & (hi - L <= tol)).sum())

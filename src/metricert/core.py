@@ -322,13 +322,19 @@ def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
 # losses
 
 
+def pair_hinge(F: np.ndarray, row_labels: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Pair losses hinge(y (1 - f)) of a block F of f values, with y = +1
+    where the row's and the column's label indices agree and -1 elsewhere."""
+    Y = np.where(row_labels[:, None] == labels[None, :], 1.0, -1.0)
+    return hinge(Y * (1.0 - F))
+
+
 def pair_loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):
     """Pair losses of the points X against themselves in row blocks: yields
     (start, losses of X[start:start + BLOCK_ROWS] against all of X);
     `labels` holds one label index per point."""
     for start, F in metric_blocks(m, X):
-        Y = np.where(labels[start : start + len(F), None] == labels[None, :], 1.0, -1.0)
-        yield start, hinge(Y * (1.0 - F))
+        yield start, pair_hinge(F, labels[start : start + len(F)], labels)
 
 
 def empirical_loss(m: MetricModel, ds: Dataset) -> float:

@@ -29,11 +29,59 @@ class CoverConfig:
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
-def _dists(points: np.ndarray, centers: np.ndarray, norm: str) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
+def _dists(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
+    """l1 or l2 norms of a - b over the last axis, from the exact
+    differences: the formula that decides cover membership."""
+    diff = a - b
     if norm == "l1":
-        return np.abs(diff).sum(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+# To first order in eps, rounding puts the expansion |p|^2 + |c|^2 - 2 p.c
+# (any summation order, FMA included) within (d + 2) eps/2 (|p| + |c|)^2 of
+# the exact squared l2 distance, and the square of the _dists l2 value
+# within (d + 4) eps/2 (|p| + |c|)^2 of it; l1 adds (d + 1) eps/2 relative
+# to the l1 norm.  The screen's margin is _SCREEN_SLACK (d + 8) eps times
+# (|p| + max |c|)^2, plus a term for underflow.
+_SCREEN_SLACK = 4.0
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray, norm: str, limit: float):
+    """The nearest center of each point by _dists (ties to the lowest index)
+    and its distance, both exact wherever that distance is <= limit.
+
+    A BLAS product gives s = |p|^2 + |c|^2 - 2 p.c for every pair.  With
+    m = _SCREEN_SLACK (d + 8)(eps (|p| + max |c|)^2 + tiny), the square of
+    the _dists value lies in [s - m, s + m] under l2 and, as |v|_2 <=
+    |v|_1 <= sqrt(d) |v|_2, in [s - m, d (s + m)] under l1.  So a center
+    can be the nearest within `limit` only when s - m is at most both
+    limit^2 and the row's least upper bound; _dists runs on those
+    candidate pairs only.  Temporaries are O(len(points) * C) plus
+    the candidates' differences; an overflowed s or margin (NaN or inf)
+    keeps the pair a candidate.
+    """
+    d = points.shape[1]
+    sq_c = (centers * centers).sum(axis=1)
+    sq_p = (points * points).sum(axis=1)
+    spread = np.sqrt(sq_p) + math.sqrt(sq_c.max())
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    margin = _SCREEN_SLACK * (d + 8) * (eps * (spread * spread) + tiny)
+    s = points @ centers.T
+    s *= -2.0
+    s += sq_p[:, None]
+    s += sq_c[None, :]
+    top = np.minimum(limit * limit, (d if norm == "l1" else 1) * (s.min(axis=1) + margin))
+    i, j = np.nonzero(~(s > (top + margin)[:, None]))
+    dist = _dists(points[i], centers[j], norm)
+    # by row, then by distance; lexsort is stable, so ties keep the lowest j
+    order = np.lexsort((dist, i))
+    first = order[np.diff(i[order], prepend=-1) != 0]
+    nearest = np.zeros(len(points), dtype=int)
+    best = np.full(len(points), np.inf)
+    nearest[i[first]] = j[first]
+    best[i[first]] = dist[first]
+    return nearest, best
 
 
 def greedy_cover(points, radius: float, norm: str = "l2") -> np.ndarray:
@@ -54,11 +102,11 @@ def greedy_cover(points, radius: float, norm: str = "l2") -> np.ndarray:
     for start in range(0, len(points), core.BLOCK_ROWS):
         block = points[start : start + core.BLOCK_ROWS]
         if count:
-            block = block[_dists(block, centers[:count], norm).min(axis=1) > radius]
+            block = block[_nearest(block, centers[:count], norm, radius)[1] > radius]
         first_new = count
         for p in block:
             if count == first_new or (
-                _dists(p[None, :], centers[first_new:count], norm).min() > radius
+                _dists(p, centers[first_new:count], norm).min() > radius
             ):
                 centers[count] = p
                 count += 1
@@ -123,10 +171,8 @@ def assign_cells(p: Partition, X: np.ndarray, y: list) -> np.ndarray:
     ok = np.empty(len(X), dtype=bool)
     for start in range(0, len(X), core.BLOCK_ROWS):
         rows = slice(start, start + core.BLOCK_ROWS)
-        d = _dists(X[rows], p.centers, p.norm)
-        near = d.argmin(axis=1)  # argmin takes the lowest index on ties
-        nearest[rows] = near
-        ok[rows] = d[np.arange(len(near)), near] <= p.radius + 1e-12
+        nearest[rows], dist = _nearest(X[rows], p.centers, p.norm, p.radius + 1e-12)
+        ok[rows] = dist <= p.radius + 1e-12
     lookup = {lab: i for i, lab in enumerate(p.labels)}
     li = np.array([lookup[lab] for lab in y], dtype=int)
     ids = li * p.centers.shape[0] + nearest

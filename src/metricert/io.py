@@ -56,12 +56,15 @@ def dataset_hash(ds: Dataset) -> str:
 
 
 def write_json(obj: dict, path: str) -> None:
+    """Write dumps(obj); a NaN or infinity raises ValueError before the
+    file is opened, so no partial file is left."""
+    text = dumps(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:

@@ -392,6 +392,45 @@ class TestCellSweep:
         assert found
 
 
+class TestLossFromFExtrema:
+    """cell_stats reduces f, not the loss, and maps the cell tables through
+    the hinge; only a block with an undecided sub-block builds its losses."""
+
+    @pytest.mark.parametrize("kind", ["bilinear", "kernelized"])
+    def test_equals_per_pair_reference(self, monkeypatch, kind):
+        monkeypatch.setattr(core, "BLOCK_ROWS", 5)
+        models, part, ds, probe = sweep_cases(np.random.default_rng(31))
+        model = next(m for m in models if m.kind == kind)
+        # the bilinear f takes both signs; the kernel model is scaled so
+        # that its other-label losses max(0, 2 - f) are not all 0
+        model.M = model.M * (0.1 if kind == "kernelized" else 1.0)
+        F = metric_matrix(model, ds.X)
+        labels = ds.label_indices()
+        other = labels[:, None] != labels[None, :]
+        assert len(np.unique(core.pair_hinge(F, labels, labels)[other])) > 1
+        assert kind != "bilinear" or (F < -0.1).any()
+        # cell runs straddle blocks of 5 on both sides
+        for X, y in ((ds.X, ds.y), (probe.X, probe.y)):
+            _, counts = np.unique(assign_cells(part, X, y), return_counts=True)
+            starts = np.cumsum(counts) - counts
+            assert (starts // 5 != (starts + counts - 1) // 5).any()
+        loss_blocks = []
+
+        def spy(F, row_labels, labels):
+            if F.shape[1] == ds.n:
+                loss_blocks.append(len(F))
+            return core.pair_hinge(F, row_labels, labels)
+
+        monkeypatch.setattr(bounds, "pair_hinge", spy)
+        worst = reference_cell_stats(model, part, ds, probe, 0.0)[0]
+        for epsilon, undecided in ((0.3 * worst, True), (math.inf, False)):
+            loss_blocks.clear()
+            est, p_hat = cell_stats(model, part, ds, probe, epsilon)
+            got = (est.value, est.excluded_probes, p_hat)
+            assert got == reference_cell_stats(model, part, ds, probe, epsilon)
+            assert bool(loss_blocks) == undecided
+
+
 def dict_loop_epsilon_triplet(m, part, ds, probe):
     """Oracle: per-cell-triple extrema of every enumerated admissible
     triplet, kept in a dict, then the largest deviation over shared keys."""

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from metricert import core
+from metricert import core, cover
 from metricert.core import Dataset
 from metricert.cover import (
     CoverConfig,
@@ -144,6 +145,77 @@ class TestBlockedCover:
         monkeypatch.setattr(core, "BLOCK_ROWS", 4)
         assert np.array_equal(assign_cells(p, X, y), whole)
         assert (whole < 0).any() and (whole >= 0).any()
+
+
+def nearest_reference(p, X):
+    """Cell ids (one label) by brute force: _dists to every center, the
+    full argmin (lowest index on ties) and the radius + 1e-12 check."""
+    d = cover._dists(X[:, None, :], p.centers[None, :, :], p.norm)
+    near = d.argmin(axis=1)
+    return np.where(d[np.arange(len(X)), near] <= p.radius + 1e-12, near, -1)
+
+
+def screen_cases():
+    """(name, points, radius) for the screened search: integer grids with
+    exact ties at the radius, repeated points, and points shifted by 1e4
+    with radius 5e-4, where the expansion cancels."""
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 10, 50):
+        grid = rng.integers(-2, 3, size=(40, d)).astype(float)
+        for radius in (1.0, 2.0):
+            yield f"grid-d{d}-r{radius}", grid, radius
+        pts = rng.uniform(-1, 1, size=(30, d))
+        yield f"duplicates-d{d}", np.vstack([pts, pts[::3]]), 0.4 * np.sqrt(d)
+        yield f"shifted-d{d}", 1e4 + rng.uniform(-1e-3, 1e-3, size=(40, d)), 5e-4
+
+
+def screen_mismatches(monkeypatch):
+    """The cases where greedy_cover or assign_cells differs from the
+    brute-force references, over both norms and three block sizes."""
+    out = []
+    for block in (1, 5, 7):
+        monkeypatch.setattr(core, "BLOCK_ROWS", block)
+        for name, pts, radius in screen_cases():
+            for norm in ("l1", "l2"):
+                centers = greedy_cover(pts, radius, norm)
+                if not np.array_equal(centers, point_by_point_cover(pts, radius, norm)):
+                    out.append(("cover", name, norm, block))
+                    continue
+                # the cover's centers twice over, so every point ties
+                # between a center and its duplicate
+                p = Partition(gamma=2 * radius, norm=norm, centers=np.vstack([centers, centers]),
+                              labels=("a",))
+                X = np.vstack([pts, pts + radius * 0.6])
+                if not np.array_equal(assign_cells(p, X, ["a"] * len(X)), nearest_reference(p, X)):
+                    out.append(("assign", name, norm, block))
+    return out
+
+
+class TestScreenedSearch:
+    def test_equals_the_brute_force_references(self, monkeypatch):
+        assert screen_mismatches(monkeypatch) == []
+
+    def test_the_cases_need_the_margin(self, monkeypatch):
+        # with no margin the rounding of the expansion drops true nearest
+        # centers from the candidates
+        monkeypatch.setattr(cover, "_SCREEN_SLACK", 0.0)
+        assert screen_mismatches(monkeypatch)
+
+    def test_assign_cells_memory_linear_in_centers(self):
+        # temporaries are O(BLOCK_ROWS * C), not O(BLOCK_ROWS * C * d)
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, size=(2000, 10))
+        p = Partition(gamma=3.0, norm="l2", centers=rng.uniform(-1, 1, size=(350, 10)),
+                      labels=("a",))
+        y = ["a"] * len(X)
+        tracemalloc.start()
+        try:
+            ids = assign_cells(p, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ids >= 0).any() and (ids < 0).any()
+        assert peak < 12 * core.BLOCK_ROWS * 350 * 8
 
 
 class TestCoveringNumberBound:

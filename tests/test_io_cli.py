@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from metricert.bounds import BoundQuery
+from metricert import cli
 from metricert.cli import main
 from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, rbf_fH
 from metricert.cover import CoverConfig
@@ -21,6 +23,7 @@ from metricert.io import (
     model_from_json_dict,
     model_to_json_dict,
     save_model,
+    write_json,
 )
 from metricert.solver import SolverConfig
 
@@ -522,6 +525,58 @@ class TestNonFiniteInputs:
         obj["solver"]["c"] = math.nan
         assert run_curve(tmp_path, json.dumps(obj)) == 1
         assert capsys.readouterr().err.startswith("error: c must ")
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_before_opening(self, tmp_path, value):
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept\n")
+        for path in (new, old):
+            with pytest.raises(ValueError):
+                write_json({"a": 1.0, "b": [value]}, str(path))
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
+    def test_finite_output_keeps_its_bytes(self, tmp_path):
+        obj = {"b": [0.1, 1e300, -0.0, 5e-324], "a": None, "c": {"d": 3}}
+        write_json(obj, str(tmp_path / "r.json"))
+        assert (tmp_path / "r.json").read_text() == (
+            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        )
+
+    def test_audit_with_a_nan_report_exits_1(self, tmp_path, capsys, monkeypatch):
+        data, model, report = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "r.json"
+        assert main(["gen", "--out", str(data), "--n", "20"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model), "--iters", "5"]) == 0
+        nan_report = type("NanReport", (), {"to_json_dict": lambda self: {"x": math.nan}})
+        monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: nan_report())
+        capsys.readouterr()
+        argv = ["audit", "--model", str(model), "--data", str(data), "--out", str(report)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("name", ["K", "n"])
+    def test_bound_query_refuses_by_name(self, name):
+        args = {"epsilon": 0.1, "B": 3.0, "K": 4, "n": 100, "delta": 0.05, name: 10**400}
+        with pytest.raises(ValueError, match=rf"^{name} must be at most"):
+            BoundQuery(**args)
+
+    def test_largest_float_integer_accepted(self):
+        BoundQuery(0.1, 3.0, int(sys.float_info.max), 100, 0.05)
+
+    def test_bound_with_400_digit_K_exits_1(self, capsys):
+        # the concentration root turned K into a float: "int too large to
+        # convert to float", exit 2
+        argv = ["bound", "--epsilon", "0.1", "--B", "3", "--K", "1" + "0" * 400,
+                "--n", "100", "--delta", "0.05"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: K must be at most")
 
 
 class TestUsageErrors:
