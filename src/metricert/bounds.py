@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, MetricModel, metric_blocks, pair_hinge
+from .core import Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs
 from .cover import Partition, assign_cells
 
 
@@ -45,8 +45,12 @@ class BoundQuery:
 
 
 def concentration_root(K: int, n: int, delta: float) -> float:
-    """The concentration term sqrt((2 K ln 2 + 2 ln(1/delta)) / n) of every family."""
-    return math.sqrt((2.0 * K * math.log(2.0) + 2.0 * math.log(1.0 / delta)) / n)
+    """The concentration term sqrt((2 K ln 2 + 2 ln(1/delta)) / n) of every
+    family; a K whose 2 K ln 2 overflows a float is refused."""
+    root = math.sqrt((2.0 * K * math.log(2.0) + 2.0 * math.log(1.0 / delta)) / n)
+    if not math.isfinite(root):
+        raise ValueError(f"K = {K:.6g} is too large: 2 K ln 2 overflows a float")
+    return root
 
 
 def bound_value(q: BoundQuery) -> float:
@@ -112,14 +116,6 @@ def _loss_extrema(lo_f: np.ndarray, hi_f: np.ndarray, row_labels: np.ndarray, la
     )
 
 
-def _cell_runs(ids: np.ndarray):
-    # the stable cell order of the points, and per occupied cell (ascending)
-    # its id, its first position in that order and its number of points
-    order = np.argsort(ids, kind="stable")
-    cells, starts, sizes = np.unique(ids[order], return_index=True, return_counts=True)
-    return order, cells, starts, sizes
-
-
 def _assign(p: Partition, ds: Dataset, probe: Dataset):
     """Training cell ids, then the covered probe points, their ids and the excluded count."""
     ids_tr = assign_cells(p, ds.X, ds.y)
@@ -139,7 +135,7 @@ def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray)
     a cell whose run straddles two blocks is merged into the f tables, and
     `_loss_extrema` maps the finished tables to losses.
     """
-    order, cells, starts, sizes = _cell_runs(ids)
+    order, cells, starts, sizes = sorted_runs(ids)
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
     for start, F in metric_blocks(m, X[order]):
@@ -184,7 +180,7 @@ def cell_stats(
     if not len(ids_pr):
         return EpsilonEstimate(0.0, excluded), ds.n**2
     cells, lo_p, hi_p = _probe_extrema(m, p, X_pr, ids_pr)
-    order, cells_t, starts, sizes = _cell_runs(ids_tr)
+    order, cells_t, starts, sizes = sorted_runs(ids_tr)
     # each training cell's position among the probe cells; a cell the probe
     # does not occupy points at an appended row and column of empty extrema
     pos = np.searchsorted(cells, cells_t)
@@ -255,7 +251,7 @@ def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.n
     min_b F_ij (likewise for the maximum), bit for bit.  F is reduced a row
     block at a time into n x C tables, so memory is O(block * n + n * C).
     """
-    order, cells, starts, _ = _cell_runs(ids)
+    order, cells, starts, _ = sorted_runs(ids)
     fmin = np.empty((len(ids), len(cells)))
     fmax = np.empty_like(fmin)
     for start, F in metric_blocks(m, X[order]):

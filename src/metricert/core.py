@@ -72,6 +72,14 @@ class Dataset:
         return np.array([lookup[lab] for lab in self.y], dtype=int)
 
 
+def sorted_runs(ids: np.ndarray):
+    """The stable sort order of `ids`, and per distinct id (ascending) the id,
+    the first position of its run in that order and the run's length."""
+    order = np.argsort(ids, kind="stable")
+    values, starts, sizes = np.unique(ids[order], return_index=True, return_counts=True)
+    return order, values, starts, sizes
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "rbf"        # "linear" or "rbf"
@@ -259,6 +267,15 @@ def features(m: MetricModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, m.M
 
 
+def metric_rowwise(m: MetricModel, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """f(x1_i, x2_i) of matched rows in the unexpanded form, not all pairs."""
+    (F1, Q), (F2, _) = features(m, X1), features(m, X2)
+    if m.kind == "bilinear":
+        return quad_rows(F1, Q, F2)
+    D = F1 - F2
+    return quad_rows(D, Q, D)
+
+
 def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
     """f(x1, x2) of one pair of points, in the unexpanded form."""
     x1 = np.asarray(x1, dtype=float).ravel()
@@ -267,12 +284,7 @@ def metric_eval(m: MetricModel, x1: np.ndarray, x2: np.ndarray) -> float:
         raise ValueError("input vectors have mismatched dimensions")
     if x1.shape[0] != m.d:
         raise ValueError(f"expected dimension {m.d}, got {x1.shape[0]}")
-    (f1,), Q = features(m, x1)
-    (f2,), _ = features(m, x2)
-    if m.kind == "bilinear":
-        return float(f1 @ Q @ f2)
-    diff = f1 - f2
-    return float(diff @ Q @ diff)
+    return float(metric_rowwise(m, x1, x2)[0])
 
 
 def quad_rows(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:

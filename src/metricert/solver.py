@@ -177,39 +177,31 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     the 0-side subgradient; at M != 0 every same-label pair of two different
     indices counts as active, also one whose difference lies in null(M).
 
-    Only the other-label pairs are evaluated, each once: the points are
-    sorted by label, and core.BLOCK_ROWS rows at a time meet the columns from
-    the first point of a later label on, masked to label_j > label_i; each
-    such pair stands for its two ordered pairs.  The tile buffers are
-    allocated here, once per solve, so the evaluator holds O(BLOCK_ROWS * n)
-    memory, not n x n.  The sum of the hinges runs in another order than a
-    full n x n evaluation, so it agrees with one to rounding.
+    Only the other-label pairs are evaluated, each once, in the label-run
+    tiles of _pair_tiles: every pair of a tile has label_j > label_i and
+    stands for its two ordered pairs.  The tile buffers are allocated here,
+    once per solve, so the evaluator holds O(BLOCK_ROWS * n) memory, not
+    n x n.  The sum of the hinges runs in another order than a full n x n
+    evaluation, so it agrees with one to rounding.
     """
     if kind == "bilinear":
         return _bilinear_eval(X, labels)
     n, d = X.shape
-    order = np.argsort(labels, kind="stable")
-    X, labels = X[order], labels[order]
-    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-    counts = np.diff(np.r_[starts, n])
+    order, _, starts, counts = core.sorted_runs(labels)
+    X = X[order]
     Xc = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
     S = 2.0 * Xc.T @ (np.repeat(counts, counts)[:, None] * Xc)
     same_pairs = int((counts * (counts - 1)).sum())
-    # each row meets the columns from the first point of a later label on;
-    # rows of the last label have none
-    later = np.repeat(np.r_[starts[1:], n], counts)
-    block = core.BLOCK_ROWS
-    tiles = [(s, min(s + block, starts[-1])) for s in range(0, starts[-1], block)]
-    size = max([(e - s) * (n - later[s]) for s, e in tiles], default=0)
-    H, W, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    tiles = _pair_tiles(starts)
+    size = max([(e - s) * (n - c0) for s, e, c0 in tiles], default=0)
+    H, W = np.empty(size), np.empty(size)
 
     def eval_fn(M):
         XM2 = X @ (2.0 * M)
         q = quad_rows(X, M, X)
         deg, P = np.zeros(n), np.zeros((d, d))
         hinge, count = 0.0, 0
-        for s, e in tiles:
-            c0 = later[s]
+        for s, e, c0 in tiles:
             Xr, Xcol = X[s:e], X[c0:]
             h = H[: (e - s) * (n - c0)].reshape(e - s, n - c0)
             w = W[: h.size].reshape(h.shape)
@@ -217,12 +209,6 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
             np.matmul(XM2[s:e], Xcol.T, out=h)
             h -= q[c0:]
             h += 2.0 - q[s:e, None]
-            if labels[s] != labels[e - 1]:
-                # rows of a later label than row s: zero their pairs with
-                # columns of their own label or an earlier one (inactive)
-                mk = mask[: h.size].reshape(h.shape)
-                np.greater(labels[c0:], labels[s:e, None], out=mk)
-                h *= mk
             np.greater(h, 0.0, out=w)
             hinge += float(h.ravel() @ w.ravel())
             r = w.sum(axis=1)
@@ -239,6 +225,17 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
         return loss / (n * n), grad / (n * n), active / (n * n)
 
     return eval_fn
+
+
+def _pair_tiles(starts: np.ndarray) -> list:
+    """The tiles (s, e, c0) of label-sorted points whose label runs begin at
+    `starts` (core.sorted_runs): rows s..e-1 of one label, core.BLOCK_ROWS at
+    most, against the columns from c0, the next label's first point, on."""
+    return [
+        (s, min(s + core.BLOCK_ROWS, c0), c0)
+        for a, c0 in zip(starts[:-1].tolist(), starts[1:].tolist())
+        for s in range(a, c0, core.BLOCK_ROWS)
+    ]
 
 
 def _triplet_eval(X: np.ndarray, labels: np.ndarray):
@@ -274,13 +271,14 @@ def loss_subgradient(m: MetricModel, ds: Dataset) -> np.ndarray:
     return _pair_eval(ds.X, ds.label_indices(), m.kind)(m.M)[1]
 
 
-def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[np.ndarray, dict]:
+def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float) -> tuple:
     """Shared proximal subgradient loop; starts at M = 0.
 
     eval_fn(M) returns (loss, subgradient, active fraction) at M, so each
     iterate is evaluated once: its loss scores it and its subgradient takes
     the next step.  info["active_fraction"][t] belongs to the iterate
-    scored by info["best_history"][t] (t = 0 is M = 0).
+    scored by info["best_history"][t] (t = 0 is M = 0), and
+    info["capacity_ratio"] is c * ||M*||_reg / g0 for the loss g0 of M = 0.
     """
     M = np.zeros((d, d))
     best = np.zeros((d, d))
@@ -320,6 +318,7 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool) -> tuple[n
         "best_history": history,
         "iterations": len(history) - 1,
         "active_fraction": fractions,
+        "capacity_ratio": cfg.c * reg_norm(best, reg) / g0,
     }
     return best, info
 
@@ -336,8 +335,7 @@ def solve(ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis") -
     if kind not in ("mahalanobis", "bilinear"):
         raise ValueError(f"solve handles mahalanobis/bilinear, got {kind!r}")
     eval_fn = _pair_eval(ds.X, ds.label_indices(), kind)
-    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"))
-    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / PAIR_G0
+    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"), g0=PAIR_G0)
     return MetricModel(kind=kind, M=best, regularizer=reg, info=info)
 
 
@@ -348,8 +346,7 @@ def solve_triplet(ds: Dataset, reg: str, cfg: SolverConfig) -> MetricModel:
     if reg not in ("fro", "l21"):
         raise ValueError("triplet solver supports regularizers 'fro' and 'l21'")
     eval_fn = _triplet_eval(ds.X, ds.label_indices())
-    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=True)
-    info["capacity_ratio"] = cfg.c * reg_norm(best, reg) / TRIPLET_G0
+    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=True, g0=TRIPLET_G0)
     return MetricModel(kind="mahalanobis", M=best, regularizer=reg, info=info)
 
 
@@ -374,14 +371,14 @@ def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     keep = w > KPCA_RANK_TOL * w.max()
     w, U = w[keep], U[:, keep]
     Psi = U * np.sqrt(w)
-    H, info = _iterate(len(w), _pair_eval(Psi, ds.label_indices(), "mahalanobis"), "fro", cfg, psd=True)
+    eval_fn = _pair_eval(Psi, ds.label_indices(), "mahalanobis")
+    H, info = _iterate(len(w), eval_fn, "fro", cfg, psd=True, g0=PAIR_G0)
     B = U / np.sqrt(w)
     M = B @ H @ B.T
     M = (M + M.T) / 2.0
     info["rank"] = len(w)
     info["rank_tol"] = KPCA_RANK_TOL
     info["feature_norm"] = reg_norm(H, "fro")
-    info["capacity_ratio"] = cfg.c * info["feature_norm"] / PAIR_G0
     return MetricModel(
         kind="kernelized", M=M, kernel=ks, anchors=ds, regularizer="fro", info=info
     )

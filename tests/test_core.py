@@ -19,6 +19,7 @@ from metricert.core import (
     kernel_gram,
     metric_eval,
     metric_matrix,
+    metric_rowwise,
     pair_loss_blocks,
     triplet_hinge,
 )
@@ -316,6 +317,16 @@ def models_of_every_kind(rng, d):
             "kernelized", M=H @ H.T, kernel=KernelSpec("linear"), anchors=anchors
         ),
     }
+
+
+class TestMetricRowwise:
+    def test_is_the_diagonal_of_metric_matrix(self):
+        rng = np.random.default_rng(8)
+        X1, X2 = rng.uniform(-0.5, 0.5, size=(2, 25, 3))
+        for kind, m in models_of_every_kind(rng, 3).items():
+            expected = np.diag(metric_matrix(m, X1, X2))
+            got = metric_rowwise(m, X1, X2)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), kind
 
 
 class TestBlockedEmpiricalLoss:

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from metricert import core, harness
+from metricert.bounds import concentration_root
 from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
@@ -16,7 +17,6 @@ from metricert.harness import (
     true_loss_estimate,
 )
 from metricert.solver import SolverConfig, model_norm, solve_kernel
-from test_core import models_of_every_kind
 
 class TestGenSynthetic:
     def test_zero_scale_points_equal_means(self):
@@ -311,16 +311,6 @@ class TestCertify:
         assert certify(*args, c=0.5, delta=0.05, gap=1e9).holds is False
 
 
-class TestMetricRowwise:
-    def test_is_the_diagonal_of_metric_matrix(self):
-        rng = np.random.default_rng(8)
-        X1, X2 = rng.uniform(-0.5, 0.5, size=(2, 25, 3))
-        for kind, m in models_of_every_kind(rng, 3).items():
-            expected = np.diag(metric_matrix(m, X1, X2))
-            got = harness._metric_rowwise(m, X1, X2)
-            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), kind
-
-
 class TestGapCurve:
     def test_sqrt_term_slope_exactly_half(self):
         cfg = ExperimentConfig(
@@ -353,6 +343,28 @@ class TestGapCurve:
         cfg = ExperimentConfig()
         with pytest.raises(ValueError):
             gap_curve(cfg, [100, 50])
+
+    @pytest.mark.parametrize("family, coef", [("fro", 2.0), ("triplet-fro", 3.0)])
+    def test_reports_the_certified_bound_of_the_family(self, family, coef):
+        # a triplet family is certified by bound_triplet = eps + 3 B root;
+        # the curve printed bound_pair and 2 B root for every family
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n=20, seed=6),
+            solver=SolverConfig(c=0.5, max_iters=20),
+            cover=CoverConfig(gamma=0.5),
+            family=family,
+            repetitions=2,
+            mc_size=200,
+            probe_size=10,
+        )
+        (row,) = gap_curve(cfg, [20])
+        reports, _ = run_experiment(cfg)
+        certified = [r.bound_triplet if family == "triplet-fro" else r.bound_pair for r in reports]
+        assert row["bound"] == float(np.mean(certified))
+        r0 = reports[0]
+        root = concentration_root(r0.K_theoretical, 20, cfg.delta)
+        assert row["sqrt_term"] == coef * r0.B * root
+        assert r0.epsilon_theoretical + row["sqrt_term"] == certified[0]
 
 
 class TestKnnEval:

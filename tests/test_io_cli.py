@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from metricert.bounds import BoundQuery
+from metricert.bounds import BoundQuery, bound_value
 from metricert import cli
 from metricert.cli import main
 from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, rbf_fH
@@ -577,6 +577,21 @@ class TestOversizedIntegers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: K must be at most")
+
+    def test_overflowing_concentration_term_refused_by_name(self):
+        # 2.0 * K overflows to inf above half the largest float: the bound was inf
+        assert math.isfinite(bound_value(BoundQuery(0.1, 3.0, 10**307, 100, 0.05)))
+        with pytest.raises(ValueError, match=r"^K = 1\.7e\+308 is too large"):
+            bound_value(BoundQuery(0.1, 3.0, int(1.7e308), 100, 0.05))
+
+    def test_bound_with_overflowing_K_exits_1(self, capsys):
+        # printed inf and exited 0
+        argv = ["bound", "--epsilon", "0.1", "--B", "3", "--K", str(int(1.7e308)),
+                "--n", "100", "--delta", "0.05"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: K = 1.7e+308 is too large")
 
 
 class TestUsageErrors:

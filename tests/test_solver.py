@@ -542,6 +542,26 @@ class TestDistanceEvalMatchesReference:
             assert (active > active_fn(M)) == bool(M.any())
 
 
+class TestPairTiles:
+    """_pair_eval's tiles hold the rows of one label run against the
+    columns of the later labels, so they cover each pair with
+    label_i < label_j once and no other pair: none needs a mask."""
+
+    @pytest.mark.parametrize("rows", [1, 8, 256])
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 10, 40])
+    def test_cover_each_other_label_pair_once(self, monkeypatch, rows, n_labels):
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        labels = np.arange(40) % n_labels
+        order, _, starts, _ = core.sorted_runs(labels)
+        sorted_labels = labels[order]
+        covered = np.zeros((40, 40), dtype=int)
+        for s, e, c0 in solver._pair_tiles(starts):
+            assert 0 < e - s <= rows
+            covered[s:e, c0:] += 1
+        expected = sorted_labels[:, None] < sorted_labels[None, :]
+        assert np.array_equal(covered, expected.astype(int))
+
+
 class TestTripletEvalInBlocks:
     """The triplet evaluator visits the anchors core.BLOCK_ROWS rows at a
     time, so it agrees with the n x n reference to rounding and holds no
