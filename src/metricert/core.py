@@ -80,6 +80,18 @@ def sorted_runs(ids: np.ndarray):
     return order, values, starts, sizes
 
 
+def run_tiles(starts: np.ndarray, n: int) -> list:
+    """The row tiles (s, e, a0, a1) of n points sorted into runs that begin
+    at `starts` (sorted_runs): rows s..e-1, BLOCK_ROWS at most, of the one
+    run [a0, a1) that holds them.  Every row falls in exactly one tile."""
+    ends = starts[1:].tolist() + [n]
+    return [
+        (s, min(s + BLOCK_ROWS, a1), a0, a1)
+        for a0, a1 in zip(starts.tolist(), ends)
+        for s in range(a0, a1, BLOCK_ROWS)
+    ]
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "rbf"        # "linear" or "rbf"
@@ -355,55 +367,53 @@ def empirical_loss(m: MetricModel, ds: Dataset) -> float:
     return total / ds.n**2
 
 
-def triplet_hinge(F: np.ndarray, row_labels: np.ndarray, labels: np.ndarray) -> tuple:
-    """Triplet hinge of a block of anchors (the rows of F, f against all n
-    points) over every admissible (i, j, k), without enumerating them.
+def triplet_hinge(F: np.ndarray, a0: int, a1: int) -> tuple:
+    """Triplet hinge of a block of anchors of one label over every admissible
+    (i, j, k), without enumerating them.
 
-    `row_labels` and `labels` hold label indices.  For an anchor i, let
+    The rows of F hold the anchors' f against all n points sorted by label
+    (sorted_runs), and [a0, a1) is the anchors' own label run, so the
+    same-label columns are one slice.  For an anchor i, let
     A_k = fl(1 - F_ik) over the other-label k and B_j = F_ij over the
     same-label j (j = i included).  Triplet (i, j, k) is active when
     A_k + B_j rounds above 0, which holds exactly when A_k > -B_j.  One
     stable sort of the row [A, -B] (ties keep A first, so equality counts
     as inactive) gives the integer counts Wp[i, j] = #active k and
     Wn[i, k] = #active j; they equal the enumeration exactly.  Returns
-    (total, Wp, Wn, nt): hinge sum sum Wn * (1 - F) + sum Wp * F over the
-    block's nt admissible triplets.  Memory is O(len(F) * n).
+    (total, W, nt): the hinge sum sum Wn * (1 - F) + sum Wp * F over the
+    block's nt admissible triplets, and W = Wp - Wn in the columns of F
+    (Wp on [a0, a1), -Wn elsewhere).  Memory is O(len(F) * n).
     """
-    Wp = np.zeros(F.shape)
-    Wn = np.zeros(F.shape)
-    total, nt = 0.0, 0
-    for a in np.unique(row_labels):
-        rows = np.flatnonzero(row_labels == a)
-        same = np.flatnonzero(labels == a)
-        other = np.flatnonzero(labels != a)
-        if len(other) == 0:
-            continue
-        A = 1.0 - F[np.ix_(rows, other)]
-        B = F[np.ix_(rows, same)]
-        order = np.argsort(np.concatenate([A, -B], axis=1), axis=1, kind="stable")
-        is_b = order >= len(other)
-        # at a sorted A entry, the -F_ij values before it (active j); at a
-        # -F_ij value, the A entries after it (active k)
-        b_upto = np.cumsum(is_b, axis=1)
-        a_upto = np.arange(1, order.shape[1] + 1) - b_upto
-        sorted_counts = np.where(is_b, len(other) - a_upto, b_upto)
-        counts = np.empty_like(sorted_counts)
-        np.put_along_axis(counts, order, sorted_counts, axis=1)
-        cn, cp = counts[:, : len(other)], counts[:, len(other) :]
-        Wn[np.ix_(rows, other)] = cn
-        Wp[np.ix_(rows, same)] = cp
-        total += float((cn * A).sum() + (cp * B).sum())
-        nt += len(rows) * len(same) * len(other)
-    if nt == 0:
+    rows, n = F.shape
+    other = n - (a1 - a0)
+    if other == 0:
         raise ValueError("empty triplet set (fewer than two labels?)")
-    return total, Wp, Wn, nt
+    V = np.empty(F.shape)
+    np.subtract(1.0, F[:, :a0], out=V[:, :a0])
+    np.subtract(1.0, F[:, a1:], out=V[:, a0:other])
+    np.negative(F[:, a0:a1], out=V[:, other:])
+    order = np.argsort(V, axis=1, kind="stable")
+    is_b = order >= other
+    # at a sorted A entry, the -B values before it (active j, entered as
+    # -Wn); at a -B value, the A entries after it (active k, Wp)
+    b_upto = np.cumsum(is_b, axis=1)
+    sorted_counts = np.where(is_b, b_upto - np.arange(1 - other, n + 1 - other), -b_upto)
+    C = np.empty(F.shape)
+    C[np.arange(rows)[:, None], order] = sorted_counts
+    # C * V is -Wn * A on the A columns and Wp * -B on the B columns
+    total = -float(C.ravel() @ V.ravel())
+    W = np.concatenate([C[:, :a0], C[:, other:], C[:, a0:other]], axis=1)
+    return total, W, rows * (a1 - a0) * other
 
 
 def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean triplet hinge loss over all admissible triplets, in row blocks."""
-    labels = ds.label_indices()
+    """Mean triplet hinge loss over all admissible triplets, on the
+    label-run tiles of run_tiles."""
+    order, _, starts, _ = sorted_runs(ds.label_indices())
+    X = ds.X[order]
+    columns = _metric_columns(m, X)
     total, nt = 0.0, 0
-    for start, F in metric_blocks(m, ds.X):
-        block = triplet_hinge(F, labels[start : start + len(F)], labels)
-        total, nt = total + block[0], nt + block[3]
+    for s, e, a0, a1 in run_tiles(starts, ds.n):
+        block_total, _, block_nt = triplet_hinge(_metric_rows(m, X[s:e], columns), a0, a1)
+        total, nt = total + block_total, nt + block_nt
     return total / nt

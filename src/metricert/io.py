@@ -73,7 +73,7 @@ def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:
         "d": m.d,
         "regularizer": m.regularizer,
         "c": c,
-        "matrix": [float(v) for v in m.M.ravel()],
+        "matrix": m.M.ravel().tolist(),
         "size": m.M.shape[0],
     }
     if m.kind == "kernelized":

@@ -133,31 +133,41 @@ def _laplacian(X: np.ndarray, deg: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
     """eval_fn(M) for the bilinear similarity f = x_i^T M x_j: the mean hinge
-    over all n^2 ordered pairs, with Y_ij = +1 (same label) / -1.
+    over all n^2 ordered pairs, max(0, f) for a same-label pair and
+    max(0, 2 - f) for the others.
 
-    Every n x n intermediate goes into buffers allocated here, once per
-    solve.  The returned subgradient is one of those buffers: it is valid
-    until the next call.
+    Off the PSD cone f can be negative, so every pair is evaluated.  Each
+    tile of core.run_tiles holds the rows s..e-1 of one label run [a0, a1)
+    against all n label-sorted columns, with h = f on the same-label
+    columns [a0, a1) and h = 2 - f on the others; a pair is active where
+    h > 0, the kink itself taking the 0-side subgradient.  The subgradient
+    sum_ij y_ij [h_ij > 0] x_i x_j^T gets X_s^T (2 w_same X_same - w X) from
+    a tile with active mask w.  The tile buffers are allocated here, once
+    per solve, so the evaluator holds O(BLOCK_ROWS * n) memory, not n x n;
+    its sums run in another order than a full n x n evaluation, so it
+    agrees with one to rounding.
     """
     n, d = X.shape
-    Y = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
-    XM, XtW, grad = np.empty((n, d)), np.empty((d, n)), np.empty((d, d))
-    F, T = np.empty((n, n)), np.empty((n, n))
-    active = np.empty((n, n), dtype=bool)
+    order, _, starts, _ = core.sorted_runs(labels)
+    X = X[order]
+    tiles = core.run_tiles(starts, n)
+    rows = max(e - s for s, e, _, _ in tiles)
+    XM, H, W = np.empty((n, d)), np.empty((rows, n)), np.empty((rows, n))
 
     def eval_fn(M):
-        np.matmul(np.matmul(X, M, out=XM), X.T, out=F)
-        # hinge argument y(1 - f); active pairs sit strictly below the
-        # margin, the kink itself contributes the 0-side subgradient
-        np.subtract(1.0, F, out=T)
-        np.multiply(Y, T, out=T)
-        np.less(T, 1.0, out=active)
-        np.subtract(1.0, T, out=F)
-        loss = float(np.maximum(0.0, F, out=F).mean())
-        W = np.multiply(Y, active, out=F)
-        np.divide(W, n * n, out=W)
-        np.matmul(np.matmul(X.T, W, out=XtW), X, out=grad)
-        return loss, grad, np.count_nonzero(active) / (n * n)
+        np.matmul(X, M, out=XM)
+        grad = np.zeros((d, d))
+        hinge, count = 0.0, 0.0
+        for s, e, a0, a1 in tiles:
+            h, w = H[: e - s], W[: e - s]
+            np.matmul(XM[s:e], X.T, out=h)
+            np.subtract(2.0, h[:, :a0], out=h[:, :a0])
+            np.subtract(2.0, h[:, a1:], out=h[:, a1:])
+            np.greater(h, 0.0, out=w)
+            hinge += float(h.ravel() @ w.ravel())
+            count += w.sum()
+            grad += X[s:e].T @ (2.0 * (w[:, a0:a1] @ X[a0:a1]) - w @ X)
+        return hinge / (n * n), grad / (n * n), float(count) / (n * n)
 
     return eval_fn
 
@@ -178,11 +188,13 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     indices counts as active, also one whose difference lies in null(M).
 
     Only the other-label pairs are evaluated, each once, in the label-run
-    tiles of _pair_tiles: every pair of a tile has label_j > label_i and
-    stands for its two ordered pairs.  The tile buffers are allocated here,
-    once per solve, so the evaluator holds O(BLOCK_ROWS * n) memory, not
-    n x n.  The sum of the hinges runs in another order than a full n x n
-    evaluation, so it agrees with one to rounding.
+    tiles of core.run_tiles: rows of one label run against the columns from
+    the next label's first point on, so every pair of a tile has
+    label_j > label_i and stands for its two ordered pairs.  The tile
+    buffers are allocated here, once per solve, so the evaluator holds
+    O(BLOCK_ROWS * n) memory, not n x n.  The sum of the hinges runs in
+    another order than a full n x n evaluation, so it agrees with one to
+    rounding.
     """
     if kind == "bilinear":
         return _bilinear_eval(X, labels)
@@ -192,7 +204,8 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     Xc = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
     S = 2.0 * Xc.T @ (np.repeat(counts, counts)[:, None] * Xc)
     same_pairs = int((counts * (counts - 1)).sum())
-    tiles = _pair_tiles(starts)
+    # the tiles of every run but the last, against the later labels' columns
+    tiles = [(s, e, a1) for s, e, _, a1 in core.run_tiles(starts, n) if a1 < n]
     size = max([(e - s) * (n - c0) for s, e, c0 in tiles], default=0)
     H, W = np.empty(size), np.empty(size)
 
@@ -227,34 +240,24 @@ def _pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     return eval_fn
 
 
-def _pair_tiles(starts: np.ndarray) -> list:
-    """The tiles (s, e, c0) of label-sorted points whose label runs begin at
-    `starts` (core.sorted_runs): rows s..e-1 of one label, core.BLOCK_ROWS at
-    most, against the columns from c0, the next label's first point, on."""
-    return [
-        (s, min(s + core.BLOCK_ROWS, c0), c0)
-        for a, c0 in zip(starts[:-1].tolist(), starts[1:].tolist())
-        for s in range(a, c0, core.BLOCK_ROWS)
-    ]
-
-
 def _triplet_eval(X: np.ndarray, labels: np.ndarray):
     """eval_fn(M) -> (loss, subgradient, active fraction) for the mean
     triplet hinge over every admissible triplet, from the exact sorted
-    active-set counts of core.triplet_hinge, core.BLOCK_ROWS anchors at a
-    time; memory is O(BLOCK_ROWS * n)."""
+    active-set counts of core.triplet_hinge.  The points are sorted into
+    label runs once, and each tile of core.run_tiles passes the rows of one
+    run against all n points; memory is O(BLOCK_ROWS * n)."""
     n, d = X.shape
+    order, _, starts, _ = core.sorted_runs(labels)
+    X = X[order]
+    tiles = core.run_tiles(starts, n)
 
     def eval_fn(M):
         q = quad_rows(X, M, X)
         deg, P = np.zeros(n), np.zeros((d, d))
         total, active, nt = 0.0, 0.0, 0
-        for s in range(0, n, core.BLOCK_ROWS):
-            e = min(s + core.BLOCK_ROWS, n)
-            F = sq_dists(X[s:e], M, X, q)
-            block_total, Wp, Wn, block_nt = triplet_hinge(F, labels[s:e], labels)
-            total, active, nt = total + block_total, active + Wp.sum(), nt + block_nt
-            W = np.subtract(Wp, Wn, out=Wp)
+        for s, e, a0, a1 in tiles:
+            block_total, W, block_nt = triplet_hinge(sq_dists(X[s:e], M, X, q), a0, a1)
+            total, active, nt = total + block_total, active + W[:, a0:a1].sum(), nt + block_nt
             deg[s:e] += W.sum(axis=1)
             deg += W.sum(axis=0)
             P += X[s:e].T @ (W @ X)

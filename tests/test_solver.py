@@ -542,24 +542,96 @@ class TestDistanceEvalMatchesReference:
             assert (active > active_fn(M)) == bool(M.any())
 
 
+class TestBilinearEvalInTiles:
+    """The bilinear evaluator visits every ordered pair once, in tiles of
+    one label run against all columns, so it agrees with the n x n
+    reference to rounding and holds no n x n array."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_matches_full_reference(self, monkeypatch, rows):
+        # 30 points with three interleaved labels: tiles of 7 rows leave a
+        # short last tile in every run
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(62)
+        n, d = 30, 3
+        X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
+        ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
+        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "bilinear")
+        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "bilinear")
+        # M = 0, a symmetric M and a non-symmetric one (a bilinear l21
+        # iterate is not symmetric), each small and large enough to put
+        # pairs on both sides of the margin
+        A = rng.standard_normal((d, d))
+        for M in (np.zeros((d, d)), A + A.T, 3.0 * (A + A.T), A, 3.0 * A):
+            loss, grad, active = eval_fn(M)
+            ref_grad = grad_fn(M)
+            assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            assert active == active_fn(M)
+
+    def test_memory_below_one_n_by_n_array(self, monkeypatch):
+        # one n x n float64 array is 11.5 MB at n = 1200; the n x n path
+        # held three of them
+        monkeypatch.setattr(core, "BLOCK_ROWS", 64)
+        n = 1200
+        ds = random_ds(np.random.default_rng(63), n=n)
+        tracemalloc.start()
+        try:
+            solve(ds, "fro", SolverConfig(c=0.1, max_iters=1), kind="bilinear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
 class TestPairTiles:
-    """_pair_eval's tiles hold the rows of one label run against the
-    columns of the later labels, so they cover each pair with
-    label_i < label_j once and no other pair: none needs a mask."""
+    """core.run_tiles holds rows of one label run, so the tiles _pair_eval
+    keeps (the runs but the last, against the later labels' columns) cover
+    each pair with label_i < label_j once and no other pair: none needs a
+    mask.  The bilinear evaluator takes the same tiles against all columns,
+    and the triplet evaluator reads the anchors' run from them."""
+
+    @staticmethod
+    def tiles(monkeypatch, rows, n_labels):
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        labels = np.arange(40) % n_labels
+        order, _, starts, _ = core.sorted_runs(labels)
+        tiles = core.run_tiles(starts, 40)
+        for s, e, a0, a1 in tiles:
+            assert a0 <= s < e <= a1 and e - s <= rows
+        return labels[order], tiles
 
     @pytest.mark.parametrize("rows", [1, 8, 256])
     @pytest.mark.parametrize("n_labels", [1, 2, 3, 10, 40])
     def test_cover_each_other_label_pair_once(self, monkeypatch, rows, n_labels):
-        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
-        labels = np.arange(40) % n_labels
-        order, _, starts, _ = core.sorted_runs(labels)
-        sorted_labels = labels[order]
+        sorted_labels, tiles = self.tiles(monkeypatch, rows, n_labels)
         covered = np.zeros((40, 40), dtype=int)
-        for s, e, c0 in solver._pair_tiles(starts):
-            assert 0 < e - s <= rows
-            covered[s:e, c0:] += 1
+        for s, e, _, c0 in tiles:
+            if c0 < 40:
+                covered[s:e, c0:] += 1
         expected = sorted_labels[:, None] < sorted_labels[None, :]
         assert np.array_equal(covered, expected.astype(int))
+
+    @pytest.mark.parametrize("rows", [1, 8, 256])
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 10, 40])
+    def test_bilinear_tiles_cover_every_ordered_pair_once(self, monkeypatch, rows, n_labels):
+        _, tiles = self.tiles(monkeypatch, rows, n_labels)
+        covered = np.zeros((40, 40), dtype=int)
+        for s, e, _, _ in tiles:
+            covered[s:e, :] += 1
+        assert np.array_equal(covered, np.ones((40, 40), dtype=int))
+
+    @pytest.mark.parametrize("rows", [1, 8, 256])
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 10, 40])
+    def test_each_anchor_in_one_tile_of_its_own_run(self, monkeypatch, rows, n_labels):
+        sorted_labels, tiles = self.tiles(monkeypatch, rows, n_labels)
+        covered = np.zeros(40, dtype=int)
+        for s, e, a0, a1 in tiles:
+            covered[s:e] += 1
+            # [a0, a1) is the whole run of the anchors' label
+            run = np.flatnonzero(sorted_labels == sorted_labels[s])
+            assert (a0, a1) == (run[0], run[-1] + 1)
+        assert np.array_equal(covered, np.ones(40, dtype=int))
 
 
 class TestTripletEvalInBlocks:
