@@ -210,12 +210,13 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         return _COMMANDS[args.command](args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (ArithmeticError, np.linalg.LinAlgError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError, OverflowError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

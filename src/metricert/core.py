@@ -3,7 +3,9 @@
 The learned metric is either a d x d matrix (Mahalanobis distance or bilinear
 similarity) or an n x n coefficient matrix over kernel coordinates.  The loss
 is the hinge g(t) = max(0, 1 - t) applied to y_ij * (1 - f(M, x_i, x_j)),
-which gives Lipschitz constant U = 1 and zero-matrix loss g0 = 2.
+which gives Lipschitz constant U = 1 and zero-matrix loss g0 = 2.  The mean
+pair and triplet losses of a sample have one implementation each, pair_eval
+and triplet_eval, which the solvers and the empirical losses share.
 """
 
 from __future__ import annotations
@@ -353,20 +355,6 @@ def pair_hinge(F: np.ndarray, row_labels: np.ndarray, labels: np.ndarray) -> np.
     return hinge(Y * (1.0 - F))
 
 
-def pair_loss_blocks(m: MetricModel, X: np.ndarray, labels: np.ndarray):
-    """Pair losses of the points X against themselves in row blocks: yields
-    (start, losses of X[start:start + BLOCK_ROWS] against all of X);
-    `labels` holds one label index per point."""
-    for start, F in metric_blocks(m, X):
-        yield start, pair_hinge(F, labels[start : start + len(F)], labels)
-
-
-def empirical_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean pair loss over all n^2 ordered pairs, summed in row blocks."""
-    total = sum(float(L.sum()) for _, L in pair_loss_blocks(m, ds.X, ds.label_indices()))
-    return total / ds.n**2
-
-
 def triplet_hinge(F: np.ndarray, a0: int, a1: int) -> tuple:
     """Triplet hinge of a block of anchors of one label over every admissible
     (i, j, k), without enumerating them.
@@ -406,14 +394,158 @@ def triplet_hinge(F: np.ndarray, a0: int, a1: int) -> tuple:
     return total, W, rows * (a1 - a0) * other
 
 
+def _laplacian(X: np.ndarray, deg: np.ndarray, P: np.ndarray) -> np.ndarray:
+    # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T = X^T (diag(deg) - W - W^T) X for
+    # pair weights W, from the degrees deg = row plus column sums of W and
+    # P = X^T W X, so W itself is never held whole
+    return X.T @ (deg[:, None] * X) - P - P.T
+
+
+def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
+    """eval_fn(M) for the bilinear similarity f = x_i^T M x_j: the mean hinge
+    over all n^2 ordered pairs, max(0, f) for a same-label pair and
+    max(0, 2 - f) for the others.
+
+    Off the PSD cone f can be negative, so every pair is evaluated.  Each
+    tile of run_tiles holds the rows s..e-1 of one label run [a0, a1)
+    against all n label-sorted columns, with h = f on the same-label
+    columns [a0, a1) and h = 2 - f on the others; a pair is active where
+    h > 0, the kink itself taking the 0-side subgradient.  The subgradient
+    sum_ij y_ij [h_ij > 0] x_i x_j^T gets X_s^T (2 w_same X_same - w X) from
+    a tile with active mask w.  The tile buffers are allocated here, once
+    per evaluator, so the evaluator holds O(BLOCK_ROWS * n) memory, not n x n;
+    its sums run in another order than a full n x n evaluation, so it
+    agrees with one to rounding.
+    """
+    n, d = X.shape
+    order, _, starts, _ = sorted_runs(labels)
+    X = X[order]
+    tiles = run_tiles(starts, n)
+    rows = max(e - s for s, e, _, _ in tiles)
+    XM, H, W = np.empty((n, d)), np.empty((rows, n)), np.empty((rows, n))
+
+    def eval_fn(M):
+        np.matmul(X, M, out=XM)
+        grad = np.zeros((d, d))
+        hinge, count = 0.0, 0.0
+        for s, e, a0, a1 in tiles:
+            h, w = H[: e - s], W[: e - s]
+            np.matmul(XM[s:e], X.T, out=h)
+            np.subtract(2.0, h[:, :a0], out=h[:, :a0])
+            np.subtract(2.0, h[:, a1:], out=h[:, a1:])
+            np.greater(h, 0.0, out=w)
+            hinge += float(h.ravel() @ w.ravel())
+            count += w.sum()
+            grad += X[s:e].T @ (2.0 * (w[:, a0:a1] @ X[a0:a1]) - w @ X)
+        return hinge / (n * n), grad / (n * n), float(count) / (n * n)
+
+    return eval_fn
+
+
+def pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
+    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean hinge
+    over all n^2 ordered pairs, for f = (x_i - x_j)^T M (x_i - x_j) with M
+    on the PSD cone (or f = x_i^T M x_j for kind "bilinear").
+
+    On the PSD cone f >= 0, so a same-label pair's hinge max(0, f) is f
+    itself, and the same-label sum is linear in M:
+    sum_same f_ij = <M, S>, S = 2 sum_a (n_a X_a^T X_a - s_a s_a^T) with s_a
+    the sum of the n_a rows X_a of label a.  S is built once, as
+    2 sum_a n_a Xc_a^T Xc_a over the class-centred rows Xc_a, which does not
+    cancel.  An iterate's same-label loss is <M, S> and its subgradient S.
+    At M = 0 both are 0 and no same-label pair is active, as the kink takes
+    the 0-side subgradient; at M != 0 every same-label pair of two different
+    indices counts as active, also one whose difference lies in null(M).
+
+    Only the other-label pairs are evaluated, each once, in the label-run
+    tiles of run_tiles: rows of one label run against the columns from
+    the next label's first point on, so every pair of a tile has
+    label_j > label_i and stands for its two ordered pairs.  The tile
+    buffers are allocated here, once per evaluator, so the evaluator holds
+    O(BLOCK_ROWS * n) memory, not n x n.  The sum of the hinges runs in
+    another order than a full n x n evaluation, so it agrees with one to
+    rounding.
+    """
+    if kind == "bilinear":
+        return _bilinear_eval(X, labels)
+    n, d = X.shape
+    order, _, starts, counts = sorted_runs(labels)
+    X = X[order]
+    Xc = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
+    S = 2.0 * Xc.T @ (np.repeat(counts, counts)[:, None] * Xc)
+    same_pairs = int((counts * (counts - 1)).sum())
+    # the tiles of every run but the last, against the later labels' columns
+    tiles = [(s, e, a1) for s, e, _, a1 in run_tiles(starts, n) if a1 < n]
+    size = max([(e - s) * (n - c0) for s, e, c0 in tiles], default=0)
+    H, W = np.empty(size), np.empty(size)
+
+    def eval_fn(M):
+        XM2 = X @ (2.0 * M)
+        q = quad_rows(X, M, X)
+        deg, P = np.zeros(n), np.zeros((d, d))
+        hinge, count = 0.0, 0
+        for s, e, c0 in tiles:
+            Xr, Xcol = X[s:e], X[c0:]
+            h = H[: (e - s) * (n - c0)].reshape(e - s, n - c0)
+            w = W[: h.size].reshape(h.shape)
+            # h = 2 - f, the other-label hinge before clamping at 0
+            np.matmul(XM2[s:e], Xcol.T, out=h)
+            h -= q[c0:]
+            h += 2.0 - q[s:e, None]
+            np.greater(h, 0.0, out=w)
+            hinge += float(h.ravel() @ w.ravel())
+            r = w.sum(axis=1)
+            count += int(r.sum())
+            deg[s:e] += r
+            deg[c0:] += w.sum(axis=0)
+            P += Xr.T @ (w @ Xcol)
+        # sum of (x_i - x_j)(x_i - x_j)^T over the active other-label pairs
+        loss, grad, active = 2.0 * hinge, -2.0 * _laplacian(X, deg, P), 2 * count
+        if M.any():
+            loss += float((M * S).sum())
+            grad += S
+            active += same_pairs
+        return loss / (n * n), grad / (n * n), active / (n * n)
+
+    return eval_fn
+
+
+def triplet_eval(X: np.ndarray, labels: np.ndarray):
+    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean
+    triplet hinge over every admissible triplet, from the exact sorted
+    active-set counts of triplet_hinge.  The points are sorted into
+    label runs once, and each tile of run_tiles passes the rows of one
+    run against all n points; memory is O(BLOCK_ROWS * n)."""
+    n, d = X.shape
+    order, _, starts, _ = sorted_runs(labels)
+    X = X[order]
+    tiles = run_tiles(starts, n)
+
+    def eval_fn(M):
+        q = quad_rows(X, M, X)
+        deg, P = np.zeros(n), np.zeros((d, d))
+        total, active, nt = 0.0, 0.0, 0
+        for s, e, a0, a1 in tiles:
+            block_total, W, block_nt = triplet_hinge(sq_dists(X[s:e], M, X, q), a0, a1)
+            total, active, nt = total + block_total, active + W[:, a0:a1].sum(), nt + block_nt
+            deg[s:e] += W.sum(axis=1)
+            deg += W.sum(axis=0)
+            P += X[s:e].T @ (W @ X)
+        return total / nt, _laplacian(X, deg, P) / nt, float(active / nt)
+
+    return eval_fn
+
+
+def empirical_loss(m: MetricModel, ds: Dataset) -> float:
+    """Mean pair loss over all n^2 ordered pairs, from pair_eval."""
+    F, Q = features(m, ds.X)
+    return pair_eval(F, ds.label_indices(), m.kind)(Q)[0]
+
+
 def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean triplet hinge loss over all admissible triplets, on the
-    label-run tiles of run_tiles."""
-    order, _, starts, _ = sorted_runs(ds.label_indices())
-    X = ds.X[order]
-    columns = _metric_columns(m, X)
-    total, nt = 0.0, 0
-    for s, e, a0, a1 in run_tiles(starts, ds.n):
-        block_total, _, block_nt = triplet_hinge(_metric_rows(m, X[s:e], columns), a0, a1)
-        total, nt = total + block_total, nt + block_nt
-    return total / nt
+    """Mean triplet hinge loss over all admissible triplets, from
+    triplet_eval; the triplet loss compares distances, not similarities."""
+    if m.kind == "bilinear":
+        raise ValueError("the triplet loss needs a distance metric, not a bilinear model")
+    F, Q = features(m, ds.X)
+    return triplet_eval(F, ds.label_indices())(Q)[0]

@@ -14,8 +14,6 @@ import numpy as np
 from . import core
 from .core import Dataset
 
-_COUNT_LIMIT = 1e18
-
 
 @dataclass(frozen=True)
 class CoverConfig:
@@ -122,10 +120,14 @@ def covering_number_upper_bound(R: float, gamma_half: float, d: int, norm: str =
     eff_R = R * math.sqrt(d) if norm == "l1" else R
     if norm not in ("l1", "l2"):
         raise ValueError(f"unknown norm {norm!r}")
-    count = (1.0 + 2.0 * eff_R / gamma_half) ** d
-    if count > _COUNT_LIMIT:
-        raise OverflowError(
-            "covering-number bound exceeds representable range; use a larger gamma"
+    try:
+        count = (1.0 + 2.0 * eff_R / gamma_half) ** d
+    except OverflowError:  # float ** int raises where the power overflows
+        count = math.inf
+    if not math.isfinite(count):
+        raise ValueError(
+            f"covering-number bound (1 + 2R/gamma')^d is beyond the float range at "
+            f"R={R!r}, gamma'={gamma_half!r}, d={d}; use a larger gamma"
         )
     return int(math.ceil(count))
 

@@ -286,6 +286,13 @@ class TestCellStats:
         assert (est.value, est.excluded_probes, p_hat) == (0.0, 1, ds.n**2)
 
 
+def pair_loss_blocks(m, X, labels):
+    """(start, pair losses of a row block of X against all of X), in the
+    row blocks of core.metric_blocks; `labels` holds label indices."""
+    for start, F in core.metric_blocks(m, X):
+        yield start, core.pair_hinge(F, labels[start : start + len(F)], labels)
+
+
 def reference_deviations(m, part, ds, probe):
     """The per-pair sweep cell_stats used before it read per-cell extrema,
     kept as the reference: yields (start, deviation rows) of the training
@@ -299,7 +306,7 @@ def reference_deviations(m, part, ds, probe):
     cells, starts = np.unique(ids, return_index=True)
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
-    for start, L in core.pair_loss_blocks(m, X, ids // part.centers.shape[0]):
+    for start, L in pair_loss_blocks(m, X, ids // part.centers.shape[0]):
         first = np.searchsorted(starts, start, side="right") - 1
         last = np.searchsorted(starts, start + len(L), side="left")
         local = np.maximum(starts[first:last] - start, 0)
@@ -312,7 +319,7 @@ def reference_deviations(m, part, ds, probe):
     pos[cells[np.minimum(pos, len(cells) - 1)] != ids_tr] = len(cells)
     lo = np.pad(lo, (0, 1), constant_values=np.inf)
     hi = np.pad(hi, (0, 1), constant_values=-np.inf)
-    for start, L in core.pair_loss_blocks(m, ds.X, ids_tr // part.centers.shape[0]):
+    for start, L in pair_loss_blocks(m, ds.X, ids_tr // part.centers.shape[0]):
         row_pos = pos[start : start + len(L)]
         yield start, np.maximum(L - lo[row_pos][:, pos], hi[row_pos][:, pos] - L)
 

@@ -20,7 +20,7 @@ from metricert.core import (
     metric_eval,
     metric_matrix,
     metric_rowwise,
-    pair_loss_blocks,
+    pair_hinge,
     triplet_hinge,
 )
 
@@ -40,8 +40,9 @@ def oracle_pair_loss(m, a, i, b, j):
 
 
 def pair_losses(m, ds):
-    """The n x n pair losses of ds, joined from pair_loss_blocks."""
-    return np.vstack([L for _, L in pair_loss_blocks(m, ds.X, ds.label_indices())])
+    """The n x n pair losses of ds, from the full metric matrix."""
+    li = ds.label_indices()
+    return pair_hinge(metric_matrix(m, ds.X), li, li)
 
 
 def enumerate_pairs(n):
@@ -270,6 +271,13 @@ class TestTripletLoss:
         ds = make_ds([[0.0], [1.0], [np.sqrt(3.0)]], "aab")
         F = metric_matrix(m, ds.X[:1], ds.X)
         assert triplet_hinge(F, 0, 2)[0] == 0.0
+
+    def test_bilinear_refused(self):
+        # the triplet loss compares squared distances, which a bilinear
+        # similarity is not
+        ds = make_ds([[0.0], [1.0]], "ab")
+        with pytest.raises(ValueError, match="distance metric"):
+            empirical_triplet_loss(MetricModel("bilinear", M=np.eye(1)), ds)
 
     def test_non_admissible_is_zero(self):
         # at M = 0 every admissible triplet has hinge 1, so a hinge sum equal

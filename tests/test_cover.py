@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -231,8 +232,13 @@ class TestCoveringNumberBound:
         )
 
     def test_overflow(self):
-        with pytest.raises(OverflowError):
-            covering_number_upper_bound(1.0, 1e-6, 20)
+        # a count above 1e18 is returned; only one beyond the float range,
+        # where the power itself overflows, is refused, naming R, gamma' and d
+        assert covering_number_upper_bound(1.0, 1e-6, 20) == int(math.ceil(2000001.0**20))
+        assert covering_number_upper_bound(1.0, 0.25, 19) == int(math.ceil(9.0**19))
+        for gamma_half in (1e-6, 1e-300):
+            with pytest.raises(ValueError, match=r"R=1\.0, gamma'=1e-\d+, d=60"):
+                covering_number_upper_bound(1.0, gamma_half, 60)
 
     @pytest.mark.parametrize("R, gamma_half", [(float("nan"), 0.5), (1.0, float("nan"))])
     def test_nan_refused_by_name(self, R, gamma_half):

@@ -442,7 +442,8 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_overflow_exit_2(self, tmp_path, capsys):
+    def test_covering_count_above_1e18_exit_0(self, tmp_path, capsys):
+        # K = 2 * (1 + 4e9)^2 = 3.2e19 is above 1e18 but finite, so it is used
         data = self._gen(tmp_path)
         model = tmp_path / "model.json"
         main(["train", "--data", str(data), "--out", str(model), "--iters", "20"])
@@ -452,7 +453,30 @@ class TestCli:
             ["audit", "--model", str(model), "--data", str(data), "--out", str(report),
              "--gamma", "1e-9", "--radius", "1.0"]
         )
+        assert code == 0
+        obj = json.loads(report.read_text())
+        assert obj["K_theoretical"] > 1e18
+        assert math.isfinite(obj["bound_pair"])
+        # a count beyond the float range is a usage error naming its inputs
+        code = main(
+            ["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+             "--gamma", "1e-300", "--radius", "1.0"]
+        )
+        assert code == 1
+        assert "R=1.0, gamma'=5e-301, d=2" in capsys.readouterr().err
+
+    def test_linalg_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        data = self._gen(tmp_path)
+
+        def failing_eigh(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--iters", "5"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # one hyper-parameter each; NaN used to pass range checks written as x <= 0

@@ -127,3 +127,22 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in that module; __init__ imports
+    # to re-export, and `from __future__` imports compiler flags
+    for path in sorted((ROOT / "src" / "metricert").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused = sorted(imported - used)
+        assert not unused, f"{path.name} imports unused {unused}"

@@ -15,6 +15,7 @@ from metricert.core import (
     kernel_gram,
 )
 from metricert import core, solver
+from metricert.harness import SyntheticSpec, gen_synthetic
 from metricert.io import load_model, save_model
 from metricert.solver import (
     SolverConfig,
@@ -164,31 +165,36 @@ class TestLossSubgradient:
         expected = 2.0 / 4.0 * np.array([[1.0, 0.0], [0.0, 0.0]])
         assert np.allclose(g, expected)
 
-    @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear"])
+    @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear", "kernelized"])
     def test_finite_difference_agreement(self, kind):
         rng = np.random.default_rng(14)
         checked = 0
         while checked < 10:
             ds = random_ds(rng, n=8, d=2)
             A = rng.standard_normal((2, 2))
+            extra = {}
+            if kind == "kernelized":
+                # rbf kernel vectors against 4 anchors: M is 4 x 4
+                extra = {"kernel": KernelSpec("rbf", 0.7), "anchors": random_ds(rng, n=4, d=2)}
+                A = rng.standard_normal((4, 4))
+            p, sym = len(A), kind != "bilinear"
             # keep strictly PD so symmetric perturbations stay PSD
-            M0 = A @ A.T + 1e-4 * np.eye(2) if kind == "mahalanobis" else (A + A.T) / 2.0
-            m0 = MetricModel(kind, M=M0)
+            M0 = A @ A.T + 1e-4 * np.eye(p) if sym else (A + A.T) / 2.0
+            m0 = MetricModel(kind, M=M0, **extra)
             g = loss_subgradient(m0, ds)
             h = 1e-6
-            fd = np.zeros((2, 2))
-            smooth = True
-            for a in range(2):
-                for b in range(2):
-                    E = np.zeros((2, 2))
+            fd = np.zeros((p, p))
+            for a in range(p):
+                for b in range(p):
+                    E = np.zeros((p, p))
                     E[a, b] = h
-                    Ms = (M0 + E + (M0 + E).T) / 2.0 if kind == "mahalanobis" else M0 + E
-                    Mm = (M0 - E + (M0 - E).T) / 2.0 if kind == "mahalanobis" else M0 - E
-                    lp = empirical_loss(MetricModel(kind, M=Ms), ds)
-                    lm = empirical_loss(MetricModel(kind, M=Mm), ds)
+                    Ms = (M0 + E + (M0 + E).T) / 2.0 if sym else M0 + E
+                    Mm = (M0 - E + (M0 - E).T) / 2.0 if sym else M0 - E
+                    lp = empirical_loss(MetricModel(kind, M=Ms, **extra), ds)
+                    lm = empirical_loss(MetricModel(kind, M=Mm, **extra), ds)
                     fd[a, b] = (lp - lm) / (2 * h)
             # symmetric parameterization doubles off-diagonal sensitivities
-            if kind == "mahalanobis":
+            if sym:
                 fd = (fd + fd.T) / 2.0
                 gs = (g + g.T) / 2.0
             else:
@@ -258,6 +264,26 @@ class TestSolve:
         ds = random_ds(rng, n=10)
         m = solve(ds, "fro", SolverConfig(c=0.05, max_iters=60))
         assert np.linalg.eigvalsh(m.M).min() >= -1e-8
+
+
+class TestObjectiveOfTrainedModels:
+    """A trained model's objective, recomputed from the model and its data,
+    is the one the solver reported, bit for bit: the empirical losses and
+    the solvers run the same evaluators."""
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_solver_objective(self, seed, classes):
+        ds = gen_synthetic(SyntheticSpec(n=120, d=3, classes=classes, seed=seed))
+        cfg = SolverConfig(c=0.01, max_iters=60)
+        for kind, reg in (("mahalanobis", "fro"), ("mahalanobis", "l1"),
+                          ("mahalanobis", "l21"), ("bilinear", "fro")):
+            m = solve(ds, reg, cfg, kind=kind)
+            assert objective(m, ds, reg, cfg.c) == m.info["objective"], (kind, reg)
+        for reg in ("fro", "l21"):
+            m = solve_triplet(ds, reg, cfg)
+            recomputed = cfg.c * reg_norm(m.M, reg) + empirical_triplet_loss(m, ds)
+            assert recomputed == m.info["objective"], ("triplet", reg)
 
 
 class TestSolveTriplet:
@@ -445,24 +471,27 @@ class TestSingleEvaluationMatchesReference:
         ],
     )
     def test_pair_solve_bitwise(self, kind, reg, tol):
-        # the bilinear solve evaluates the same n x n array as the reference;
         # the distance solve sums the same-label pairs as <M, S> and the
-        # other-label pairs in another order, so it agrees to rounding
+        # other-label pairs in another order, and the bilinear solve sums
+        # its label-run tiles in another order, so both agree to rounding.
+        # Uniform points with random labels keep the bilinear solve at M = 0,
+        # so it runs on a two-class mixture at a smaller c
         rng = np.random.default_rng(40)
         for n, d in ((30, 3), (9, 2)):
-            ds = random_ds(rng, n=n, d=d)
-            cfg = SolverConfig(c=0.1, max_iters=60, tol=tol)
+            if kind == "bilinear":
+                ds, c = gen_synthetic(SyntheticSpec(n=n, d=d, seed=0)), 0.01
+            else:
+                ds, c = random_ds(rng, n=n, d=d), 0.1
+            cfg = SolverConfig(c=c, max_iters=60, tol=tol)
             m = solve(ds, reg, cfg, kind=kind)
             M, history, fractions = reference_iterate(
                 d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
                 psd=(kind == "mahalanobis"),
             )
             if kind == "bilinear":
-                assert np.array_equal(m.M, M)
-                assert m.info["best_history"] == history
-            else:
-                assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
-                assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
+                assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
+            assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
+            assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
 
     @pytest.mark.parametrize("reg", ["fro", "l21"])
@@ -510,7 +539,7 @@ class TestDistanceEvalMatchesReference:
         n, d = 40, 3
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [f"c{i % n_labels}" for i in range(n)], 1.0)
-        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "mahalanobis")
+        eval_fn = core.pair_eval(ds.X, ds.label_indices(), "mahalanobis")
         loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "mahalanobis")
         for M in psd_matrices(rng, d):
             loss, grad, active = eval_fn(M)
@@ -526,7 +555,7 @@ class TestDistanceEvalMatchesReference:
         idx = np.arange(30) % 10
         ds = Dataset(base[idx], ["a" if i < 5 else "b" for i in idx], 1.0)
         n = ds.n
-        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "mahalanobis")
+        eval_fn = core.pair_eval(ds.X, ds.label_indices(), "mahalanobis")
         Y = pair_signs(ds)
         loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, Y, "mahalanobis")
         for M in psd_matrices(rng, 2):
@@ -556,7 +585,7 @@ class TestBilinearEvalInTiles:
         n, d = 30, 3
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
-        eval_fn = solver._pair_eval(ds.X, ds.label_indices(), "bilinear")
+        eval_fn = core.pair_eval(ds.X, ds.label_indices(), "bilinear")
         loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "bilinear")
         # M = 0, a symmetric M and a non-symmetric one (a bilinear l21
         # iterate is not symmetric), each small and large enough to put
@@ -585,7 +614,7 @@ class TestBilinearEvalInTiles:
 
 
 class TestPairTiles:
-    """core.run_tiles holds rows of one label run, so the tiles _pair_eval
+    """core.run_tiles holds rows of one label run, so the tiles pair_eval
     keeps (the runs but the last, against the later labels' columns) cover
     each pair with label_i < label_j once and no other pair: none needs a
     mask.  The bilinear evaluator takes the same tiles against all columns,
@@ -648,7 +677,7 @@ class TestTripletEvalInBlocks:
         n, d = 30, 3
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
-        eval_fn = solver._triplet_eval(ds.X, ds.label_indices())
+        eval_fn = core.triplet_eval(ds.X, ds.label_indices())
         loss_fn, grad_fn, active_fn = ref_triplet_callbacks(ds.X, build_triplets(ds))
         for M in psd_matrices(rng, d):
             loss, grad, active = eval_fn(M)
