@@ -142,6 +142,9 @@ def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray)
         at, _, lo_run, hi_run = _run_extrema(F, start, starts, sizes)
         np.minimum(lo[at], lo_run, out=lo[at])
         np.maximum(hi[at], hi_run, out=hi[at])
+    # the last block is a view of the sweep's buffer: drop it before the
+    # temporaries of the cell-pair tables
+    F = None
     labels = cells // p.centers.shape[0]
     return (cells, *_loss_extrema(lo, hi, labels, labels))
 
@@ -257,6 +260,7 @@ def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.n
     for start, F in metric_blocks(m, X[order]):
         np.minimum.reduceat(F, starts, axis=1, out=fmin[start : start + len(F)])
         np.maximum.reduceat(F, starts, axis=1, out=fmax[start : start + len(F)])
+    F = None  # as in _probe_extrema
     labels = cells // p.centers.shape[0]
     out = {}
     for a, rows in enumerate(np.split(np.arange(len(ids)), starts[1:])):

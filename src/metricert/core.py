@@ -164,7 +164,14 @@ def rbf_fH(gamma: float, sigma: float) -> float:
         raise ValueError(f"sigma must be positive and finite, not {sigma!r}")
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be nonnegative and finite, not {gamma!r}")
-    return 2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2)))
+    try:
+        t = gamma**2 / (2.0 * sigma**2)
+    except (OverflowError, ZeroDivisionError):
+        # a square beyond the float range, or sigma^2 rounded to 0: t from
+        # the ratio gamma/sigma, and a t that overflows saturates f_H at 2
+        r = gamma / sigma
+        t = r * r / 2.0
+    return 2.0 * (1.0 - math.exp(-t))
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,15 @@ def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) ->
         return X1 @ X2.T
     eye = np.eye(X1.shape[1])
     sq = sq_dists(X1, eye, X2, quad_rows(X2, eye, X2))
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * ks.sigma**2))
+    np.maximum(sq, 0.0, out=sq)
+    try:
+        sq /= -2.0 * ks.sigma**2
+    except OverflowError:
+        # sigma^2 beyond the float range: divide by sigma twice, so the
+        # Gram tends to all ones
+        sq /= -2.0 * ks.sigma
+        sq /= ks.sigma
+    return np.exp(sq, out=sq)
 
 
 def features(m: MetricModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,41 +322,75 @@ def quad_rows(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ((A @ Q) * B).sum(axis=1)
 
 
-def sq_dists(F1: np.ndarray, Q: np.ndarray, F2: np.ndarray, q2: np.ndarray) -> np.ndarray:
+# Values per chunk of the q1_i + q2_j sums in sq_dists: 2^16 float64
+# (512 KB), so a chunk is added into its block while it is still in cache.
+_SUM_CHUNK = 1 << 16
+
+
+def _sum_buffer(cols: int) -> np.ndarray:
+    """A scratch chunk of whole rows of `cols` values for sq_dists."""
+    return np.empty((max(1, _SUM_CHUNK // max(cols, 1)), cols))
+
+
+def sq_dists(
+    F1: np.ndarray, Q: np.ndarray, F2: np.ndarray, q2: np.ndarray, out=None, work=None
+) -> np.ndarray:
     """All-pairs (f1_i - f2_j)^T Q (f1_i - f2_j) for symmetric Q, expanded
-    as q1_i + q2_j - 2 f1_i^T Q f2_j; q2 = quad_rows(F2, Q, F2) is passed in
-    so a column side used by many row blocks is computed once."""
-    return quad_rows(F1, Q, F1)[:, None] + q2[None, :] - 2.0 * (F1 @ Q @ F2.T)
+    as (q1_i + q2_j) - 2 f1_i^T Q f2_j; q2 = quad_rows(F2, Q, F2) is passed in
+    so a column side used by many row blocks is computed once.
 
-
-def _metric_columns(m: MetricModel, X2: np.ndarray) -> tuple:
-    # the column features and, for squared-distance metrics, their
-    # quadratic terms (None for bilinear)
-    F2, Q = features(m, X2)
-    return F2, None if m.kind == "bilinear" else quad_rows(F2, Q, F2)
-
-
-def _metric_rows(m: MetricModel, X1: np.ndarray, columns: tuple) -> np.ndarray:
-    F1, Q = features(m, X1)
-    F2, q2 = columns
-    if m.kind == "bilinear":
-        return F1 @ Q @ F2.T
-    return sq_dists(F1, Q, F2, q2)
-
-
-def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs metric values f(x1_i, x2_j), vectorized; X2 defaults to X1."""
-    return _metric_rows(m, X1, _metric_columns(m, X1 if X2 is None else X2))
+    The cross term goes into `out` (a len(F1) x len(F2) array) when it is
+    given, and the sums q1_i + q2_j are formed a chunk of rows at a time
+    in `work` (a _sum_buffer) and added to it, so a sweep reuses both for
+    every block.  Scaling by -2 is exact, so (-2 F1 Q) F2^T is
+    -2 (F1 Q F2^T) bit for bit, and IEEE addition is commutative, so the
+    value is (q1_i + q2_j) - 2 f1_i^T Q f2_j bit for bit."""
+    F1Q = F1 @ Q
+    q1 = (F1Q * F1).sum(axis=1)
+    F1Q *= -2.0
+    f = np.matmul(F1Q, F2.T, out=out)
+    work = _sum_buffer(len(F2)) if work is None else work
+    for s in range(0, len(f), len(work)):
+        q1_rows = q1[s : s + len(work), None]
+        f[s : s + len(q1_rows)] += np.add(q1_rows, q2[None, :], out=work[: len(q1_rows)])
+    return f
 
 
 def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
-    """metric_matrix(m, X1, X2) in row blocks: yields (start, f of the rows
-    X1[start:start + BLOCK_ROWS] against all of X2).  The column side is
-    computed once, so memory is O(BLOCK_ROWS * len(X2))."""
+    """All-pairs metric values f(x1_i, x2_j) in row blocks: yields (start,
+    f of the rows X1[start:start + BLOCK_ROWS] against all of X2); X2
+    defaults to X1.  The column side is computed once, and every block is
+    written into the same buffers (one block and one _sum_buffer),
+    allocated once per sweep, so memory is O(BLOCK_ROWS * len(X2)).
+
+    Aliasing: a yielded block is a view of those buffers, and the next
+    block overwrites it.  A caller must be done with it, and with any view
+    of it, inside the loop body; it must not keep a block or list() them.
+    """
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    columns = _metric_columns(m, X1 if X2 is None else X2)
+    F2, Q = features(m, X1 if X2 is None else X2)
+    q2 = None if m.kind == "bilinear" else quad_rows(F2, Q, F2)
+    f = np.empty((min(BLOCK_ROWS, len(X1)), len(F2)))
+    work = None if q2 is None else _sum_buffer(len(F2))
     for start in range(0, len(X1), BLOCK_ROWS):
-        yield start, _metric_rows(m, X1[start : start + BLOCK_ROWS], columns)
+        rows = min(BLOCK_ROWS, len(X1) - start)
+        F1 = features(m, X1[start : start + rows])[0]
+        if q2 is None:
+            yield start, np.matmul(F1 @ Q, F2.T, out=f[:rows])
+        else:
+            yield start, sq_dists(F1, Q, F2, q2, f[:rows], work)
+
+
+def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs metric values f(x1_i, x2_j); X2 defaults to X1.  Assembled
+    from metric_blocks, so it equals every blocked sweep bit for bit: the
+    rounding of a BLAS product can depend on how many rows it has."""
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    X2 = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+    out = np.empty((len(X1), len(X2)))
+    for start, F in metric_blocks(m, X1, X2):
+        out[start : start + len(F)] = F
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +564,22 @@ def triplet_eval(X: np.ndarray, labels: np.ndarray):
     triplet hinge over every admissible triplet, from the exact sorted
     active-set counts of triplet_hinge.  The points are sorted into
     label runs once, and each tile of run_tiles passes the rows of one
-    run against all n points; memory is O(BLOCK_ROWS * n)."""
+    run against all n points, its f written into buffers allocated once
+    per evaluator; memory is O(BLOCK_ROWS * n)."""
     n, d = X.shape
     order, _, starts, _ = sorted_runs(labels)
     X = X[order]
     tiles = run_tiles(starts, n)
+    rows = max(e - s for s, e, _, _ in tiles)
+    out, work = np.empty((rows, n)), _sum_buffer(n)
 
     def eval_fn(M):
         q = quad_rows(X, M, X)
         deg, P = np.zeros(n), np.zeros((d, d))
         total, active, nt = 0.0, 0.0, 0
         for s, e, a0, a1 in tiles:
-            block_total, W, block_nt = triplet_hinge(sq_dists(X[s:e], M, X, q), a0, a1)
+            F = sq_dists(X[s:e], M, X, q, out[: e - s], work)
+            block_total, W, block_nt = triplet_hinge(F, a0, a1)
             total, active, nt = total + block_total, active + W[:, a0:a1].sum(), nt + block_nt
             deg[s:e] += W.sum(axis=1)
             deg += W.sum(axis=0)

@@ -70,7 +70,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norm: str, limit: float):
     s += sq_p[:, None]
     s += sq_c[None, :]
     top = np.minimum(limit * limit, (d if norm == "l1" else 1) * (s.min(axis=1) + margin))
-    i, j = np.nonzero(~(s > (top + margin)[:, None]))
+    i, j = np.divmod(np.flatnonzero(~(s > (top + margin)[:, None])), len(centers))
     dist = _dists(points[i], centers[j], norm)
     # by row, then by distance; lexsort is stable, so ties keep the lowest j
     order = np.lexsort((dist, i))

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import core
 from .bounds import (
     BoundQuery,
     BoundReport,
@@ -316,7 +317,9 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     Every family ranks neighbors by smallest f: training pushes f down for
     same-label pairs, bilinear similarities included.  Neighbor ties go to
     the lowest training index, vote ties to the smallest label in sort
-    order.  Test points go in row blocks, so memory is O(block * n).
+    order.  Test points go in row blocks, and the partition copy and the
+    chosen mask are buffers reused for every block, so memory is
+    O(block * n).
     """
     if k < 1 or k > train.n:
         raise ValueError("k must satisfy 1 <= k <= train size")
@@ -327,19 +330,25 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     train_lab = np.array([lookup[lab] for lab in train.y])
     test_lab = np.array([lookup.get(lab, -1) for lab in test.y])
     correct = 0
+    rows = min(core.BLOCK_ROWS, test.n)
+    part, mask = np.empty((rows, train.n)), np.empty((rows, train.n), dtype=bool)
     for start, F in metric_blocks(m, test.X, train.X):
         # the k smallest under a stable sort: every value below the k-th,
         # then the lowest-index ties at the k-th value; only rows with more
         # than k values at or below the k-th have ties left out
-        kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
-        chosen = F <= kth
+        P, chosen = part[: len(F)], mask[: len(F)]
+        np.copyto(P, F)
+        P.partition(k - 1, axis=1)
+        kth = P[:, k - 1 : k]
+        np.less_equal(F, kth, out=chosen)
         over = np.flatnonzero(chosen.sum(axis=1) > k)
         if len(over):
             Fo, ko = F[over], kth[over]
             below, ties = Fo < ko, Fo == ko
             need = k - below.sum(axis=1, keepdims=True)
             chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= need))
-        r, j = np.nonzero(chosen)
+        # flat indices of the C-ordered mask: np.nonzero's (r, j), faster
+        r, j = np.divmod(np.flatnonzero(chosen), train.n)
         votes = np.bincount(
             r * len(label_order) + train_lab[j], minlength=len(F) * len(label_order)
         ).reshape(len(F), len(label_order))

@@ -111,6 +111,20 @@ class TestRbfFH:
     def test_large_gamma_limit(self):
         assert rbf_fH(1e6, 1.0) == pytest.approx(2.0)
 
+    def test_squares_beyond_float_range(self):
+        # gamma^2 or sigma^2 beyond the float range raised OverflowError, and
+        # a sigma^2 that underflows to 0 ZeroDivisionError; the ratio
+        # gamma/sigma decides there, and f_H saturates at 2
+        assert rbf_fH(1e300, 1.0) == 2.0
+        assert rbf_fH(1e200, 1e-200) == 2.0
+        assert rbf_fH(0.5, 1e-200) == 2.0
+        assert rbf_fH(1e300, 1e300) == 2.0 * (1.0 - math.exp(-0.5))
+        assert rbf_fH(0.5, 1e300) == 0.0
+        # where the squares are finite the value keeps its bits
+        for gamma, sigma in ((0.3, 0.7), (1e150, 1e150), (2.0, 1e154), (1e-150, 1e-150)):
+            t = gamma**2 / (2.0 * sigma**2)
+            assert rbf_fH(gamma, sigma) == 2.0 * (1.0 - math.exp(-t))
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_matches_brute_force(self, sigma, gamma):

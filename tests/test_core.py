@@ -15,12 +15,14 @@ from metricert.core import (
     build_triplets,
     empirical_loss,
     empirical_triplet_loss,
+    features,
     hinge,
     kernel_gram,
     metric_eval,
     metric_matrix,
     metric_rowwise,
     pair_hinge,
+    quad_rows,
     triplet_hinge,
 )
 
@@ -348,6 +350,69 @@ class TestMetricRowwise:
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), kind
 
 
+def expanded_rows(m, X1, X2):
+    """f of the rows X1 against X2 by the unbuffered expansion that
+    metric_blocks evaluated for each block before it reused its buffers:
+    the reference its blocks must equal bit for bit."""
+    (F1, Q), (F2, _) = features(m, X1), features(m, X2)
+    if m.kind == "bilinear":
+        return F1 @ Q @ F2.T
+    return quad_rows(F1, Q, F1)[:, None] + quad_rows(F2, Q, F2)[None, :] - 2.0 * (F1 @ Q @ F2.T)
+
+
+class TestMetricBlocks:
+    @pytest.mark.parametrize("sum_chunk", [None, 900])
+    @pytest.mark.parametrize("columns", ["given", "omitted"])
+    @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear", "kernel-rbf", "kernel-linear"])
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_bit_identical_to_the_unbuffered_expansion(
+        self, monkeypatch, rows, kind, columns, sum_chunk
+    ):
+        # 300 rows leave a short last block at every block size; a chunk of
+        # 900 values is 3 rows of 270 or 300 columns, so the sums of a block
+        # also go in chunks with a short last one
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        if sum_chunk is not None:
+            monkeypatch.setattr(core, "_SUM_CHUNK", sum_chunk)
+        rng = np.random.default_rng(31)
+        X1 = rng.uniform(-0.5, 0.5, size=(300, 3))
+        X2 = rng.uniform(-0.5, 0.5, size=(270, 3)) if columns == "given" else None
+        m = models_of_every_kind(rng, 3)[kind]
+        starts, blocks = [], []
+        for start, F in core.metric_blocks(m, X1, X2):
+            expected = expanded_rows(m, X1[start : start + rows], X1 if X2 is None else X2)
+            assert np.array_equal(F, expected)
+            starts.append(start)
+            blocks.append(F.copy())
+        assert starts == list(range(0, 300, rows))
+        assert np.array_equal(np.vstack(blocks), metric_matrix(m, X1, X2))
+
+    def test_blocks_share_one_buffer(self, monkeypatch):
+        # a block is a view of the sweep's buffer, which the next one overwrites
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(32)
+        X = rng.uniform(-0.5, 0.5, size=(30, 2))
+        m = models_of_every_kind(rng, 2)["mahalanobis"]
+        addresses = {F.__array_interface__["data"][0] for _, F in core.metric_blocks(m, X)}
+        assert len(addresses) == 1
+
+    def test_sweep_memory(self):
+        # a 256 x 4000 float64 block is 8.2 MB; the unbuffered expansion
+        # peaked at 3.0 blocks, the sweep holds one block and a 512 KB chunk
+        # of sums
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-0.5, 0.5, size=(4000, 3))
+        m = MetricModel("mahalanobis", M=np.eye(3))
+        tracemalloc.start()
+        try:
+            for _ in core.metric_blocks(m, X):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * core.BLOCK_ROWS * 4000 * 8
+
+
 class TestBlockedEmpiricalLoss:
     @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear", "kernel-rbf", "kernel-linear"])
     def test_blocks_match_full_hinge_mean(self, monkeypatch, kind):
@@ -393,6 +458,13 @@ class TestKernelGram:
             )
             expected = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
             assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X1, X2), expected)
+
+    def test_sigma_square_beyond_float_range(self):
+        # sigma^2 overflows from sigma = 1.35e154 on: the Gram tends to all
+        # ones, where the square raised OverflowError
+        X = np.random.default_rng(22).uniform(-1.0, 1.0, size=(5, 2))
+        for sigma in (1e155, 1e300, 1.7e308):
+            assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X), np.ones((5, 5)))
 
 
 class TestLossBoundB:

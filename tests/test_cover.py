@@ -192,6 +192,46 @@ def screen_mismatches(monkeypatch):
     return out
 
 
+def nearest_2d_nonzero(points, centers, norm, limit):
+    """cover._nearest as it was before flat indices: the same screen, with
+    the candidate pairs taken by the 2-D np.nonzero of its mask."""
+    d = points.shape[1]
+    sq_c = (centers * centers).sum(axis=1)
+    sq_p = (points * points).sum(axis=1)
+    spread = np.sqrt(sq_p) + math.sqrt(sq_c.max())
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    margin = cover._SCREEN_SLACK * (d + 8) * (eps * (spread * spread) + tiny)
+    s = points @ centers.T
+    s *= -2.0
+    s += sq_p[:, None]
+    s += sq_c[None, :]
+    top = np.minimum(limit * limit, (d if norm == "l1" else 1) * (s.min(axis=1) + margin))
+    i, j = np.nonzero(~(s > (top + margin)[:, None]))
+    dist = cover._dists(points[i], centers[j], norm)
+    order = np.lexsort((dist, i))
+    first = order[np.diff(i[order], prepend=-1) != 0]
+    nearest = np.zeros(len(points), dtype=int)
+    best = np.full(len(points), np.inf)
+    nearest[i[first]] = j[first]
+    best[i[first]] = dist[first]
+    return nearest, best
+
+
+class TestFlatCandidateIndices:
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_match_2d_nonzero(self, norm):
+        # an integer grid against its first 40 points twice over: exact ties
+        # at every radius and between each center and its duplicate
+        rng = np.random.default_rng(14)
+        pts = rng.integers(-2, 3, size=(200, 3)).astype(float)
+        centers = np.vstack([pts[:40], pts[:40]])
+        for limit in (0.5, 1.0, 1.5, 2.0, 4.0):
+            got = cover._nearest(pts, centers, norm, limit)
+            expected = nearest_2d_nonzero(pts, centers, norm, limit)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+
 class TestScreenedSearch:
     def test_equals_the_brute_force_references(self, monkeypatch):
         assert screen_mismatches(monkeypatch) == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -471,6 +473,60 @@ class TestKnnEval:
                     assert 0 < ((F <= kth).sum(axis=1) > k).sum() < test.n
                 expected = full_row_accuracy(F, train_lab, test_lab, k, 3)
                 assert knn_eval(m, train, test, k) == expected
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    def test_flat_indices_match_2d_nonzero(self, monkeypatch, block_rows):
+        # {-1, 0, 1}^3 under the identity metric: 27 sites for 80 training
+        # points, so nearly every row ties at its k-th distance
+        def nonzero_2d_correct(F, train_lab, test_lab, k, n_labels):
+            # knn_eval's step for one block as it was: np.partition and the
+            # 2-D np.nonzero of the chosen mask
+            kth = np.partition(F, k - 1, axis=1)[:, k - 1 : k]
+            chosen = F <= kth
+            over = np.flatnonzero(chosen.sum(axis=1) > k)
+            if len(over):
+                Fo, ko = F[over], kth[over]
+                below, ties = Fo < ko, Fo == ko
+                need = k - below.sum(axis=1, keepdims=True)
+                chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= need))
+            r, j = np.nonzero(chosen)
+            votes = np.bincount(r * n_labels + train_lab[j], minlength=len(F) * n_labels)
+            return int((votes.reshape(len(F), n_labels).argmax(axis=1) == test_lab).sum())
+
+        monkeypatch.setattr(core, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(40 + block_rows)
+        labels = ["a", "b", "c", "d"]
+        m = MetricModel("mahalanobis", M=np.eye(3))
+        train_lab, test_lab = rng.integers(4, size=80), rng.integers(4, size=50)
+        assert set(train_lab) == {0, 1, 2, 3}
+        train = Dataset(rng.integers(-1, 2, size=(80, 3)).astype(float),
+                        [labels[v] for v in train_lab], R=2.0)
+        test = Dataset(rng.integers(-1, 2, size=(50, 3)).astype(float),
+                       [labels[v] for v in test_lab], R=2.0)
+        for k in (1, 2, 4, 7, 80):
+            correct = sum(
+                nonzero_2d_correct(F, train_lab, test_lab[start : start + len(F)], k, 4)
+                for start, F in core.metric_blocks(m, test.X, train.X)
+            )
+            assert knn_eval(m, train, test, k) == correct / test.n
+
+    def test_memory(self):
+        # a 256 x 4000 float64 block is 8.2 MB; knn_eval peaked at 4.76
+        # blocks when it partitioned a fresh copy of each block and took a
+        # fresh mask; the sweep's buffers, the partition copy and the mask
+        # are now allocated once
+        rng = np.random.default_rng(42)
+        X, Xt = rng.uniform(-0.5, 0.5, size=(2, 4000, 3))
+        train = Dataset(X, list(rng.choice(["a", "b"], size=4000)), R=1.0)
+        test = Dataset(Xt, list(rng.choice(["a", "b"], size=4000)), R=1.0)
+        m = MetricModel("mahalanobis", M=np.eye(3))
+        tracemalloc.start()
+        try:
+            knn_eval(m, train, test, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * core.BLOCK_ROWS * 4000 * 8
 
     def test_bilinear_ranks_by_smallest_similarity(self):
         # the two-class mixture of the benchmark: balanced classes at

@@ -412,6 +412,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert re.fullmatch(r"objective=\S+ rank=\d+ -> \S+\n", out)
 
+    def test_train_rbf_sigma_square_beyond_float_range(self, tmp_path):
+        # sigma^2 overflowed a Python float: exit 2 with "(34, 'Numerical
+        # result out of range')"; the Gram is now all ones
+        data = self._gen(tmp_path, n=20)
+        model = tmp_path / "k.json"
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--family", "kernel-rbf", "--sigma", "1e300", "--iters", "20"]) == 0
+        assert json.loads(model.read_text())["kernel"]["sigma"] == 1e300
+
+    def test_audit_rbf_gamma_square_beyond_float_range(self, tmp_path):
+        # gamma^2 overflowed a Python float in rbf_fH: exit 2; f_H now
+        # saturates at 2, so epsilon = 8 * 1 * sqrt(2) * g0 / c
+        data = self._gen(tmp_path, n=20)
+        model, report = tmp_path / "k.json", tmp_path / "r.json"
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--family", "kernel-rbf", "--c", "0.5", "--iters", "20"]) == 0
+        code = main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+                     "--family", "kernel-rbf", "--c", "0.5", "--gamma", "1e300"])
+        assert code == 0
+        rep = json.loads(report.read_text())
+        assert rep["epsilon_theoretical"] == pytest.approx(8.0 * math.sqrt(2.0) * 2.0 / 0.5)
+        assert math.isfinite(rep["bound_pair"])
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "m.json")]) == 1
