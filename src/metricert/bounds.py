@@ -108,12 +108,16 @@ def _loss_extrema(lo_f: np.ndarray, hi_f: np.ndarray, row_labels: np.ndarray, la
     Labels are constant within a cell, and fl(1 - f) is monotone in f, so
     the pair loss hinge(y (1 - f)) is non-decreasing in f when y = +1 and
     non-increasing when y = -1: its extrema are the losses of the f extrema,
-    bit for bit."""
+    bit for bit.  pair_hinge's steps run in place (y = -1 is an exact negation)."""
     same = row_labels[:, None] == labels[None, :]
-    return (
-        pair_hinge(np.where(same, lo_f, hi_f), row_labels, labels),
-        pair_hinge(np.where(same, hi_f, lo_f), row_labels, labels),
-    )
+    out = []
+    for a, b in ((lo_f, hi_f), (hi_f, lo_f)):
+        t = np.where(same, a, b)
+        np.subtract(1.0, t, out=t)
+        np.negative(t, out=t, where=~same)
+        np.subtract(1.0, t, out=t)
+        out.append(np.maximum(0.0, t, out=t))
+    return tuple(out)
 
 
 def _assign(p: Partition, ds: Dataset, probe: Dataset):
@@ -242,40 +246,25 @@ def pseudo_robust_count(
     return cell_stats(m, p, ds, probe, epsilon)[1]
 
 
-def _triplet_cell_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray) -> dict:
-    """Min and max of the triplet hinge over each cell triple, without
-    enumerating the triplets.
+def _triplet_cell_extrema(m: MetricModel, X: np.ndarray, runs: tuple, cells: np.ndarray):
+    """Each point's min and max of f over each of `cells`, the ascending
+    ids of cells that the sample occupies.
 
-    Returns {anchor cell: (same-label cells, other-label cells, lo, hi)}
-    with lo/hi indexed [same, other] over the occupied cells.  For one
-    anchor i, the hinge max(0, fl(1 - F_ik) + F_ij) is monotone in F_ij and
-    in fl(1 - F_ik), and fl(1 - x) is monotone in x, so its minimum over
-    j in cell b and k in cell c is the hinge of fl(1 - max_c F_ik) and
-    min_b F_ij (likewise for the maximum), bit for bit.  F is reduced a row
-    block at a time into n x C tables, so memory is O(block * n + n * C).
+    `runs` is sorted_runs of the sample's cell ids.  Each row block of f,
+    over the points sorted by cell, reduces over the sample's own cell runs
+    with `reduceat` and keeps the columns of `cells`.  Returns the two
+    n x len(cells) tables, rows in the sorted order, and the first row and
+    row count of each of `cells`.  Memory is O(block * n + n * len(cells)).
     """
-    order, cells, starts, _ = sorted_runs(ids)
-    fmin = np.empty((len(ids), len(cells)))
+    order, own, starts, sizes = runs
+    keep = np.isin(own, cells)
+    fmin = np.empty((len(order), len(cells)))
     fmax = np.empty_like(fmin)
     for start, F in metric_blocks(m, X[order]):
-        np.minimum.reduceat(F, starts, axis=1, out=fmin[start : start + len(F)])
-        np.maximum.reduceat(F, starts, axis=1, out=fmax[start : start + len(F)])
+        fmin[start : start + len(F)] = np.minimum.reduceat(F, starts, axis=1)[:, keep]
+        fmax[start : start + len(F)] = np.maximum.reduceat(F, starts, axis=1)[:, keep]
     F = None  # as in _probe_extrema
-    labels = cells // p.centers.shape[0]
-    out = {}
-    for a, rows in enumerate(np.split(np.arange(len(ids)), starts[1:])):
-        same, other = labels == labels[a], labels != labels[a]
-        if not other.any():
-            continue
-        lo = (1.0 - fmax[rows][:, None, other]) + fmin[rows][:, same, None]
-        hi = (1.0 - fmin[rows][:, None, other]) + fmax[rows][:, same, None]
-        out[cells[a]] = (
-            cells[same],
-            cells[other],
-            np.maximum(0.0, lo).min(axis=0),
-            np.maximum(0.0, hi).max(axis=0),
-        )
-    return out
+    return fmin, fmax, starts[keep], sizes[keep]
 
 
 def empirical_epsilon_triplet(
@@ -287,25 +276,39 @@ def empirical_epsilon_triplet(
     """Triplet analogue of empirical_epsilon over the admissible training
     triplets and cell-matched admissible probe triplets.
 
-    The triplets come from the labels; each side reduces to per-cell-triple
-    extrema, so time is O(n^2 + n C^2) for C occupied cells, not O(n^3).
+    Only a cell triple whose cells both samples occupy can match, so each
+    sample reduces f to per-point extrema over those common cells
+    (`_triplet_cell_extrema`), and the samples are compared one anchor cell
+    at a time.  For one anchor i, the hinge max(0, fl(1 - F_ik) + F_ij) is
+    monotone in F_ij and in fl(1 - F_ik), and fl(1 - x) is monotone in x,
+    so its minimum over j in cell b and k in cell c is the hinge of
+    fl(1 - max_c F_ik) and min_b F_ij (likewise for the maximum), bit for
+    bit, without enumerating the triplets.  Time is O(n^2 + n C^2) for C
+    common cells, not O(n^3); memory is O(block * n + n * C) plus one
+    anchor cell's rows x same-label x other-label cells.
     """
     ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
-    if not len(ids_pr):
+    # the runs' cell ids are unique; numpy 2.4's plain np.unique (also inside
+    # intersect1d) imports numpy.ma, 0.5 MB, on its first call
+    runs_tr, runs_pr = sorted_runs(ids_tr), sorted_runs(ids_pr)
+    cells = np.intersect1d(runs_tr[1], runs_pr[1], assume_unique=True)
+    labels = cells // p.centers.shape[0]
+    if len(set(labels.tolist())) < 2:  # no covered probe point, or no triplet matches
         return EpsilonEstimate(0.0, excluded)
-    tr = _triplet_cell_extrema(m, p, ds.X, ids_tr)
-    pr = _triplet_cell_extrema(m, p, X_pr, ids_pr)
+    tr = _triplet_cell_extrema(m, ds.X, runs_tr, cells)
+    pr = _triplet_cell_extrema(m, X_pr, runs_pr, cells)
     dev = 0.0
-    for a, (same_t, other_t, lo_t, hi_t) in tr.items():
-        if a not in pr:
-            continue
-        same_p, other_p, lo_p, hi_p = pr[a]
-        _, bt, bp = np.intersect1d(same_t, same_p, return_indices=True)
-        _, ct, cp = np.intersect1d(other_t, other_p, return_indices=True)
-        if len(bt) and len(ct):
-            t, q = np.ix_(bt, ct), np.ix_(bp, cp)
-            dev = max(dev, float((hi_t[t] - lo_p[q]).max()), float((hi_p[q] - lo_t[t]).max()))
-    return EpsilonEstimate(float(max(dev, 0.0)), excluded)
+    for a, label in enumerate(labels):
+        same, other = labels == label, labels != label  # both nonempty
+        ranges = []
+        for fmin, fmax, starts, sizes in (tr, pr):
+            rows = slice(starts[a], starts[a] + sizes[a])
+            lo = (1.0 - fmax[rows][:, None, other]) + fmin[rows][:, same, None]
+            hi = (1.0 - fmin[rows][:, None, other]) + fmax[rows][:, same, None]
+            ranges.append((np.maximum(0.0, lo).min(axis=0), np.maximum(0.0, hi).max(axis=0)))
+        (lo_t, hi_t), (lo_p, hi_p) = ranges
+        dev = max(dev, float((hi_t - lo_p).max()), float((hi_p - lo_t).max()))
+    return EpsilonEstimate(dev, excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,9 @@ def _read(cls, obj, where: str = ""):
 
 
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
-    # older schema-1 files may hold solver.seed, which no solver read, and
-    # pseudo_eps_scale, which is now the constant PSEUDO_EPS_SCALE
+    # older schema-1 files may hold solver.seed, which no solver read,
+    # solver.tol, 0 in every saved config (no early stop), and pseudo_eps_scale,
+    # which is now the constant PSEUDO_EPS_SCALE
     if not isinstance(obj, dict):
         raise ValueError("config file must be an object")
     version = obj.get("schema_version")
@@ -161,7 +162,9 @@ def config_from_json_dict(obj: dict) -> ExperimentConfig:
     if scale != PSEUDO_EPS_SCALE:
         raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
     if isinstance(top.get("solver"), dict):
-        top["solver"] = {k: v for k, v in top["solver"].items() if k != "seed"}
+        top["solver"] = {k: v for k, v in top["solver"].items() if k not in ("seed", "tol")}
+        if obj["solver"].get("tol", 0.0) != 0.0:
+            raise ValueError(f"solver.tol must be 0 (no early stop), not {obj['solver']['tol']!r}")
     return _read(ExperimentConfig, top)
 
 

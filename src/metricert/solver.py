@@ -44,7 +44,6 @@ class SolverConfig:
     c: float = 1.0
     max_iters: int = 300
     step0: float = 1.0
-    tol: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.c < math.inf:
@@ -53,8 +52,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 < self.step0 < math.inf:
             raise ValueError(f"step0 must be positive and finite, not {self.step0!r}")
-        if not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be nonnegative and finite, not {self.tol!r}")
 
 
 def reg_norm(M: np.ndarray, reg: str) -> float:
@@ -142,7 +139,6 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
     best_obj = cfg.c * 0.0 + loss
     history = [best_obj]
     fractions = [active]
-    prev_obj = best_obj
     for t in range(1, cfg.max_iters + 1):
         step = cfg.step0 / np.sqrt(t)
         M = M - step * grad
@@ -166,9 +162,6 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
             best = M.copy()
         history.append(best_obj)
         fractions.append(active)
-        if cfg.tol > 0 and abs(obj - prev_obj) <= cfg.tol * max(1.0, abs(prev_obj)):
-            break
-        prev_obj = obj
     info = {
         "objective": best_obj,
         "best_history": history,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,23 @@ class TestLossFromFExtrema:
     """cell_stats reduces f, not the loss, and maps the cell tables through
     the hinge; only a block with an undecided sub-block builds its losses."""
 
+    def test_loss_tables_are_pair_hinge_bitwise(self):
+        # the in-place tables against pair_hinge of the selected extrema, on
+        # values at and around the kinks f = 1 (y = +1) and f = 2 (y = -1)
+        rng = np.random.default_rng(32)
+        values = np.array([-0.5, 0.0, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0, 2.0 + 2**-51, 3.0])
+        lo = rng.choice(values, size=(6, 9)) + rng.choice([0.0, 1e-3], size=(6, 9))
+        hi = lo + rng.choice([0.0, 2**-52, 0.5], size=(6, 9))
+        row_labels, labels = rng.integers(0, 3, size=6), rng.integers(0, 3, size=9)
+        same = row_labels[:, None] == labels[None, :]
+        got = bounds._loss_extrema(lo, hi, row_labels, labels)
+        expected = (
+            core.pair_hinge(np.where(same, lo, hi), row_labels, labels),
+            core.pair_hinge(np.where(same, hi, lo), row_labels, labels),
+        )
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
     @pytest.mark.parametrize("kind", ["bilinear", "kernelized"])
     def test_equals_per_pair_reference(self, monkeypatch, kind):
         monkeypatch.setattr(core, "BLOCK_ROWS", 5)
@@ -553,6 +571,47 @@ class TestEmpiricalEpsilonTriplet:
         one_label = make_ds([[0.0, 0.0], [0.1, 0.0]], "aa", R=5.0)  # no probe triplets
         est = empirical_epsilon_triplet(model, part, ds, one_label)
         assert (est.value, est.excluded_probes) == (0.0, 0)
+
+    def test_each_side_has_anchor_cells_the_other_lacks(self):
+        # three labels; the training points fill the left of the disc and the
+        # probe points the right, so each sample occupies cells, anchor
+        # cells among them, where the other has no point
+        rng = np.random.default_rng(25)
+        labels = ["a", "b", "c"]
+        for _ in range(3):
+            Xtr = rng.uniform(-1.0, 0.5, size=(24, 2))
+            Xpr = rng.uniform(-0.5, 1.0, size=(20, 2))
+            R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+            ds = make_ds(Xtr, labels * 8, R=R)
+            probe = make_ds(Xpr, labels + list(rng.choice(labels, size=17)), R=R)
+            part = build_partition(ds, CoverConfig(gamma=0.8), probe=probe)
+            ids_tr = set(assign_cells(part, ds.X, ds.y))
+            ids_pr = set(assign_cells(part, probe.X, probe.y))
+            assert ids_tr - ids_pr and ids_pr - ids_tr
+            assert len({c // part.centers.shape[0] for c in ids_tr & ids_pr}) == 3
+            A = rng.standard_normal((2, 2))
+            model = MetricModel("mahalanobis", M=A @ A.T)
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            oracle = dict_loop_epsilon_triplet(model, part, ds, probe)
+            assert oracle[0] > 0.0
+            assert (est.value, est.excluded_probes) == oracle
+
+    def test_memory_is_per_point_tables(self):
+        # per-anchor-cell dictionaries of cell-triple tables, O(C^3), peaked
+        # at 171 MB here; the n x C tables of f extrema take a few MB
+        ds = gen_synthetic(SyntheticSpec(d=3, n=600, seed=0))
+        probe = gen_synthetic(SyntheticSpec(d=3, n=600, seed=100))
+        part = build_partition(ds, CoverConfig(gamma=0.3), probe=probe)
+        A = np.random.default_rng(0).standard_normal((3, 3))
+        model = MetricModel("mahalanobis", M=A @ A.T / 3)
+        tracemalloc.start()
+        try:
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.value > 0.0
+        assert peak < 32e6
 
 
 class TestBoundValue:

@@ -117,11 +117,12 @@ class TestConfigJson:
 
     def test_written_config_has_no_legacy_keys(self):
         obj = config_to_json_dict(ExperimentConfig())
-        assert "pseudo_eps_scale" not in obj and "seed" not in obj["solver"]
+        assert "pseudo_eps_scale" not in obj
+        assert "seed" not in obj["solver"] and "tol" not in obj["solver"]
 
 
-# a config as save_config wrote it while SolverConfig had a seed and
-# ExperimentConfig a pseudo_eps_scale
+# a config as save_config wrote it while SolverConfig had a seed and a tol
+# and ExperimentConfig a pseudo_eps_scale
 LEGACY_CONFIG = (
     '{"cover":{"gamma":0.5,"norm":"l2"},"delta":0.05,"family":"fro","mc_size":200,'
     '"probe_size":10,"pseudo_eps_scale":0.5,"repetitions":1,"schema_version":1,'
@@ -151,6 +152,15 @@ class TestLegacyConfig:
         obj["pseudo_eps_scale"] = 0.3
         assert run_curve(tmp_path, json.dumps(obj)) == 1
         assert "pseudo_eps_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0.001, "0.0"], ids=["nonzero", "string"])
+    def test_nonzero_solver_tol_refused(self, tmp_path, capsys, tol):
+        # the solver has no early stop, so only the tol of 0 it ran with loads
+        obj = json.loads(LEGACY_CONFIG)
+        obj["solver"]["tol"] = tol
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solver.tol" in err
 
     @pytest.mark.parametrize("section", ["synthetic", "solver", "cover", None])
     def test_unknown_key_refused_by_name(self, tmp_path, capsys, section):
@@ -506,7 +516,6 @@ class TestCli:
 NON_FINITE_FIELDS = [
     pytest.param(lambda v: SolverConfig(c=v), "c", id="SolverConfig.c"),
     pytest.param(lambda v: SolverConfig(step0=v), "step0", id="SolverConfig.step0"),
-    pytest.param(lambda v: SolverConfig(tol=v), "tol", id="SolverConfig.tol"),
     pytest.param(lambda v: CoverConfig(gamma=v), "gamma", id="CoverConfig.gamma"),
     pytest.param(lambda v: SyntheticSpec(cov_scale=v), "cov_scale", id="SyntheticSpec.cov_scale"),
     pytest.param(lambda v: SyntheticSpec(R=v), "R", id="SyntheticSpec.R"),
