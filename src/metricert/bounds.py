@@ -149,7 +149,7 @@ def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray)
     # the last block is a view of the sweep's buffer: drop it before the
     # temporaries of the cell-pair tables
     F = None
-    labels = cells // p.centers.shape[0]
+    labels = p.cell_labels(cells)
     return (cells, *_loss_extrema(lo, hi, labels, labels))
 
 
@@ -196,8 +196,8 @@ def cell_stats(
     hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
     tol = epsilon + 1e-12
     worst, count = 0.0, 0
-    labels = ids_tr[order] // p.centers.shape[0]
-    cell_labels = cells_t // p.centers.shape[0]
+    labels = p.cell_labels(ids_tr[order])
+    cell_labels = p.cell_labels(cells_t)
     for start, F in metric_blocks(m, ds.X[order]):
         at, runs, lo_f, hi_f = _run_extrema(F, start, starts, sizes)
         lo_run, hi_run = _loss_extrema(lo_f, hi_f, cell_labels[at], cell_labels)
@@ -292,7 +292,7 @@ def empirical_epsilon_triplet(
     # intersect1d) imports numpy.ma, 0.5 MB, on its first call
     runs_tr, runs_pr = sorted_runs(ids_tr), sorted_runs(ids_pr)
     cells = np.intersect1d(runs_tr[1], runs_pr[1], assume_unique=True)
-    labels = cells // p.centers.shape[0]
+    labels = p.cell_labels(cells)
     if len(set(labels.tolist())) < 2:  # no covered probe point, or no triplet matches
         return EpsilonEstimate(0.0, excluded)
     tr = _triplet_cell_extrema(m, ds.X, runs_tr, cells)

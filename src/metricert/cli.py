@@ -51,7 +51,6 @@ def _add_audit(sub):
     p.add_argument("--family", default="fro", choices=FAMILIES)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--norm", default="l2", choices=["l1", "l2"])
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=None)
@@ -129,8 +128,7 @@ def _cmd_audit(args) -> int:
     R = max(ds.R, probe.R)
     ds = Dataset(ds.X, ds.y, R)
     probe = Dataset(probe.X, probe.y, R) if args.probe else ds
-    fam = FAMILIES[args.family]
-    model = io.load_model(args.model, anchors=ds if fam.kind == "kernelized" else None)
+    model = io.load_model(args.model, anchors=ds)
     # the certificate's constants hold only for the c and the bandwidth the
     # model was trained with; certify checks the family
     if model.info["c"] is not None and model.info["c"] != args.c:
@@ -141,7 +139,7 @@ def _cmd_audit(args) -> int:
         )
     report = certify(
         model, ds, probe, args.family,
-        CoverConfig(gamma=args.gamma, norm=args.norm),
+        CoverConfig(gamma=args.gamma),
         c=args.c, delta=args.delta, seed=args.seed,
     )
     io.write_json(report.to_json_dict(), args.out)

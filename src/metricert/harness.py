@@ -213,9 +213,7 @@ def certify(
     else:
         est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
     B = fam.loss_bound(ds.R, c)
-    K_theo = len(ds.labels) * covering_number_upper_bound(
-        ds.R, cover_cfg.gamma / 2.0, ds.d, cover_cfg.norm
-    )
+    K_theo = len(ds.labels) * covering_number_upper_bound(ds.R, cover_cfg.gamma / 2.0, ds.d)
 
     def bound(mode: str, epsilon: float = eps_theo, p_hat: int = 0) -> float:
         return bound_value(BoundQuery(epsilon, B, K_theo, ds.n, delta, mode, p_hat))

@@ -150,7 +150,8 @@ def _read(cls, obj, where: str = ""):
 
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
     # older schema-1 files may hold solver.seed, which no solver read,
-    # solver.tol, 0 in every saved config (no early stop), and pseudo_eps_scale,
+    # solver.tol, 0 in every saved config (no early stop), cover.norm, "l2"
+    # in every saved config (the cover's one metric), and pseudo_eps_scale,
     # which is now the constant PSEUDO_EPS_SCALE
     if not isinstance(obj, dict):
         raise ValueError("config file must be an object")
@@ -161,10 +162,14 @@ def config_from_json_dict(obj: dict) -> ExperimentConfig:
     scale = top.pop("pseudo_eps_scale", PSEUDO_EPS_SCALE)
     if scale != PSEUDO_EPS_SCALE:
         raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
-    if isinstance(top.get("solver"), dict):
-        top["solver"] = {k: v for k, v in top["solver"].items() if k not in ("seed", "tol")}
-        if obj["solver"].get("tol", 0.0) != 0.0:
-            raise ValueError(f"solver.tol must be 0 (no early stop), not {obj['solver']['tol']!r}")
+    # each retired key with the one value it may hold (None: any)
+    for section, key, only in (("solver", "seed", None), ("solver", "tol", 0.0),
+                               ("cover", "norm", "l2")):
+        if isinstance(top.get(section), dict) and key in top[section]:
+            top[section] = dict(top[section])
+            value = top[section].pop(key)
+            if only is not None and value != only:
+                raise ValueError(f"{section}.{key} must be {only!r}, not {value!r}")
     return _read(ExperimentConfig, top)
 
 

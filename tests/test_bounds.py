@@ -23,8 +23,6 @@ from metricert.core import (
     KernelSpec,
     MetricModel,
     build_triplets,
-    hinge,
-    metric_eval,
     metric_matrix,
     rbf_fH,
 )
@@ -32,11 +30,7 @@ from metricert.cover import CoverConfig, assign_cells, build_partition
 from metricert.harness import SyntheticSpec, gen_synthetic
 from metricert.solver import SolverConfig, solve
 
-def make_ds(points, labels, R=None):
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if R is None:
-        R = float(np.linalg.norm(X, axis=1).max()) + 1e-12
-    return Dataset(X, list(labels), R)
+from helpers import make_ds, oracle_pair_loss
 
 
 class TestEpsilonTheoretical:
@@ -140,13 +134,6 @@ class TestRbfFH:
             best = max(best, 2.0 - 2.0 * k_ab)
         assert best <= rbf_fH(gamma, sigma) + 1e-12
         assert rbf_fH(gamma, sigma) - best <= 1e-3
-
-
-def oracle_pair_loss(m, a, i, b, j):
-    """Per-pair reference: the hinge of y(1 - f) for point i of dataset a
-    and point j of dataset b, from metric_eval."""
-    y = 1.0 if a.y[i] == b.y[j] else -1.0
-    return float(hinge(y * (1.0 - metric_eval(m, a.X[i], b.X[j]))))
 
 
 def brute_force_epsilon(model, part, ds, probe):

@@ -26,19 +26,7 @@ from metricert.core import (
     triplet_hinge,
 )
 
-
-def make_ds(points, labels, R=None):
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if R is None:
-        R = float(np.linalg.norm(X, axis=1).max()) + 1e-12
-    return Dataset(X, list(labels), R)
-
-
-def oracle_pair_loss(m, a, i, b, j):
-    """Per-pair reference: the hinge of y(1 - f) for point i of dataset a
-    and point j of dataset b, from metric_eval."""
-    y = 1.0 if a.y[i] == b.y[j] else -1.0
-    return float(hinge(y * (1.0 - metric_eval(m, a.X[i], b.X[j]))))
+from helpers import make_ds, oracle_pair_loss
 
 
 def pair_losses(m, ds):

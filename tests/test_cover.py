@@ -16,37 +16,28 @@ from metricert.cover import (
     greedy_cover,
 )
 
+from helpers import make_ds
 
-def minimal_cover_size(points, radius, norm):
+
+def minimal_cover_size(points, radius):
     """Exhaustive search for the smallest subset covering all points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
-
-    def dist(a, b):
-        return np.abs(a - b).sum() if norm == "l1" else np.linalg.norm(a - b)
-
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             if all(
-                min(dist(p, points[c]) for c in subset) <= radius + 1e-12
+                min(np.linalg.norm(p - points[c]) for c in subset) <= radius + 1e-12
                 for p in points
             ):
                 return size
     return n
 
 
-def make_ds(points, labels, R=None):
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if R is None:
-        R = float(np.linalg.norm(X, axis=1).max()) + 1e-12
-    return Dataset(X, list(labels), R)
-
-
 class TestGreedyCover:
     def test_line_radius_half(self):
         centers = greedy_cover([[0.0], [1.0], [2.0]], 0.5)
         assert len(centers) == 3
-        assert minimal_cover_size([[0.0], [1.0], [2.0]], 0.5, "l2") == 3
+        assert minimal_cover_size([[0.0], [1.0], [2.0]], 0.5) == 3
 
     def test_single_point(self):
         assert len(greedy_cover([[0.3, 0.3]], 1.0)) == 1
@@ -56,7 +47,7 @@ class TestGreedyCover:
         centers = greedy_cover(pts, 0.5)
         assert np.allclose(centers, [[0.0], [0.8]])
         # the middle point alone covers everything, greedy stays within 2x
-        assert minimal_cover_size(pts, 0.5, "l2") == 1
+        assert minimal_cover_size(pts, 0.5) == 1
 
     def test_empty_input(self):
         assert len(greedy_cover([], 1.0)) == 0
@@ -70,18 +61,12 @@ class TestGreedyCover:
 
     def test_cover_validity_random(self):
         rng = np.random.default_rng(1)
-        for norm in ("l1", "l2"):
-            for _ in range(20):
-                pts = rng.uniform(-1, 1, size=(30, 2))
-                radius = float(rng.uniform(0.1, 1.0))
-                centers = greedy_cover(pts, radius, norm)
-                diff = pts[:, None, :] - centers[None, :, :]
-                d = (
-                    np.abs(diff).sum(axis=2)
-                    if norm == "l1"
-                    else np.linalg.norm(diff, axis=2)
-                )
-                assert d.min(axis=1).max() <= radius
+        for _ in range(20):
+            pts = rng.uniform(-1, 1, size=(30, 2))
+            radius = float(rng.uniform(0.1, 1.0))
+            centers = greedy_cover(pts, radius)
+            d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+            assert d.min(axis=1).max() <= radius
 
     def test_at_most_twice_optimal_small(self):
         rng = np.random.default_rng(2)
@@ -89,7 +74,7 @@ class TestGreedyCover:
             pts = rng.uniform(-1, 1, size=(8, 1))
             radius = 0.4
             got = len(greedy_cover(pts, radius))
-            opt = minimal_cover_size(pts, radius, "l2")
+            opt = minimal_cover_size(pts, radius)
             assert opt <= got <= 2 * opt
 
     def test_monotone_in_radius(self):
@@ -101,45 +86,42 @@ class TestGreedyCover:
             assert small >= big
 
 
-def point_by_point_cover(points, radius, norm):
+def point_by_point_cover(points, radius):
     """The greedy sweep one point at a time, with the library's distance
     formula: the reference the blocked sweep must reproduce exactly."""
     centers = [points[0]]
     for p in points[1:]:
         diff = p[None, :] - np.asarray(centers)
-        d = np.abs(diff).sum(axis=1) if norm == "l1" else np.sqrt((diff * diff).sum(axis=1))
+        d = np.sqrt((diff * diff).sum(axis=1))
         if d.min() > radius:
             centers.append(p)
     return np.asarray(centers)
 
 
 class TestBlockedCover:
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_grid_points_at_the_radius(self, monkeypatch, norm):
+    def test_grid_points_at_the_radius(self, monkeypatch):
         # integer grid at radius 1: many points lie exactly at the radius,
         # and 61 points split into blocks of 7 leave a partial block
         monkeypatch.setattr(core, "BLOCK_ROWS", 7)
         rng = np.random.default_rng(9)
         pts = rng.integers(-3, 4, size=(61, 2)).astype(float)
-        got = greedy_cover(pts, 1.0, norm)
-        assert np.array_equal(got, point_by_point_cover(pts, 1.0, norm))
+        got = greedy_cover(pts, 1.0)
+        assert np.array_equal(got, point_by_point_cover(pts, 1.0))
 
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_random_points_many_blocks(self, monkeypatch, norm):
+    def test_random_points_many_blocks(self, monkeypatch):
         rng = np.random.default_rng(10)
         for block in (1, 5, 16):
             monkeypatch.setattr(core, "BLOCK_ROWS", block)
             for d in (1, 3, 10):
                 pts = rng.uniform(-1, 1, size=(83, d))
                 radius = float(rng.uniform(0.2, 0.8)) * np.sqrt(d)
-                got = greedy_cover(pts, radius, norm)
-                assert np.array_equal(got, point_by_point_cover(pts, radius, norm))
+                got = greedy_cover(pts, radius)
+                assert np.array_equal(got, point_by_point_cover(pts, radius))
 
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_assign_cells_blocks_match_one_block(self, monkeypatch, norm):
+    def test_assign_cells_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(11)
         ds = make_ds(rng.uniform(-1, 1, size=(50, 3)), rng.choice(["a", "b"], size=50))
-        p = build_partition(ds, CoverConfig(gamma=0.9, norm=norm))
+        p = build_partition(ds, CoverConfig(gamma=0.9))
         X = rng.uniform(-1.2, 1.2, size=(45, 3))  # some outside the cover
         y = list(rng.choice(["a", "b"], size=45))
         whole = assign_cells(p, X, y)
@@ -151,7 +133,7 @@ class TestBlockedCover:
 def nearest_reference(p, X):
     """Cell ids (one label) by brute force: _dists to every center, the
     full argmin (lowest index on ties) and the radius + 1e-12 check."""
-    d = cover._dists(X[:, None, :], p.centers[None, :, :], p.norm)
+    d = cover._dists(X[:, None, :], p.centers[None, :, :])
     near = d.argmin(axis=1)
     return np.where(d[np.arange(len(X)), near] <= p.radius + 1e-12, near, -1)
 
@@ -172,27 +154,25 @@ def screen_cases():
 
 def screen_mismatches(monkeypatch):
     """The cases where greedy_cover or assign_cells differs from the
-    brute-force references, over both norms and three block sizes."""
+    brute-force references, over three block sizes."""
     out = []
     for block in (1, 5, 7):
         monkeypatch.setattr(core, "BLOCK_ROWS", block)
         for name, pts, radius in screen_cases():
-            for norm in ("l1", "l2"):
-                centers = greedy_cover(pts, radius, norm)
-                if not np.array_equal(centers, point_by_point_cover(pts, radius, norm)):
-                    out.append(("cover", name, norm, block))
-                    continue
-                # the cover's centers twice over, so every point ties
-                # between a center and its duplicate
-                p = Partition(gamma=2 * radius, norm=norm, centers=np.vstack([centers, centers]),
-                              labels=("a",))
-                X = np.vstack([pts, pts + radius * 0.6])
-                if not np.array_equal(assign_cells(p, X, ["a"] * len(X)), nearest_reference(p, X)):
-                    out.append(("assign", name, norm, block))
+            centers = greedy_cover(pts, radius)
+            if not np.array_equal(centers, point_by_point_cover(pts, radius)):
+                out.append(("cover", name, block))
+                continue
+            # the cover's centers twice over, so every point ties between a
+            # center and its duplicate
+            p = Partition(gamma=2 * radius, centers=np.vstack([centers, centers]), labels=("a",))
+            X = np.vstack([pts, pts + radius * 0.6])
+            if not np.array_equal(assign_cells(p, X, ["a"] * len(X)), nearest_reference(p, X)):
+                out.append(("assign", name, block))
     return out
 
 
-def nearest_2d_nonzero(points, centers, norm, limit):
+def nearest_2d_nonzero(points, centers, limit):
     """cover._nearest as it was before flat indices: the same screen, with
     the candidate pairs taken by the 2-D np.nonzero of its mask."""
     d = points.shape[1]
@@ -205,9 +185,9 @@ def nearest_2d_nonzero(points, centers, norm, limit):
     s *= -2.0
     s += sq_p[:, None]
     s += sq_c[None, :]
-    top = np.minimum(limit * limit, (d if norm == "l1" else 1) * (s.min(axis=1) + margin))
+    top = np.minimum(limit * limit, s.min(axis=1) + margin)
     i, j = np.nonzero(~(s > (top + margin)[:, None]))
-    dist = cover._dists(points[i], centers[j], norm)
+    dist = cover._dists(points[i], centers[j])
     order = np.lexsort((dist, i))
     first = order[np.diff(i[order], prepend=-1) != 0]
     nearest = np.zeros(len(points), dtype=int)
@@ -218,16 +198,15 @@ def nearest_2d_nonzero(points, centers, norm, limit):
 
 
 class TestFlatCandidateIndices:
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_match_2d_nonzero(self, norm):
+    def test_match_2d_nonzero(self):
         # an integer grid against its first 40 points twice over: exact ties
         # at every radius and between each center and its duplicate
         rng = np.random.default_rng(14)
         pts = rng.integers(-2, 3, size=(200, 3)).astype(float)
         centers = np.vstack([pts[:40], pts[:40]])
         for limit in (0.5, 1.0, 1.5, 2.0, 4.0):
-            got = cover._nearest(pts, centers, norm, limit)
-            expected = nearest_2d_nonzero(pts, centers, norm, limit)
+            got = cover._nearest(pts, centers, limit)
+            expected = nearest_2d_nonzero(pts, centers, limit)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
 
@@ -246,8 +225,7 @@ class TestScreenedSearch:
         # temporaries are O(BLOCK_ROWS * C), not O(BLOCK_ROWS * C * d)
         rng = np.random.default_rng(13)
         X = rng.uniform(-1, 1, size=(2000, 10))
-        p = Partition(gamma=3.0, norm="l2", centers=rng.uniform(-1, 1, size=(350, 10)),
-                      labels=("a",))
+        p = Partition(gamma=3.0, centers=rng.uniform(-1, 1, size=(350, 10)), labels=("a",))
         y = ["a"] * len(X)
         tracemalloc.start()
         try:
@@ -264,12 +242,6 @@ class TestCoveringNumberBound:
         assert covering_number_upper_bound(1.0, 1.0, 1) == 3
         assert covering_number_upper_bound(1.0, 2.0, 1) == 2
         assert covering_number_upper_bound(1.0, 0.5, 2) == 25
-
-    def test_l1_rescale(self):
-        # R*sqrt(2) in d=2
-        assert covering_number_upper_bound(1.0, 1.0, 2, "l1") == int(
-            np.ceil((1 + 2 * np.sqrt(2)) ** 2)
-        )
 
     def test_overflow(self):
         # a count above 1e18 is returned; only one beyond the float range,
@@ -292,9 +264,8 @@ class TestCoveringNumberBound:
             pts = rng.uniform(-1, 1, size=(25, 2))
             pts *= R / np.linalg.norm(pts, axis=1).max()
             radius = float(rng.uniform(0.3, 1.0))
-            for norm in ("l1", "l2"):
-                got = len(greedy_cover(pts, radius, norm))
-                assert got <= covering_number_upper_bound(R, radius, 2, norm)
+            got = len(greedy_cover(pts, radius))
+            assert got <= covering_number_upper_bound(R, radius, 2)
 
 
 class TestPartition:
@@ -334,12 +305,19 @@ class TestAssignCell:
         assert assign_cells(p, p.centers[1], ["a"])[0] % p.centers.shape[0] == 1
 
     def test_tie_goes_to_lowest_index(self):
-        p = Partition(gamma=2.0, norm="l2", centers=np.array([[0.0], [1.0]]), labels=("a",))
+        p = Partition(gamma=2.0, centers=np.array([[0.0], [1.0]]), labels=("a",))
         assert assign_cells(p, np.array([0.5]), ["a"])[0] == 0
 
     def test_out_of_cover_is_minus_one(self):
-        p = Partition(gamma=0.2, norm="l2", centers=np.array([[0.0]]), labels=("a",))
+        p = Partition(gamma=0.2, centers=np.array([[0.0]]), labels=("a",))
         assert assign_cells(p, np.array([5.0]), ["a"])[0] == -1
+
+    def test_cell_labels_are_the_point_labels(self):
+        rng = np.random.default_rng(15)
+        ds = make_ds(rng.uniform(-1, 1, size=(40, 2)), rng.choice(["a", "b", "c"], size=40))
+        p = build_partition(ds, CoverConfig(gamma=0.6))
+        labels = p.cell_labels(assign_cells(p, ds.X, ds.y))
+        assert [p.labels[i] for i in labels] == ds.y
 
     def test_round_trip_within_radius(self):
         rng = np.random.default_rng(6)

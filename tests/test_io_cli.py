@@ -97,7 +97,7 @@ class TestConfigJson:
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(d=3, n=40, classes=2, cov_scale=0.2, seed=5),
             solver=SolverConfig(c=0.25, max_iters=80),
-            cover=CoverConfig(gamma=0.4, norm="l1"),
+            cover=CoverConfig(gamma=0.4),
             family="l21",
             delta=0.1,
             repetitions=2,
@@ -119,10 +119,11 @@ class TestConfigJson:
         obj = config_to_json_dict(ExperimentConfig())
         assert "pseudo_eps_scale" not in obj
         assert "seed" not in obj["solver"] and "tol" not in obj["solver"]
+        assert "norm" not in obj["cover"]
 
 
-# a config as save_config wrote it while SolverConfig had a seed and a tol
-# and ExperimentConfig a pseudo_eps_scale
+# a config as save_config wrote it while SolverConfig had a seed and a tol,
+# CoverConfig a norm and ExperimentConfig a pseudo_eps_scale
 LEGACY_CONFIG = (
     '{"cover":{"gamma":0.5,"norm":"l2"},"delta":0.05,"family":"fro","mc_size":200,'
     '"probe_size":10,"pseudo_eps_scale":0.5,"repetitions":1,"schema_version":1,'
@@ -142,10 +143,30 @@ def run_curve(tmp_path, text):
 class TestLegacyConfig:
 
     def test_legacy_config_loads_and_runs_curve(self, tmp_path):
+        # every value the file holds besides the dropped keys reaches the
+        # experiment; its "l2" cover is the only cover
         cfg = config_from_json_dict(json.loads(LEGACY_CONFIG))
         assert cfg.solver == SolverConfig(c=0.5, max_iters=20)
+        assert cfg == ExperimentConfig(
+            synthetic=SyntheticSpec(d=2, n=20, classes=2, cov_scale=0.3, R=1.0, seed=1,
+                                    means=((0.5, 0.0), (0.0, 0.5))),
+            solver=SolverConfig(c=0.5, max_iters=20, step0=1.0),
+            cover=CoverConfig(gamma=0.5),
+            family="fro", delta=0.05, probe_size=10, mc_size=200, repetitions=1,
+        )
         assert run_curve(tmp_path, LEGACY_CONFIG) == 0
         assert len((tmp_path / "curve.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("norm", ["l1", 2, None], ids=["l1", "number", "null"])
+    def test_other_cover_norm_refused(self, tmp_path, capsys, norm):
+        # only the l2 cover every saved config names loads
+        obj = json.loads(LEGACY_CONFIG)
+        obj["cover"]["norm"] = norm
+        with pytest.raises(ValueError, match=r"cover\.norm"):
+            config_from_json_dict(obj)
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cover.norm" in err
 
     def test_other_pseudo_eps_scale_refused(self, tmp_path, capsys):
         obj = json.loads(LEGACY_CONFIG)
@@ -284,7 +305,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "trained,audited",
-        [("bilinear", "fro"), ("l1", "fro"), ("fro", "kernel-rbf"), ("fro", "bilinear")],
+        [("bilinear", "fro"), ("l1", "fro"), ("fro", "kernel-rbf"), ("fro", "bilinear"),
+         ("kernel-rbf", "fro")],
     )
     def test_audit_refuses_another_family(self, tmp_path, capsys, trained, audited):
         code, written = self._train_audit(
@@ -659,6 +681,9 @@ class TestUsageErrors:
             ["gen", "--out", "unused.csv", "--bogus", "1"],
             ["bound", "--epsilon", "0.1", "--B", "3", "--K", "4", "--n", "100",
              "--delta", "-inf"],
+            # the cover has one metric, so audit has no --norm to choose it
+            ["audit", "--model", "m.json", "--data", "d.csv", "--out", "r.json",
+             "--norm", "l2"],
         ],
     )
     def test_exit_1(self, capsys, argv):

@@ -2,6 +2,7 @@
 traced function names, the README's library and command-line examples and
 the package's own imports."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -109,6 +110,32 @@ def test_readme_command_lines_parse():
     for argv in commands:
         assert argv[0] == "metricert"
         parser.parse_args(argv[1:])
+
+
+# every settable value of the command line, by subcommand: a flag added or
+# retired shows up as an edit here
+CLI_FLAGS = {
+    "gen": ["--out", "--n", "--d", "--classes", "--cov-scale", "--radius", "--seed"],
+    "train": ["--data", "--out", "--family", "--c", "--iters", "--step0", "--sigma", "--radius"],
+    "audit": ["--model", "--data", "--probe", "--out", "--family", "--c", "--gamma", "--delta",
+              "--sigma", "--radius", "--seed"],
+    "bound": ["--mode", "--epsilon", "--B", "--K", "--n", "--delta", "--p-hat"],
+    "bhc": ["--K", "--mu", "--n", "--lam", "--trials", "--seed"],
+    "curve": ["--config", "--n-ladder", "--out"],
+    "knn": ["--model", "--train", "--test", "--k", "--radius"],
+}
+
+
+def test_cli_flags():
+    from metricert.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [s for action in parser._actions for s in action.option_strings
+               if s not in ("-h", "--help")]
+        for name, parser in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS
 
 
 def test_package_imports_only_stdlib_and_numpy():

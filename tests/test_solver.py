@@ -29,11 +29,7 @@ from metricert.solver import (
     solve_triplet,
 )
 
-def make_ds(points, labels, R=None):
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if R is None:
-        R = float(np.linalg.norm(X, axis=1).max()) + 1e-12
-    return Dataset(X, list(labels), R)
+from helpers import make_ds
 
 
 def random_ds(rng, n=12, d=2, R=1.0):
