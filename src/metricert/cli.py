@@ -37,7 +37,6 @@ def _add_train(sub):
     p.add_argument("--family", default="fro", choices=FAMILIES)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--step0", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=None)
 
@@ -49,10 +48,10 @@ def _add_audit(sub):
     p.add_argument("--probe", help="probe CSV; defaults to the training data")
     p.add_argument("--out", required=True)
     p.add_argument("--family", default="fro", choices=FAMILIES)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, help="the model's training c; defaults to the stored one")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, help="a kernelized model's bandwidth; defaults to it")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -113,9 +112,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = io.dataset_from_csv(args.data, R=args.radius)
-    cfg = SolverConfig(c=args.c, max_iters=args.iters, step0=args.step0)
+    cfg = SolverConfig(c=args.c, max_iters=args.iters)
     model = train_family(ds, args.family, cfg, args.sigma)
-    io.save_model(model, args.out, c=args.c)
+    io.save_model(model, args.out)
     rank = f" rank={model.info['rank']}" if "rank" in model.info else ""
     print(f"objective={model.info['objective']:.6g}{rank} -> {args.out}")
     return 0
@@ -129,18 +128,15 @@ def _cmd_audit(args) -> int:
     ds = Dataset(ds.X, ds.y, R)
     probe = Dataset(probe.X, probe.y, R) if args.probe else ds
     model = io.load_model(args.model, anchors=ds)
-    # the certificate's constants hold only for the c and the bandwidth the
-    # model was trained with; certify checks the family
-    if model.info["c"] is not None and model.info["c"] != args.c:
-        raise ValueError(f"model was trained at c={model.info['c']!r}, not --c {args.c!r}")
-    if model.kind == "kernelized" and model.kernel.sigma != args.sigma:
+    # the certificate's constants hold only for the bandwidth the model was
+    # trained with; certify checks the family and the c
+    if model.kind == "kernelized" and args.sigma not in (None, model.kernel.sigma):
         raise ValueError(
             f"model was trained at sigma={model.kernel.sigma!r}, not --sigma {args.sigma!r}"
         )
     report = certify(
-        model, ds, probe, args.family,
-        CoverConfig(gamma=args.gamma),
-        c=args.c, delta=args.delta, seed=args.seed,
+        model, ds, probe, args.family, CoverConfig(gamma=args.gamma),
+        delta=args.delta, c=args.c, seed=args.seed,
     )
     io.write_json(report.to_json_dict(), args.out)
     print(

@@ -135,7 +135,10 @@ class MetricModel:
             if not np.allclose(self.M, self.M.T, atol=1e-7):
                 raise ValueError("M must be symmetric")
             w = np.linalg.eigvalsh((self.M + self.M.T) / 2.0)
-            if w.min() < -ATOL:
+            # a rounding margin relative to max|w|: solver models reach
+            # -5e-16 of it, and a same-label f >= -1e-12 max|w| ||x - x'||^2
+            # stays at rounding level (README, "Memory")
+            if w.min() < -1e-12 * np.abs(w).max():
                 raise ValueError(f"M has negative eigenvalue {w.min():.3g}")
 
     @property

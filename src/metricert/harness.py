@@ -28,7 +28,7 @@ from .core import (
     metric_rowwise,
 )
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
-from .solver import SolverConfig, model_norm, solve, solve_kernel, solve_triplet
+from .solver import SolverConfig, model_norm, solve, solve_kernel, solve_triplet, training_c
 
 # the pseudo-robust bound's epsilon as a fraction of the certified one
 PSEUDO_EPS_SCALE = 0.5
@@ -180,17 +180,18 @@ def certify(
     probe: Dataset,
     family: str,
     cover_cfg: CoverConfig,
-    c: float,
     delta: float,
+    c: float | None = None,
     seed: int = 0,
     gap: float | None = None,
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities.
 
-    The constants hold only for the family the model was fitted as and
-    within its capacity, so a model of another kind or regularizer, or one
-    with c*||M||_reg > g0, is refused; kernel-rbf reads its bandwidth from
-    the model's kernel.  `empirical_gap` and `holds` are
+    The constants hold only for the family the model was fitted as, at the
+    c it was trained at and within its capacity, so a model of another
+    kind or regularizer, a c other than the model's (training_c; c
+    defaults to it), or c*||M||_reg > g0 is refused; kernel-rbf reads its
+    bandwidth from the model's kernel.  `empirical_gap` and `holds` are
     None unless a measured gap is given.
     """
     fam = FAMILIES[family]
@@ -201,7 +202,8 @@ def certify(
     if fam.kind == "kernelized" and model.kernel.kind != "rbf":
         raise ValueError(f"model has a {model.kernel.kind} kernel, not a {family} model")
     # epsilon and B hold for models within the capacity ||M|| <= g0/c
-    capacity = c * model_norm(model, fam.reg)
+    c = training_c(model, c)
+    capacity = c * model_norm(model)
     if capacity > fam.g0:
         raise ValueError(f"model is over capacity: c*||M|| = {capacity:.6g} > g0 = {fam.g0:g}")
     part = build_partition(ds, cover_cfg, probe=probe)
@@ -257,10 +259,7 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
         l_emp = empirical_loss(model, ds)
         true_est, _se = true_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
     gap = abs(true_est - l_emp)
-    report = certify(
-        model, ds, probe, cfg.family, cfg.cover, cfg.solver.c, cfg.delta,
-        seed=rep_seed, gap=gap,
-    )
+    report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, seed=rep_seed, gap=gap)
     report.extra["empirical_loss"] = l_emp
     report.extra["true_loss_estimate"] = true_est
     report.extra["true_loss_se"] = _se

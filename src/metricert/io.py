@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 
@@ -67,12 +68,13 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:
+def model_to_json_dict(m: MetricModel) -> dict:
+    """The model and its training c (info["c"]; null when unknown)."""
     out = {
         "kind": m.kind,
         "d": m.d,
         "regularizer": m.regularizer,
-        "c": c,
+        "c": m.info.get("c"),
         "matrix": m.M.ravel().tolist(),
         "size": m.M.shape[0],
     }
@@ -83,9 +85,12 @@ def model_to_json_dict(m: MetricModel, c: float | None = None) -> dict:
 
 
 def model_from_json_dict(obj: dict, anchors: Dataset | None = None) -> MetricModel:
-    """The stored model; info["c"] is the training c (None when unknown)."""
+    """The stored model; info["c"] is the training c, which enters the
+    certificate: null (unknown) or a positive finite number."""
     size = obj["size"]
-    info = {"c": obj.get("c")}
+    c = obj.get("c")
+    if c is not None and not (_has_json_type(c, float) and 0.0 < c < math.inf):
+        raise ValueError(f"model c must be null or positive and finite, not {c!r}")
     mat = np.asarray(obj["matrix"], dtype=float).reshape(size, size)
     ks = None
     if obj["kind"] == "kernelized":
@@ -97,12 +102,12 @@ def model_from_json_dict(obj: dict, anchors: Dataset | None = None) -> MetricMod
     else:
         anchors = None
     return MetricModel(
-        obj["kind"], mat, kernel=ks, anchors=anchors, regularizer=obj["regularizer"], info=info
+        obj["kind"], mat, kernel=ks, anchors=anchors, regularizer=obj["regularizer"], info={"c": c}
     )
 
 
-def save_model(m: MetricModel, path: str, c: float | None = None) -> None:
-    write_json(model_to_json_dict(m, c), path)
+def save_model(m: MetricModel, path: str) -> None:
+    write_json(model_to_json_dict(m), path)
 
 
 def load_model(path: str, anchors: Dataset | None = None) -> MetricModel:
@@ -150,8 +155,9 @@ def _read(cls, obj, where: str = ""):
 
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
     # older schema-1 files may hold solver.seed, which no solver read,
-    # solver.tol, 0 in every saved config (no early stop), cover.norm, "l2"
-    # in every saved config (the cover's one metric), and pseudo_eps_scale,
+    # solver.tol, 0 in every saved config (no early stop), solver.step0, 1.0
+    # in every saved config (the step is 1/sqrt(t)), cover.norm, "l2" in
+    # every saved config (the cover's one metric), and pseudo_eps_scale,
     # which is now the constant PSEUDO_EPS_SCALE
     if not isinstance(obj, dict):
         raise ValueError("config file must be an object")
@@ -164,11 +170,11 @@ def config_from_json_dict(obj: dict) -> ExperimentConfig:
         raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
     # each retired key with the one value it may hold (None: any)
     for section, key, only in (("solver", "seed", None), ("solver", "tol", 0.0),
-                               ("cover", "norm", "l2")):
+                               ("solver", "step0", 1.0), ("cover", "norm", "l2")):
         if isinstance(top.get(section), dict) and key in top[section]:
             top[section] = dict(top[section])
             value = top[section].pop(key)
-            if only is not None and value != only:
+            if only is not None and (value != only or isinstance(value, bool)):
                 raise ValueError(f"{section}.{key} must be {only!r}, not {value!r}")
     return _read(ExperimentConfig, top)
 

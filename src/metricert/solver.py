@@ -43,15 +43,12 @@ KPCA_RANK_TOL = 1e-10
 class SolverConfig:
     c: float = 1.0
     max_iters: int = 300
-    step0: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.c < math.inf:
             raise ValueError(f"c must be positive and finite, not {self.c!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.step0 < math.inf:
-            raise ValueError(f"step0 must be positive and finite, not {self.step0!r}")
 
 
 def reg_norm(M: np.ndarray, reg: str) -> float:
@@ -64,8 +61,9 @@ def reg_norm(M: np.ndarray, reg: str) -> float:
     raise ValueError(f"unknown regularizer {reg!r}")
 
 
-def model_norm(m: MetricModel, reg: str) -> float:
-    """||M||_reg, the norm the capacity bound ||M*|| <= g0/c is about.
+def model_norm(m: MetricModel) -> float:
+    """||M||_reg for the model's regularizer, the norm the capacity bound
+    ||M*|| <= g0/c is about.
 
     For kernelized models it is the feature-space Frobenius norm
     ||K^{1/2} M K^{1/2}||_F over the anchor Gram matrix K, computed as
@@ -74,12 +72,26 @@ def model_norm(m: MetricModel, reg: str) -> float:
     if m.kind == "kernelized":
         MK = m.M @ kernel_gram(m.kernel, m.anchors.X)
         return float(np.sqrt(max((MK * MK.T).sum(), 0.0)))
-    return reg_norm(m.M, reg)
+    return reg_norm(m.M, m.regularizer)
 
 
-def objective(m: MetricModel, ds: Dataset, reg: str, c: float) -> float:
-    """c*||M||_reg (model_norm) + empirical pair loss."""
-    return c * model_norm(m, reg) + empirical_loss(m, ds)
+def training_c(m: MetricModel, c: float | None = None) -> float:
+    """The c the model was trained at (info["c"]), or the given c.  The
+    capacity ||M*|| <= g0/c holds only for that c, so a given c that
+    differs from a recorded one is refused."""
+    trained = m.info.get("c")
+    if c is None:
+        if trained is None:
+            raise ValueError("the model records no training c; give c")
+        return trained
+    if trained is not None and c != trained:
+        raise ValueError(f"model was trained at c={trained!r}, not c={c!r}")
+    return c
+
+
+def objective(m: MetricModel, ds: Dataset, c: float | None = None) -> float:
+    """c*||M||_reg (model_norm) + empirical pair loss, at training_c(m, c)."""
+    return training_c(m, c) * model_norm(m) + empirical_loss(m, ds)
 
 
 def psd_project(M: np.ndarray) -> np.ndarray:
@@ -131,7 +143,8 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
     iterate is evaluated once: its loss scores it and its subgradient takes
     the next step.  info["active_fraction"][t] belongs to the iterate
     scored by info["best_history"][t] (t = 0 is M = 0), and
-    info["capacity_ratio"] is c * ||M*||_reg / g0 for the loss g0 of M = 0.
+    info["capacity_ratio"] is c * ||M*||_reg / g0 for the loss g0 of M = 0,
+    and info["c"] is c, the model's training weight.
     """
     M = np.zeros((d, d))
     best = np.zeros((d, d))
@@ -140,7 +153,7 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
     history = [best_obj]
     fractions = [active]
     for t in range(1, cfg.max_iters + 1):
-        step = cfg.step0 / np.sqrt(t)
+        step = 1.0 / np.sqrt(t)
         M = M - step * grad
         M = prox(M, step * cfg.c, reg)
         if psd and reg == "l21":
@@ -168,6 +181,7 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
         "iterations": len(history) - 1,
         "active_fraction": fractions,
         "capacity_ratio": cfg.c * reg_norm(best, reg) / g0,
+        "c": cfg.c,
     }
     return best, info
 

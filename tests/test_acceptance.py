@@ -329,6 +329,6 @@ def test_criterion_10_determinism_and_io(tmp_path):
     ok = ok and np.array_equal(ds.X, back.X) and ds.y == back.y
     model = solve(ds, "fro", SolverConfig(c=0.3, max_iters=40))
     mp = tmp_path / "m.json"
-    save_model(model, mp, c=0.3)
+    save_model(model, mp)
     ok = ok and np.array_equal(load_model(mp).M, model.M)
     _report(10, "determinism and exact I/O round-trips", ok)

@@ -281,6 +281,26 @@ class TestTripletLoss:
         assert np.array_equal(Wn, [[0, 1, 1], [2, 0, 0], [2, 0, 0]])
 
 
+class TestMetricModelPsdMargin:
+    def test_negative_loss_model_refused(self):
+        # accepted under the absolute floor -1e-8: empirical_loss was -2.5e-9
+        # on the same-label points (0, +-0.5)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            MetricModel("mahalanobis", M=np.diag([1.0, -5e-9]))
+
+    @pytest.mark.parametrize("kind", ["mahalanobis", "kernelized"])
+    def test_margin_is_relative_to_the_largest_eigenvalue(self, kind):
+        ds = make_ds([[0.0, 0.0], [0.5, 0.0]], "ab")
+        extra = {"kernel": KernelSpec("rbf", 1.0), "anchors": ds} if kind == "kernelized" else {}
+        for scale in (1e-6, 1.0, 1e6):
+            MetricModel(kind, M=scale * np.diag([1.0, -1e-15]), **extra)
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                MetricModel(kind, M=scale * np.diag([1.0, -1e-10]), **extra)
+
+    def test_zero_matrix_accepted(self):
+        MetricModel("mahalanobis", M=np.zeros((2, 2)))
+
+
 class TestEmpiricalLoss:
     def test_zero_matrix_single_label(self):
         ds = make_ds([[0.0], [1.0], [2.0]], "aaa")

@@ -18,7 +18,7 @@ from metricert.harness import (
     run_experiment,
     true_loss_estimate,
 )
-from metricert.solver import SolverConfig, model_norm, solve_kernel
+from metricert.solver import SolverConfig, model_norm, solve, solve_kernel
 
 class TestGenSynthetic:
     def test_zero_scale_points_equal_means(self):
@@ -296,11 +296,28 @@ class TestCertify:
             return MetricModel("kernelized", M=scale * np.eye(ds.n), kernel=kernel, anchors=ds)
 
         # the feature norm is linear in A: c*||.|| is g0 at scale `limit`
-        limit = FAMILIES["kernel-rbf"].g0 / (0.5 * model_norm(model(1.0), "fro"))
+        limit = FAMILIES["kernel-rbf"].g0 / (0.5 * model_norm(model(1.0)))
         args = (ds, probe, "kernel-rbf", CoverConfig(gamma=0.5))
         assert certify(model(0.5 * limit), *args, c=0.5, delta=0.05).sound
         with pytest.raises(ValueError, match="over capacity"):
             certify(model(2.0 * limit), *args, c=0.5, delta=0.05)
+
+    def test_refuses_a_c_other_than_the_trained_one(self):
+        ds, probe = self._data()
+        model = solve(ds, "fro", SolverConfig(c=0.5, max_iters=20))
+        args = (model, ds, probe, "fro", CoverConfig(gamma=0.5))
+        # 0.4 * ||M|| <= 0.5 * ||M|| <= g0, so the capacity check alone passes
+        with pytest.raises(ValueError, match=r"trained at c=0\.5, not c=0\.4"):
+            certify(*args, c=0.4, delta=0.05)
+        assert certify(*args, delta=0.05).c == 0.5
+        assert certify(*args, delta=0.05) == certify(*args, c=0.5, delta=0.05)
+
+    def test_a_model_without_c_needs_one(self):
+        ds, probe = self._data()
+        args = (MetricModel("mahalanobis", M=np.eye(2)), ds, probe, "fro", CoverConfig(gamma=0.5))
+        with pytest.raises(ValueError, match="records no training c"):
+            certify(*args, delta=0.05)
+        assert certify(*args, c=0.5, delta=0.05).c == 0.5
 
     def test_holds_only_with_a_measured_gap(self):
         ds, probe = self._data()

@@ -64,10 +64,20 @@ class TestModelJson:
         A = rng.standard_normal((3, 3))
         m = MetricModel("mahalanobis", M=A @ A.T, regularizer="fro")
         path = tmp_path / "m.json"
-        save_model(m, path, c=0.5)
+        save_model(m, path)
         back = load_model(path)
         assert np.array_equal(m.M, back.M)
         assert back.kind == "mahalanobis" and back.regularizer == "fro"
+
+    def test_load_save_round_trip_keeps_c(self, tmp_path):
+        # saving a loaded model wrote "c": null
+        data, first, second = tmp_path / "d.csv", tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", "--out", str(data), "--n", "20"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(first), "--c", "0.25",
+                     "--iters", "5"]) == 0
+        save_model(load_model(first), second)
+        assert json.loads(first.read_text())["c"] == 0.25
+        assert second.read_bytes() == first.read_bytes()
 
     def test_bilinear_round_trip(self):
         M = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -118,12 +128,12 @@ class TestConfigJson:
     def test_written_config_has_no_legacy_keys(self):
         obj = config_to_json_dict(ExperimentConfig())
         assert "pseudo_eps_scale" not in obj
-        assert "seed" not in obj["solver"] and "tol" not in obj["solver"]
+        assert not {"seed", "tol", "step0"} & set(obj["solver"])
         assert "norm" not in obj["cover"]
 
 
-# a config as save_config wrote it while SolverConfig had a seed and a tol,
-# CoverConfig a norm and ExperimentConfig a pseudo_eps_scale
+# a config as save_config wrote it while SolverConfig had a seed, a tol and a
+# step0, CoverConfig a norm and ExperimentConfig a pseudo_eps_scale
 LEGACY_CONFIG = (
     '{"cover":{"gamma":0.5,"norm":"l2"},"delta":0.05,"family":"fro","mc_size":200,'
     '"probe_size":10,"pseudo_eps_scale":0.5,"repetitions":1,"schema_version":1,'
@@ -150,7 +160,7 @@ class TestLegacyConfig:
         assert cfg == ExperimentConfig(
             synthetic=SyntheticSpec(d=2, n=20, classes=2, cov_scale=0.3, R=1.0, seed=1,
                                     means=((0.5, 0.0), (0.0, 0.5))),
-            solver=SolverConfig(c=0.5, max_iters=20, step0=1.0),
+            solver=SolverConfig(c=0.5, max_iters=20),
             cover=CoverConfig(gamma=0.5),
             family="fro", delta=0.05, probe_size=10, mc_size=200, repetitions=1,
         )
@@ -167,6 +177,17 @@ class TestLegacyConfig:
         assert run_curve(tmp_path, json.dumps(obj)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cover.norm" in err
+
+    @pytest.mark.parametrize("step0", [0.5, "1.0", True], ids=["other", "string", "bool"])
+    def test_other_solver_step0_refused(self, tmp_path, capsys, step0):
+        # the step is 1/sqrt(t), the schedule every saved step0 of 1.0 gave
+        obj = json.loads(LEGACY_CONFIG)
+        obj["solver"]["step0"] = step0
+        with pytest.raises(ValueError, match=r"solver\.step0"):
+            config_from_json_dict(obj)
+        assert run_curve(tmp_path, json.dumps(obj)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solver.step0" in err
 
     def test_other_pseudo_eps_scale_refused(self, tmp_path, capsys):
         obj = json.loads(LEGACY_CONFIG)
@@ -354,12 +375,51 @@ class TestCli:
                      "--c", "1.0", "--gamma", "0.5", "--radius", "1.0"]) == 0
         assert json.loads(report.read_text())["c"] == 1.0
 
+    def test_audit_without_c_needs_a_model_with_c(self, tmp_path, capsys):
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(MetricModel("mahalanobis", M=np.eye(2)), model)
+        assert main(["audit", "--model", str(model), "--data", str(data),
+                     "--out", str(report)]) == 1
+        assert not report.exists()
+        assert "records no training c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["fro", "kernel-rbf"])
+    def test_audit_defaults_to_the_model_c_and_sigma(self, tmp_path, family):
+        data = self._gen(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--out", str(model), "--family", family,
+                     "--c", "0.5", "--sigma", "0.5", "--iters", "20"]) == 0
+        reports = []
+        for given in ([], ["--c", "0.5", "--sigma", "0.5"]):
+            report = tmp_path / f"report{len(reports)}.json"
+            assert main(["audit", "--model", str(model), "--data", str(data),
+                         "--out", str(report), "--family", family] + given) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["c"] == 0.5
+
+    @pytest.mark.parametrize(
+        "text", ["true", '"0.5"', "NaN", "Infinity", "-Infinity", "0", "-1", "[0.5]"]
+    )
+    def test_audit_refuses_a_bad_c_in_the_model_file(self, tmp_path, capsys, text):
+        # the c enters the certificate; audit runs without --c, so only the
+        # file's c is read
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(MetricModel("mahalanobis", M=np.eye(2), info={"c": 0.5}), model)
+        model.write_text(model.read_text().replace('"c":0.5', f'"c":{text}'))
+        assert main(["audit", "--model", str(model), "--data", str(data),
+                     "--out", str(report)]) == 1
+        assert not report.exists()
+        assert "model c must be null or positive and finite" in capsys.readouterr().err
+
     def test_audit_refuses_a_model_over_capacity(self, tmp_path, capsys):
         # c*||M||_F = 30 > g0 = 2; the report would claim a certificate whose
         # empirical epsilon is three times the certified one
         data = self._gen(tmp_path)
         model, report = tmp_path / "model.json", tmp_path / "report.json"
-        save_model(MetricModel("mahalanobis", M=np.diag([300.0, 0.0])), model, c=0.1)
+        save_model(MetricModel("mahalanobis", M=np.diag([300.0, 0.0]), info={"c": 0.1}), model)
         assert main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
                      "--c", "0.1", "--gamma", "0.5", "--radius", "1.0"]) == 1
         assert not report.exists()
@@ -537,7 +597,6 @@ class TestCli:
 # one hyper-parameter each; NaN used to pass range checks written as x <= 0
 NON_FINITE_FIELDS = [
     pytest.param(lambda v: SolverConfig(c=v), "c", id="SolverConfig.c"),
-    pytest.param(lambda v: SolverConfig(step0=v), "step0", id="SolverConfig.step0"),
     pytest.param(lambda v: CoverConfig(gamma=v), "gamma", id="CoverConfig.gamma"),
     pytest.param(lambda v: SyntheticSpec(cov_scale=v), "cov_scale", id="SyntheticSpec.cov_scale"),
     pytest.param(lambda v: SyntheticSpec(R=v), "R", id="SyntheticSpec.R"),
@@ -581,7 +640,6 @@ class TestNonFiniteInputs:
         "command, flag, value, name",
         [
             ("train", "--c", "nan", "c"),
-            ("train", "--step0", "nan", "step0"),
             ("train", "--c", "inf", "c"),
             ("gen", "--radius", "nan", "R"),
             ("audit", "--gamma", "nan", "gamma"),
@@ -684,6 +742,8 @@ class TestUsageErrors:
             # the cover has one metric, so audit has no --norm to choose it
             ["audit", "--model", "m.json", "--data", "d.csv", "--out", "r.json",
              "--norm", "l2"],
+            # the step is 1/sqrt(t), so train has no --step0 to scale it
+            ["train", "--data", "d.csv", "--out", "m.json", "--step0", "1"],
         ],
     )
     def test_exit_1(self, capsys, argv):

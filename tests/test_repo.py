@@ -116,7 +116,7 @@ def test_readme_command_lines_parse():
 # retired shows up as an edit here
 CLI_FLAGS = {
     "gen": ["--out", "--n", "--d", "--classes", "--cov-scale", "--radius", "--seed"],
-    "train": ["--data", "--out", "--family", "--c", "--iters", "--step0", "--sigma", "--radius"],
+    "train": ["--data", "--out", "--family", "--c", "--iters", "--sigma", "--radius"],
     "audit": ["--model", "--data", "--probe", "--out", "--family", "--c", "--gamma", "--delta",
               "--sigma", "--radius", "--seed"],
     "bound": ["--mode", "--epsilon", "--B", "--K", "--n", "--delta", "--p-hat"],

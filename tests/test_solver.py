@@ -42,7 +42,7 @@ class TestObjective:
     def test_zero_matrix_is_pure_loss(self):
         ds = make_ds([[0.0], [1.0]], "ab")
         m = MetricModel("mahalanobis", M=np.zeros((1, 1)))
-        assert objective(m, ds, "fro", 5.0) == empirical_loss(m, ds)
+        assert objective(m, ds, 5.0) == empirical_loss(m, ds)
 
     def test_identity_fro_norm(self):
         assert reg_norm(np.eye(2), "fro") == pytest.approx(np.sqrt(2.0))
@@ -211,6 +211,16 @@ class TestLossSubgradient:
 
 
 class TestSolve:
+    def test_every_solver_records_its_c(self):
+        ds = random_ds(np.random.default_rng(3), n=10, d=2)
+        cfg = SolverConfig(c=0.37, max_iters=5)
+        for m in (solve(ds, "fro", cfg), solve(ds, "fro", cfg, kind="bilinear"),
+                  solve_triplet(ds, "l21", cfg), solve_kernel(ds, KernelSpec("rbf"), cfg)):
+            assert m.info["c"] == 0.37
+            assert objective(m, ds) == objective(m, ds, 0.37)
+            with pytest.raises(ValueError, match=r"trained at c=0\.37, not c=0\.4"):
+                objective(m, ds, 0.4)
+
     def test_all_labels_equal_returns_zero_objective(self):
         ds = make_ds([[0.0, 0.1], [0.2, 0.0], [0.1, 0.1]], "aaa")
         m = solve(ds, "fro", SolverConfig(c=1.0, max_iters=50))
@@ -222,7 +232,7 @@ class TestSolve:
         for _ in range(5):
             ds = random_ds(rng, n=10, d=3)
             m = solve(ds, reg, SolverConfig(c=0.3, max_iters=60))
-            obj = objective(m, ds, reg, 0.3)
+            obj = objective(m, ds)
             assert obj <= PAIR_G0 + 1e-9
             assert reg_norm(m.M, reg) <= PAIR_G0 / 0.3 + 1e-9
 
@@ -232,7 +242,7 @@ class TestSolve:
         m = solve(ds, "fro", cfg)
         grid = np.linspace(0.0, 50.0, 5001)
         objs = [
-            objective(MetricModel("mahalanobis", M=np.array([[v]])), ds, "fro", 0.01)
+            objective(MetricModel("mahalanobis", M=np.array([[v]])), ds, 0.01)
             for v in grid
         ]
         best_grid = min(objs)
@@ -275,7 +285,7 @@ class TestObjectiveOfTrainedModels:
         for kind, reg in (("mahalanobis", "fro"), ("mahalanobis", "l1"),
                           ("mahalanobis", "l21"), ("bilinear", "fro")):
             m = solve(ds, reg, cfg, kind=kind)
-            assert objective(m, ds, reg, cfg.c) == m.info["objective"], (kind, reg)
+            assert objective(m, ds) == m.info["objective"], (kind, reg)
         for reg in ("fro", "l21"):
             m = solve_triplet(ds, reg, cfg)
             recomputed = cfg.c * reg_norm(m.M, reg) + empirical_triplet_loss(m, ds)
@@ -331,7 +341,7 @@ class TestSolveKernel:
         zero = MetricModel(
             "kernelized", M=np.zeros((2, 2)), kernel=KernelSpec("rbf", 1.0), anchors=ds
         )
-        assert objective(zero, ds, "fro", 1.0) == empirical_loss(zero, ds)
+        assert objective(zero, ds, 1.0) == empirical_loss(zero, ds)
 
     def test_rbf_single_label_optimal_zero(self):
         ds = make_ds([[0.0, 0.1], [0.1, 0.0], [0.2, 0.1]], "aaa")
@@ -426,7 +436,7 @@ def reference_iterate(d, callbacks, reg, cfg, psd):
     best_obj = cfg.c * 0.0 + loss_fn(M)
     history, fractions = [best_obj], [active_fn(M)]
     for t in range(1, cfg.max_iters + 1):
-        step = cfg.step0 / np.sqrt(t)
+        step = 1.0 / np.sqrt(t)
         M = M - step * grad_fn(M)
         M = prox(M, step * cfg.c, reg)
         if psd and reg == "l21":
@@ -785,9 +795,9 @@ class TestLowRankKernelSolve:
     def test_saved_model_objective_equals_printed(self, tmp_path):
         for ds, ks in self.problems():
             m = solve_kernel(ds, ks, self.CFG)
-            save_model(m, tmp_path / "m.json", c=self.CFG.c)
+            save_model(m, tmp_path / "m.json")
             saved = load_model(tmp_path / "m.json", anchors=ds)
-            recomputed = objective(saved, ds, "fro", self.CFG.c)
+            recomputed = objective(saved, ds)
             assert recomputed == pytest.approx(m.info["objective"], rel=1e-9)
 
     def test_capacity_recomputed_independently(self):
