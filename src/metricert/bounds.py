@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs
+from .core import Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs, tile_rows
 from .cover import Partition, assign_cells
 
 
@@ -133,24 +133,32 @@ def _assign(p: Partition, ds: Dataset, probe: Dataset):
 def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
     """Per-cell-pair min and max of the probe pair loss.
 
-    Returns the occupied cell ids (ascending) and two tables indexed by
-    their positions.  Points are sorted by cell, so every cell is a run of
-    rows and columns; each row block of f reduces through `_run_extrema`,
-    a cell whose run straddles two blocks is merged into the f tables, and
-    `_loss_extrema` maps the finished tables to losses.
+    Returns the C occupied cell ids (ascending) and two (C + 1) x (C + 1)
+    tables indexed by their positions, whose last row and column are the
+    empty extrema (+inf, -inf) of a cell the probe does not occupy.  Points
+    are sorted by cell, so every cell is a run of rows and columns; each
+    row block of f reduces through `_run_extrema`, a cell whose run
+    straddles two blocks is merged into the f tables, and `_loss_extrema`
+    maps the finished tables to losses in place, a chunk of rows at a time,
+    so no C x C temporary is made.
     """
     order, cells, starts, sizes = sorted_runs(ids)
-    lo = np.full((len(cells), len(cells)), np.inf)
-    hi = np.full((len(cells), len(cells)), -np.inf)
+    C = len(cells)
+    lo = np.full((C + 1, C + 1), np.inf)
+    hi = np.full((C + 1, C + 1), -np.inf)
     for start, F in metric_blocks(m, X[order]):
         at, _, lo_run, hi_run = _run_extrema(F, start, starts, sizes)
-        np.minimum(lo[at], lo_run, out=lo[at])
-        np.maximum(hi[at], hi_run, out=hi[at])
+        np.minimum(lo[at, :C], lo_run, out=lo[at, :C])
+        np.maximum(hi[at, :C], hi_run, out=hi[at, :C])
     # the last block is a view of the sweep's buffer: drop it before the
-    # temporaries of the cell-pair tables
+    # chunk temporaries
     F = None
     labels = p.cell_labels(cells)
-    return (cells, *_loss_extrema(lo, hi, labels, labels))
+    chunk = tile_rows(C)
+    for s in range(0, C, chunk):
+        r = slice(s, min(s + chunk, C))
+        lo[r, :C], hi[r, :C] = _loss_extrema(lo[r, :C], hi[r, :C], labels[r], labels)
+    return cells, lo, hi
 
 
 def cell_stats(
@@ -189,11 +197,9 @@ def cell_stats(
     cells, lo_p, hi_p = _probe_extrema(m, p, X_pr, ids_pr)
     order, cells_t, starts, sizes = sorted_runs(ids_tr)
     # each training cell's position among the probe cells; a cell the probe
-    # does not occupy points at an appended row and column of empty extrema
+    # does not occupy points at the tables' last row and column
     pos = np.searchsorted(cells, cells_t)
     pos[cells[np.minimum(pos, len(cells) - 1)] != cells_t] = len(cells)
-    lo_p = np.pad(lo_p, (0, 1), constant_values=np.inf)
-    hi_p = np.pad(hi_p, (0, 1), constant_values=-np.inf)
     tol = epsilon + 1e-12
     worst, count = 0.0, 0
     labels = p.cell_labels(ids_tr[order])

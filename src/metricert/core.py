@@ -17,11 +17,22 @@ import numpy as np
 
 ATOL = 1e-8
 
-# Rows per block wherever an all-pairs array is evaluated in pieces (cover
-# distances, certification losses, k-NN): a block holds BLOCK_ROWS * m values
-# for m columns, so memory grows linearly in the sample size, not with its
-# square.  Read at call time, so tests can shrink it to force many blocks.
+# Wherever an all-pairs array is evaluated in pieces (cover distances,
+# certification losses, k-NN, the training evaluators), a tile of m float64
+# columns holds tile_rows(m) rows: as many as fit in TILE_BYTES (2 MiB, one
+# core's L2 cache on common hosts), at most BLOCK_ROWS and at least 16.  So
+# memory grows linearly in the sample size, not with its square, and every
+# array of at most 1024 columns keeps BLOCK_ROWS rows.  Below 16 rows the
+# per-tile reductions over all m columns (bounds._run_extrema) cost more
+# than the smaller tile saves.  Both constants are read at call time, so
+# tests can shrink them to force many tiles.
 BLOCK_ROWS = 256
+TILE_BYTES = 1 << 21
+
+
+def tile_rows(cols: int) -> int:
+    """Rows per tile of an all-pairs array with `cols` float64 columns."""
+    return min(BLOCK_ROWS, max(16, TILE_BYTES // (8 * max(cols, 1))))
 
 
 @dataclass
@@ -84,13 +95,14 @@ def sorted_runs(ids: np.ndarray):
 
 def run_tiles(starts: np.ndarray, n: int) -> list:
     """The row tiles (s, e, a0, a1) of n points sorted into runs that begin
-    at `starts` (sorted_runs): rows s..e-1, BLOCK_ROWS at most, of the one
+    at `starts` (sorted_runs): rows s..e-1, tile_rows(n) at most, of the one
     run [a0, a1) that holds them.  Every row falls in exactly one tile."""
     ends = starts[1:].tolist() + [n]
+    rows = tile_rows(n)
     return [
-        (s, min(s + BLOCK_ROWS, a1), a0, a1)
+        (s, min(s + rows, a1), a0, a1)
         for a0, a1 in zip(starts.tolist(), ends)
-        for s in range(a0, a1, BLOCK_ROWS)
+        for s in range(a0, a1, rows)
     ]
 
 
@@ -279,12 +291,19 @@ def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) ->
     sq = sq_dists(X1, eye, X2, quad_rows(X2, eye, X2))
     np.maximum(sq, 0.0, out=sq)
     try:
-        sq /= -2.0 * ks.sigma**2
+        s2 = ks.sigma**2
     except OverflowError:
-        # sigma^2 beyond the float range: divide by sigma twice, so the
-        # Gram tends to all ones
-        sq /= -2.0 * ks.sigma
-        sq /= ks.sigma
+        s2 = math.inf
+    # a quotient beyond the float range is -inf, whose exp is the limit 0
+    with np.errstate(over="ignore"):
+        if 0.0 < s2 < math.inf:
+            sq /= -2.0 * s2
+        else:
+            # sigma^2 beyond the float range or rounded to 0: divide by
+            # sigma twice, so the Gram tends to all ones, or its entries
+            # off a zero distance to 0
+            sq /= -2.0 * ks.sigma
+            sq /= ks.sigma
     return np.exp(sq, out=sq)
 
 
@@ -361,10 +380,10 @@ def sq_dists(
 
 def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
     """All-pairs metric values f(x1_i, x2_j) in row blocks: yields (start,
-    f of the rows X1[start:start + BLOCK_ROWS] against all of X2); X2
-    defaults to X1.  The column side is computed once, and every block is
-    written into the same buffers (one block and one _sum_buffer),
-    allocated once per sweep, so memory is O(BLOCK_ROWS * len(X2)).
+    f of the rows X1[start:start + tile_rows(len(X2))] against all of X2);
+    X2 defaults to X1.  The column side is computed once, and every block
+    is written into the same buffers (one block and one _sum_buffer),
+    allocated once per sweep, so memory is O(tile_rows(len(X2)) * len(X2)).
 
     Aliasing: a yielded block is a view of those buffers, and the next
     block overwrites it.  A caller must be done with it, and with any view
@@ -373,10 +392,11 @@ def metric_blocks(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None):
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     F2, Q = features(m, X1 if X2 is None else X2)
     q2 = None if m.kind == "bilinear" else quad_rows(F2, Q, F2)
-    f = np.empty((min(BLOCK_ROWS, len(X1)), len(F2)))
+    block = tile_rows(len(F2))
+    f = np.empty((min(block, len(X1)), len(F2)))
     work = None if q2 is None else _sum_buffer(len(F2))
-    for start in range(0, len(X1), BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, len(X1) - start)
+    for start in range(0, len(X1), block):
+        rows = min(block, len(X1) - start)
         F1 = features(m, X1[start : start + rows])[0]
         if q2 is None:
             yield start, np.matmul(F1 @ Q, F2.T, out=f[:rows])
@@ -465,9 +485,9 @@ def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
     h > 0, the kink itself taking the 0-side subgradient.  The subgradient
     sum_ij y_ij [h_ij > 0] x_i x_j^T gets X_s^T (2 w_same X_same - w X) from
     a tile with active mask w.  The tile buffers are allocated here, once
-    per evaluator, so the evaluator holds O(BLOCK_ROWS * n) memory, not n x n;
-    its sums run in another order than a full n x n evaluation, so it
-    agrees with one to rounding.
+    per evaluator, so the evaluator holds O(tile_rows(n) * n) memory, not
+    n x n; its sums run in another order than a full n x n evaluation, so
+    it agrees with one to rounding.
     """
     n, d = X.shape
     order, _, starts, _ = sorted_runs(labels)
@@ -514,7 +534,7 @@ def pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     the next label's first point on, so every pair of a tile has
     label_j > label_i and stands for its two ordered pairs.  The tile
     buffers are allocated here, once per evaluator, so the evaluator holds
-    O(BLOCK_ROWS * n) memory, not n x n.  The sum of the hinges runs in
+    O(tile_rows(n) * n) memory, not n x n.  The sum of the hinges runs in
     another order than a full n x n evaluation, so it agrees with one to
     rounding.
     """
@@ -568,7 +588,7 @@ def triplet_eval(X: np.ndarray, labels: np.ndarray):
     active-set counts of triplet_hinge.  The points are sorted into
     label runs once, and each tile of run_tiles passes the rows of one
     run against all n points, its f written into buffers allocated once
-    per evaluator; memory is O(BLOCK_ROWS * n)."""
+    per evaluator; memory is O(tile_rows(n) * n)."""
     n, d = X.shape
     order, _, starts, _ = sorted_runs(labels)
     X = X[order]

@@ -88,9 +88,11 @@ def greedy_cover(points, radius: float) -> np.ndarray:
     if points.size == 0:
         return np.zeros((0, points.shape[1] if points.ndim == 2 else 0))
     centers = np.empty_like(points)
-    count = 0
-    for start in range(0, len(points), core.BLOCK_ROWS):
-        block = points[start : start + core.BLOCK_ROWS]
+    count, start = 0, 0
+    while start < len(points):
+        # a block's distances hold one column per center chosen so far
+        block = points[start : start + core.tile_rows(count)]
+        start += len(block)
         if count:
             block = block[_nearest(block, centers[:count], radius)[1] > radius]
         first_new = count
@@ -160,8 +162,9 @@ def assign_cells(p: Partition, X: np.ndarray, y: list) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     nearest = np.empty(len(X), dtype=int)
     ok = np.empty(len(X), dtype=bool)
-    for start in range(0, len(X), core.BLOCK_ROWS):
-        rows = slice(start, start + core.BLOCK_ROWS)
+    block = core.tile_rows(len(p.centers))
+    for start in range(0, len(X), block):
+        rows = slice(start, start + block)
         nearest[rows], dist = _nearest(X[rows], p.centers, p.radius + 1e-12)
         ok[rows] = dist <= p.radius + 1e-12
     lookup = {lab: i for i, lab in enumerate(p.labels)}

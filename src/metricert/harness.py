@@ -53,6 +53,10 @@ class SyntheticSpec:
             raise ValueError(f"cov_scale must be nonnegative and finite, not {self.cov_scale!r}")
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be positive and finite, not {self.R!r}")
+        if self.R * self.R == math.inf:
+            # the mean check and gen_synthetic's acceptance test take norms
+            # through squared norms, which would overflow to inf
+            raise ValueError(f"R={self.R!r} is too large: its square overflows a float")
         means = self.means if self.means else _default_means(self.classes, self.d, self.R)
         means = tuple(tuple(float(v) for v in mvec) for mvec in means)
         if len(means) != self.classes:
@@ -91,7 +95,10 @@ def gen_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     attempts = 0
     while todo.size:
         x = means[k[todo]] + spec.cov_scale * rng.standard_normal((todo.size, spec.d))
-        inside = np.linalg.norm(x, axis=1) <= spec.R
+        # R^2 is finite (SyntheticSpec), so a squared norm that overflows to
+        # inf belongs to a point outside the ball, which is rejected
+        with np.errstate(over="ignore"):
+            inside = np.linalg.norm(x, axis=1) <= spec.R
         X[todo[inside]] = x[inside]
         attempts += todo.size
         todo = todo[~inside]
@@ -327,7 +334,7 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     train_lab = np.array([lookup[lab] for lab in train.y])
     test_lab = np.array([lookup.get(lab, -1) for lab in test.y])
     correct = 0
-    rows = min(core.BLOCK_ROWS, test.n)
+    rows = min(core.tile_rows(train.n), test.n)
     part, mask = np.empty((rows, train.n)), np.empty((rows, train.n), dtype=bool)
     for start, F in metric_blocks(m, test.X, train.X):
         # the k smallest under a stable sort: every value below the k-th,

@@ -36,13 +36,16 @@ def dataset_from_csv(path: str, R: float | None = None) -> Dataset:
         if not header or header[-1] != "label":
             raise ValueError("dataset CSV must end with a 'label' column")
         d = len(header) - 1
-        X, y = [], []
-        for row in reader:
-            if len(row) != d + 1:
-                raise ValueError(f"row has {len(row)} fields, expected {d + 1}")
-            X.append([float(v) for v in row[:d]])
-            y.append(row[d])
-    X = np.asarray(X, dtype=float)
+        rows = list(reader)
+    for row in rows:
+        if len(row) != d + 1:
+            raise ValueError(f"row has {len(row)} fields, expected {d + 1}")
+    # one flat pass of float() over every coordinate; a file without rows
+    # leaves X empty and 1-D, which the radius or Dataset refuses
+    X = np.array([float(v) for row in rows for v in row[:d]])
+    if rows:
+        X = X.reshape(len(rows), d)
+    y = [row[d] for row in rows]
     if R is None:
         R = float(np.linalg.norm(X, axis=1).max())
     return Dataset(X, y, R)

@@ -4,6 +4,10 @@ import numpy as np
 
 from metricert.core import Dataset, hinge, metric_eval
 
+# core.TILE_BYTES budgets whose tiles of 1500 columns hold 16 rows (the
+# floor), 174 rows (the default 2 MiB) and 256 rows (the cap)
+TILE_BUDGETS = (1 << 16, 1 << 21, 1 << 40)
+
 
 def make_ds(points, labels, R=None):
     X = np.atleast_2d(np.asarray(points, dtype=float))

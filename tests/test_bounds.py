@@ -30,7 +30,7 @@ from metricert.cover import CoverConfig, assign_cells, build_partition
 from metricert.harness import SyntheticSpec, gen_synthetic
 from metricert.solver import SolverConfig, solve
 
-from helpers import make_ds, oracle_pair_loss
+from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss
 
 
 class TestEpsilonTheoretical:
@@ -455,6 +455,90 @@ class TestLossFromFExtrema:
             got = (est.value, est.excluded_probes, p_hat)
             assert got == reference_cell_stats(model, part, ds, probe, epsilon)
             assert bool(loss_blocks) == undecided
+
+
+def padded_probe_tables(m, part, X, ids):
+    """_probe_extrema as it was, kept as the oracle of its in-place tables:
+    C x C tables of f extrema, mapped to losses by _loss_extrema on the
+    whole tables, then padded with the row and column of empty extrema
+    that cell_stats appended."""
+    order, cells, starts, sizes = core.sorted_runs(ids)
+    lo = np.full((len(cells), len(cells)), np.inf)
+    hi = np.full((len(cells), len(cells)), -np.inf)
+    for start, F in core.metric_blocks(m, X[order]):
+        at, _, lo_run, hi_run = bounds._run_extrema(F, start, starts, sizes)
+        np.minimum(lo[at], lo_run, out=lo[at])
+        np.maximum(hi[at], hi_run, out=hi[at])
+    labels = part.cell_labels(cells)
+    lo, hi = bounds._loss_extrema(lo, hi, labels, labels)
+    return (
+        cells,
+        np.pad(lo, (0, 1), constant_values=np.inf),
+        np.pad(hi, (0, 1), constant_values=-np.inf),
+    )
+
+
+class TestProbeTables:
+    @pytest.mark.parametrize("rows", [2, 5, 256])
+    def test_in_place_tables_equal_the_padded_path_bitwise(self, monkeypatch, rows):
+        # blocks and loss chunks of 2 and 5 rows leave a short last chunk
+        # of the probe cells; 256 rows map every table in one chunk
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        models, part, ds, probe = sweep_cases(np.random.default_rng(33), 40, 60)
+        ids = assign_cells(part, probe.X, probe.y)
+        X, ids = probe.X[ids >= 0], ids[ids >= 0]
+        C = len(np.unique(ids))
+        assert C > 5 and C % 5
+        for model in models:
+            got = bounds._probe_extrema(model, part, X, ids)
+            expected = padded_probe_tables(model, part, X, ids)
+            assert np.array_equal(got[0], expected[0])
+            for g, e in zip(got[1:], expected[1:]):
+                assert g.shape == (C + 1, C + 1)
+                assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
+
+def budget_cases(rng):
+    """A Mahalanobis model on a sample and a probe of 1500 points each, two
+    labels, d = 2: tiles of 16, 174 and 256 rows under TILE_BUDGETS."""
+    n = 1500
+    X, Xp = rng.uniform(-0.7, 0.7, size=(2, n, 2))
+    ds = make_ds(X, rng.choice(["a", "b"], size=n), R=1.0)
+    probe = make_ds(Xp, rng.choice(["a", "b"], size=n), R=1.0)
+    part = build_partition(ds, CoverConfig(gamma=0.3), probe=probe)
+    A = rng.standard_normal((2, 2))
+    return MetricModel("mahalanobis", M=A @ A.T), part, ds, probe
+
+
+class TestTileBudgets:
+    """The audit at a tiny, the default and a huge tile budget.  A BLAS
+    product's last bits can depend on its row count, so f, and with it the
+    estimates, agree within rel 1e-12; the pseudo-robust counts, which
+    compare deviations with a tolerance, agree exactly on this generic
+    data."""
+
+    def test_cell_stats(self, monkeypatch):
+        model, part, ds, probe = budget_cases(np.random.default_rng(34))
+        got = []
+        for budget in TILE_BUDGETS:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
+            eps = cell_stats(model, part, ds, probe, math.inf)[0]
+            est, count = cell_stats(model, part, ds, probe, 0.5 * eps.value)
+            assert est == eps
+            got.append((est.value, count))
+        assert 0 < got[0][1] < ds.n**2
+        for value, count in got[1:]:
+            assert value == pytest.approx(got[0][0], rel=1e-12, abs=0.0)
+            assert count == got[0][1]
+
+    def test_empirical_epsilon_triplet(self, monkeypatch):
+        model, part, ds, probe = budget_cases(np.random.default_rng(35))
+        got = []
+        for budget in TILE_BUDGETS:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
+            got.append(empirical_epsilon_triplet(model, part, ds, probe).value)
+        assert got[0] > 0.0
+        assert got[1:] == pytest.approx([got[0]] * 2, rel=1e-12, abs=0.0)
 
 
 def dict_loop_epsilon_triplet(m, part, ds, probe):

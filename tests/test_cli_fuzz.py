@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from metricert.cli import main
 from metricert.core import Dataset
@@ -95,6 +96,7 @@ def _printed_numbers(text):
             continue
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_edge_values(tmp_path):
     rng = np.random.default_rng(20260517)
     commands = _base_commands(tmp_path, rng)

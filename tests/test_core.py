@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from metricert.core import (
     triplet_hinge,
 )
 
-from helpers import make_ds, oracle_pair_loss
+from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss
 
 
 def pair_losses(m, ds):
@@ -404,21 +405,65 @@ class TestMetricBlocks:
         addresses = {F.__array_interface__["data"][0] for _, F in core.metric_blocks(m, X)}
         assert len(addresses) == 1
 
-    def test_sweep_memory(self):
-        # a 256 x 4000 float64 block is 8.2 MB; the unbuffered expansion
-        # peaked at 3.0 blocks, the sweep holds one block and a 512 KB chunk
-        # of sums
+    @pytest.mark.parametrize("budget", [None, 1 << 16])
+    def test_sweep_memory(self, monkeypatch, budget):
+        # the sweep holds one tile of f and a 512 KB chunk of sums (the
+        # unbuffered expansion peaked at 3.0 tiles).  At the default 2 MiB
+        # budget a tile at n = 4000 is 65 rows, 2.1 MB, and the sweep peaks
+        # at 1.26 tiles, 1.25 budgets.  At a 64 KiB budget the 16-row floor
+        # makes a tile 8 budgets, and the chunk is as large: 2.07 tiles.
+        if budget is not None:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
+        rows = core.tile_rows(4000)
+        assert rows == (65 if budget is None else 16)
         rng = np.random.default_rng(33)
         X = rng.uniform(-0.5, 0.5, size=(4000, 3))
         m = MetricModel("mahalanobis", M=np.eye(3))
+        starts = []
         tracemalloc.start()
         try:
-            for _ in core.metric_blocks(m, X):
-                pass
+            for start, _ in core.metric_blocks(m, X):
+                starts.append(start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * core.BLOCK_ROWS * 4000 * 8
+        assert starts == list(range(0, 4000, rows))
+        assert peak <= 2.5 * rows * 4000 * 8
+
+
+class TestTileRows:
+    def test_cap_byte_rule_and_floor(self):
+        # 2 MiB of float64 rows: the 256-row cap up to 1024 columns, 65
+        # rows at 4000, and the 16-row floor from 16 385 columns on
+        cols = (0, 1, 1024, 1025, 4000, 16384, 16385, 10**7)
+        assert [core.tile_rows(c) for c in cols] == [256, 256, 256, 255, 65, 16, 16, 16]
+
+    def test_cap_wins_over_floor(self, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ROWS", 2)
+        assert core.tile_rows(1) == core.tile_rows(10**7) == 2
+
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(core, "TILE_BYTES", 1 << 16)
+        assert (core.tile_rows(100), core.tile_rows(4000)) == (81, 16)
+
+
+class TestTileBudgets:
+    @pytest.mark.parametrize("kind", ["mahalanobis", "bilinear", "kernel-rbf", "kernel-linear"])
+    def test_metric_matrix_agrees_across_budgets(self, monkeypatch, kind):
+        # a BLAS product's last bits can depend on its row count, so the
+        # matrices agree within rel 1e-12 of their largest entry, not bit
+        # for bit
+        rng = np.random.default_rng(34)
+        X1, X2 = rng.uniform(-0.5, 0.5, size=(300, 3)), rng.uniform(-0.5, 0.5, size=(1500, 3))
+        m = models_of_every_kind(rng, 3)[kind]
+        got, rows = [], []
+        for budget in TILE_BUDGETS:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
+            got.append(metric_matrix(m, X1, X2))
+            rows.append(core.tile_rows(1500))
+        assert rows == [16, 174, 256]
+        for F in got[1:]:
+            assert np.abs(F - got[0]).max() <= 1e-12 * np.abs(got[0]).max()
 
 
 class TestBlockedEmpiricalLoss:
@@ -466,6 +511,17 @@ class TestKernelGram:
             )
             expected = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
             assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X1, X2), expected)
+
+    def test_sigma_square_below_float_range(self):
+        # sigma^2 is subnormal below sigma = 1.5e-154 and rounds to 0 below
+        # 1.5e-162, where 0/0 put NaN on the diagonal: the Gram of distinct
+        # points is the identity, without a warning (these points have
+        # exact squared distances, so their self-distances are exactly 0)
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.25], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (1e-160, 1e-200, 5e-324):
+                assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X), np.eye(4))
 
     def test_sigma_square_beyond_float_range(self):
         # sigma^2 overflows from sigma = 1.35e154 on: the Gram tends to all

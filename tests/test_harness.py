@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from metricert.harness import (
     true_loss_estimate,
 )
 from metricert.solver import SolverConfig, model_norm, solve, solve_kernel
+
+from helpers import TILE_BUDGETS
+
 
 class TestGenSynthetic:
     def test_zero_scale_points_equal_means(self):
@@ -45,6 +49,17 @@ class TestGenSynthetic:
         frac = sum(lab == "c0" for lab in ds.y) / ds.n
         se = 0.5 / np.sqrt(ds.n)
         assert abs(frac - 0.5) <= 3 * se
+
+    def test_radius_whose_square_overflows_refused_by_name(self):
+        # the norms of the mean check and the acceptance test overflow from
+        # R = 1.35e154 on; below that, sampling stays free of warnings
+        for R in (1.35e154, 1e300):
+            with pytest.raises(ValueError, match=r"R=.* is too large"):
+                SyntheticSpec(R=R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = gen_synthetic(SyntheticSpec(n=50, cov_scale=1e154, R=1.3e154, seed=2))
+        assert np.linalg.norm(ds.X, axis=1).max() <= 1.3e154
 
     def test_hopeless_rejection_errors(self):
         spec = SyntheticSpec(n=5, cov_scale=50.0, R=0.01, means=((0.0, 0.0),), classes=1, seed=1)
@@ -527,11 +542,17 @@ class TestKnnEval:
             )
             assert knn_eval(m, train, test, k) == correct / test.n
 
-    def test_memory(self):
-        # a 256 x 4000 float64 block is 8.2 MB; knn_eval peaked at 4.76
-        # blocks when it partitioned a fresh copy of each block and took a
-        # fresh mask; the sweep's buffers, the partition copy and the mask
-        # are now allocated once
+    @pytest.mark.parametrize("budget", [None, 1 << 16])
+    def test_memory(self, monkeypatch, budget):
+        # knn_eval peaked at 4.76 tiles when it partitioned a fresh copy of
+        # each tile and took a fresh mask; the sweep's buffers, the
+        # partition copy and the mask are now allocated once.  At n = 4000
+        # a tile is 65 rows at the default 2 MiB budget (peak 2.45 tiles,
+        # 2.43 budgets) and the 16-row floor, 8 budgets, at a 64 KiB budget
+        # (peak 3.45 tiles: the sweep's 512 KB chunk of sums is one more
+        # tile there)
+        if budget is not None:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
         rng = np.random.default_rng(42)
         X, Xt = rng.uniform(-0.5, 0.5, size=(2, 4000, 3))
         train = Dataset(X, list(rng.choice(["a", "b"], size=4000)), R=1.0)
@@ -543,7 +564,24 @@ class TestKnnEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * core.BLOCK_ROWS * 4000 * 8
+        assert peak <= 4.0 * core.tile_rows(4000) * 4000 * 8
+
+    def test_agrees_across_budgets(self, monkeypatch):
+        # 300 test points against 1500 training points: tiles of 16, 174
+        # and 256 rows.  f may move in its last bits with the row count, and
+        # the accuracy, a count, stays the same on this generic data
+        rng = np.random.default_rng(43)
+        train = Dataset(rng.uniform(-0.7, 0.7, size=(1500, 2)),
+                        list(rng.choice(["a", "b", "c"], size=1500)), R=1.0)
+        test = Dataset(rng.uniform(-0.7, 0.7, size=(300, 2)),
+                       list(rng.choice(["a", "b", "c"], size=300)), R=1.0)
+        G = rng.standard_normal((2, 2))
+        m = MetricModel("mahalanobis", M=G @ G.T)
+        got = []
+        for budget in TILE_BUDGETS:
+            monkeypatch.setattr(core, "TILE_BYTES", budget)
+            got.append([knn_eval(m, train, test, k) for k in (1, 4, 15)])
+        assert got[0] == got[1] == got[2]
 
     def test_bilinear_ranks_by_smallest_similarity(self):
         # the two-class mixture of the benchmark: balanced classes at

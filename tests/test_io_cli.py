@@ -53,8 +53,27 @@ class TestDatasetCsv:
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0,label\n0.0,a\n0.0,1.0,b\n")
+        path.write_text("f0,label\n0.0,a\n0.0,1.0,b\n1.0\n")
+        with pytest.raises(ValueError, match="^row has 3 fields, expected 2$"):
+            dataset_from_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n")
         with pytest.raises(ValueError):
+            dataset_from_csv(path)
+        with pytest.raises(ValueError, match="X must be a 2-D array"):
+            dataset_from_csv(path, R=1.0)
+
+    def test_every_field_goes_through_float(self, tmp_path):
+        # Python's float() syntax: spaces, underscores, exponents, a signed zero
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n 0.25 ,1_0e-1,a\n-0,5E-1,b\n")
+        ds = dataset_from_csv(path)
+        assert ds.X.tolist() == [[0.25, 1.0], [-0.0, 0.5]] and ds.X.flags.c_contiguous
+        assert ds.y == ["a", "b"]
+        path.write_text("f0,label\n0.5,a\nx,b\n")
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
             dataset_from_csv(path)
 
 
@@ -512,6 +531,26 @@ class TestCli:
         assert main(["train", "--data", str(data), "--out", str(model),
                      "--family", "kernel-rbf", "--sigma", "1e300", "--iters", "20"]) == 0
         assert json.loads(model.read_text())["kernel"]["sigma"] == 1e300
+
+    def test_train_rbf_sigma_square_below_float_range(self, tmp_path, capsys):
+        # sigma^2 rounded to 0: exit 1 with "kernel Gram matrix has
+        # non-finite entries"; its off-diagonal entries now tend to 0
+        data = self._gen(tmp_path, n=20)
+        model = tmp_path / "k.json"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--family", "kernel-rbf", "--sigma", "1e-200", "--iters", "20"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(model.read_text())["kernel"]["sigma"] == 1e-200
+
+    def test_gen_radius_whose_square_overflows_exit_1(self, tmp_path, capsys):
+        # the means at 0.5 R were refused as outside the R-ball, because
+        # their norm overflowed; R itself is now refused by name
+        out = tmp_path / "g.csv"
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--radius", "1e300"]) == 1
+        assert capsys.readouterr().err.startswith("error: R=1e+300 is too large")
+        assert not out.exists()
 
     def test_audit_rbf_gamma_square_beyond_float_range(self, tmp_path):
         # gamma^2 overflowed a Python float in rbf_fH: exit 2; f_H now
