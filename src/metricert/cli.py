@@ -115,8 +115,10 @@ def _cmd_train(args) -> int:
     cfg = SolverConfig(c=args.c, max_iters=args.iters)
     model = train_family(ds, args.family, cfg, args.sigma)
     io.save_model(model, args.out)
-    rank = f" rank={model.info['rank']}" if "rank" in model.info else ""
-    print(f"objective={model.info['objective']:.6g}{rank} -> {args.out}")
+    info = model.info
+    rank = f" rank={info['rank']}" if "rank" in info else ""
+    print(f"objective={info['objective']:.6g} iterations={info['iterations']} "
+          f"gap={info['gap']:.3g}{rank} -> {args.out}")
     return 0
 
 

@@ -466,6 +466,34 @@ def triplet_hinge(F: np.ndarray, a0: int, a1: int) -> tuple:
     return total, W, rows * (a1 - a0) * other
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """A mean hinge loss evaluated at M, as pair_eval and triplet_eval return it.
+
+    `loss` is the mean over `terms` pairs (n^2) or admissible triplets and
+    `grad` a subgradient of it at M.  `same` and `other` count the active
+    terms on same-label and on other-label pairs; an active triplet counts
+    as `other`.  `slope` is the G of the loss's linear minorant at M: with
+    v = g0 * other / terms (g0 the hinge's constant part, 2 for a pair and
+    1 for a triplet), loss(M') >= v + <M', G> on the model's domain (the PSD
+    cone, or every matrix for a bilinear model), with equality at M.  It is
+    `grad` except for the distance pairs at M = 0, where it adds the
+    same-label term S/n^2 that the subgradient leaves out at its kink.
+    """
+
+    loss: float
+    grad: np.ndarray
+    same: int
+    other: int
+    terms: int
+    slope: np.ndarray
+
+    @property
+    def active(self) -> float:
+        """The active share of the terms."""
+        return (self.same + self.other) / self.terms
+
+
 def _laplacian(X: np.ndarray, deg: np.ndarray, P: np.ndarray) -> np.ndarray:
     # sum_ij W_ij (x_i - x_j)(x_i - x_j)^T = X^T (diag(deg) - W - W^T) X for
     # pair weights W, from the degrees deg = row plus column sums of W and
@@ -499,7 +527,7 @@ def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
     def eval_fn(M):
         np.matmul(X, M, out=XM)
         grad = np.zeros((d, d))
-        hinge, count = 0.0, 0.0
+        hinge, same, count = 0.0, 0.0, 0.0
         for s, e, a0, a1 in tiles:
             h, w = H[: e - s], W[: e - s]
             np.matmul(XM[s:e], X.T, out=h)
@@ -507,15 +535,17 @@ def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
             np.subtract(2.0, h[:, a1:], out=h[:, a1:])
             np.greater(h, 0.0, out=w)
             hinge += float(h.ravel() @ w.ravel())
+            same += w[:, a0:a1].sum()
             count += w.sum()
             grad += X[s:e].T @ (2.0 * (w[:, a0:a1] @ X[a0:a1]) - w @ X)
-        return hinge / (n * n), grad / (n * n), float(count) / (n * n)
+        grad /= n * n
+        return Evaluation(hinge / (n * n), grad, int(same), int(count - same), n * n, grad)
 
     return eval_fn
 
 
 def pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
-    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean hinge
+    """eval_fn(M) -> Evaluation of the mean hinge
     over all n^2 ordered pairs, for f = (x_i - x_j)^T M (x_i - x_j) with M
     on the PSD cone (or f = x_i^T M x_j for kind "bilinear").
 
@@ -572,18 +602,18 @@ def pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
             deg[c0:] += w.sum(axis=0)
             P += Xr.T @ (w @ Xcol)
         # sum of (x_i - x_j)(x_i - x_j)^T over the active other-label pairs
-        loss, grad, active = 2.0 * hinge, -2.0 * _laplacian(X, deg, P), 2 * count
+        loss, grad = 2.0 * hinge, -2.0 * _laplacian(X, deg, P)
+        slope = (grad + S) / (n * n)
         if M.any():
             loss += float((M * S).sum())
-            grad += S
-            active += same_pairs
-        return loss / (n * n), grad / (n * n), active / (n * n)
+            return Evaluation(loss / (n * n), slope, same_pairs, 2 * count, n * n, slope)
+        return Evaluation(loss / (n * n), grad / (n * n), 0, 2 * count, n * n, slope)
 
     return eval_fn
 
 
 def triplet_eval(X: np.ndarray, labels: np.ndarray):
-    """eval_fn(M) -> (loss, subgradient, active fraction) for the mean
+    """eval_fn(M) -> Evaluation of the mean
     triplet hinge over every admissible triplet, from the exact sorted
     active-set counts of triplet_hinge.  The points are sorted into
     label runs once, and each tile of run_tiles passes the rows of one
@@ -607,7 +637,8 @@ def triplet_eval(X: np.ndarray, labels: np.ndarray):
             deg[s:e] += W.sum(axis=1)
             deg += W.sum(axis=0)
             P += X[s:e].T @ (W @ X)
-        return total / nt, _laplacian(X, deg, P) / nt, float(active / nt)
+        grad = _laplacian(X, deg, P) / nt
+        return Evaluation(total / nt, grad, 0, int(active), nt, grad)
 
     return eval_fn
 
@@ -615,7 +646,7 @@ def triplet_eval(X: np.ndarray, labels: np.ndarray):
 def empirical_loss(m: MetricModel, ds: Dataset) -> float:
     """Mean pair loss over all n^2 ordered pairs, from pair_eval."""
     F, Q = features(m, ds.X)
-    return pair_eval(F, ds.label_indices(), m.kind)(Q)[0]
+    return pair_eval(F, ds.label_indices(), m.kind)(Q).loss
 
 
 def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
@@ -624,4 +655,4 @@ def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
     if m.kind == "bilinear":
         raise ValueError("the triplet loss needs a distance metric, not a bilinear model")
     F, Q = features(m, ds.X)
-    return triplet_eval(F, ds.label_indices())(Q)[0]
+    return triplet_eval(F, ds.label_indices())(Q).loss

@@ -111,21 +111,32 @@ def gen_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     return Dataset(X, [names[j] for j in k.tolist()], spec.R, names)
 
 
-def _sample_points(spec: SyntheticSpec, count: int, rng) -> tuple[np.ndarray, list]:
-    tmp = replace(spec, n=count)
-    ds = gen_synthetic(tmp, seed=int(rng.integers(2**32)))
+def _draw(spec: SyntheticSpec, samples: dict | None) -> Dataset:
+    """gen_synthetic(spec), kept in `samples` under its spec when a dict is
+    given, so a caller that draws one spec (its n and seed included) many
+    times draws it once.  Datasets are never modified after the draw."""
+    if samples is None:
+        return gen_synthetic(spec)
+    if spec not in samples:
+        samples[spec] = gen_synthetic(spec)
+    return samples[spec]
+
+
+def _sample_points(spec: SyntheticSpec, count: int, rng, samples=None) -> tuple[np.ndarray, list]:
+    ds = _draw(replace(spec, n=count, seed=int(rng.integers(2**32))), samples)
     return ds.X, ds.y
 
 
 def true_loss_estimate(
-    m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0
+    m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0, samples: dict | None = None
 ) -> tuple[float, float]:
-    """Monte-Carlo mean pair loss over independent draws, with its SE."""
+    """Monte-Carlo mean pair loss over independent draws, with its SE;
+    `samples` as in _draw."""
     if M_mc < 2:
         raise ValueError("M_mc must be at least 2")
     rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, M_mc, rng)
-    X2, y2 = _sample_points(spec, M_mc, rng)
+    X1, y1 = _sample_points(spec, M_mc, rng, samples)
+    X2, y2 = _sample_points(spec, M_mc, rng, samples)
     f = metric_rowwise(m, X1, X2)
     same = np.asarray(y1) == np.asarray(y2)
     ysign = np.where(same, 1.0, -1.0)
@@ -133,12 +144,12 @@ def true_loss_estimate(
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
 
 
-def _true_triplet_loss_estimate(m, spec, M_mc, seed):
+def _true_triplet_loss_estimate(m, spec, M_mc, seed, samples=None):
     """Monte-Carlo mean triplet hinge over the admissible triples
     (y_a = y_b != y_c) among M_mc independent draws, with its SE over those
     triples: the quantity empirical_triplet_loss averages over a sample."""
     rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, 3 * M_mc, rng)
+    X1, y1 = _sample_points(spec, 3 * M_mc, rng, samples)
     a, b, c = X1[:M_mc], X1[M_mc : 2 * M_mc], X1[2 * M_mc :]
     y1 = np.asarray(y1)
     ya, yb, yc = y1[:M_mc], y1[M_mc : 2 * M_mc], y1[2 * M_mc :]
@@ -253,18 +264,20 @@ def certify(
     )
 
 
-def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
+def run_repetition(cfg: ExperimentConfig, rep_seed: int, samples: dict | None = None) -> BoundReport:
+    """One train/certify/measure run; its probe and Monte-Carlo draws do not
+    depend on cfg.synthetic.n, and go through `samples` as in _draw."""
     spec = replace(cfg.synthetic, seed=rep_seed)
     ds = gen_synthetic(spec)
     model = train_family(ds, cfg.family, cfg.solver)
-    probe_spec = replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000)
-    probe = gen_synthetic(probe_spec)
+    probe = _draw(replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000), samples)
+    mc_seed = rep_seed + 20_000
     if FAMILIES[cfg.family].triplet:
         l_emp = empirical_triplet_loss(model, ds)
-        true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
+        true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, mc_seed, samples)
     else:
         l_emp = empirical_loss(model, ds)
-        true_est, _se = true_loss_estimate(model, spec, cfg.mc_size, rep_seed + 20_000)
+        true_est, _se = true_loss_estimate(model, spec, cfg.mc_size, mc_seed, samples)
     gap = abs(true_est - l_emp)
     report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, seed=rep_seed, gap=gap)
     report.extra["empirical_loss"] = l_emp
@@ -273,12 +286,13 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int) -> BoundReport:
     return report
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[BoundReport], dict]:
+def run_experiment(cfg: ExperimentConfig, samples: dict | None = None) -> tuple[list[BoundReport], dict]:
     """Per-repetition reports plus a summary with the holds fraction and
-    the mean certified bound (bound_triplet for a triplet family)."""
+    the mean certified bound (bound_triplet for a triplet family);
+    `samples` as in run_repetition."""
     reports = []
     for rep in range(cfg.repetitions):
-        reports.append(run_repetition(cfg, cfg.synthetic.seed + rep))
+        reports.append(run_repetition(cfg, cfg.synthetic.seed + rep, samples))
     frac = sum(r.holds for r in reports) / len(reports)
     triplet = FAMILIES[cfg.family].triplet
     certified = [r.bound_triplet if triplet else r.bound_pair for r in reports]
@@ -294,14 +308,18 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[BoundReport], dict]:
 def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
     """Mean empirical gap and certified bound per sample size; also emits
     the bound's concentration part (its value at epsilon = 0) for the
-    closed-form rate check."""
+    closed-form rate check.
+
+    A repetition's probe and Monte-Carlo samples are the same at every
+    ladder step, so they are drawn once per call and kept until it returns.
+    """
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError("n ladder must be strictly increasing")
     mode = "triplet" if FAMILIES[cfg.family].triplet else "pair"
-    rows = []
+    rows, samples = [], {}
     for n in n_ladder:
         sub = replace(cfg, synthetic=replace(cfg.synthetic, n=n))
-        reports, summary = run_experiment(sub)
+        reports, summary = run_experiment(sub, samples)
         r0 = reports[0]
         concentration = BoundQuery(0.0, r0.B, r0.K_theoretical, n, cfg.delta, mode)
         rows.append(

@@ -38,6 +38,13 @@ REGULARIZERS = ("fro", "l1", "l21")
 # eigenvectors (the KPCA truncation)
 KPCA_RANK_TOL = 1e-10
 
+# a solve stops once its best objective P is certified within this fraction
+# of the optimum: P - D <= GAP_TOL * D for a lower bound D <= P* (_iterate)
+GAP_TOL = 1e-2
+# every iterate offers the lower bound of its own active set and of the mean
+# of the active sets since the last restart, every AVERAGE_EVERY iterations
+AVERAGE_EVERY = 20
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -104,8 +111,9 @@ def psd_project(M: np.ndarray) -> np.ndarray:
         w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(f"eigendecomposition failed: {e}") from e
-    w = np.maximum(w, 0.0)
-    out = (V * w) @ V.T
+    keep = w > 0.0
+    V = V[:, keep]
+    out = (V * w[keep]) @ V.T
     return (out + out.T) / 2.0
 
 
@@ -133,29 +141,127 @@ def prox(M: np.ndarray, tau: float, reg: str) -> np.ndarray:
 def loss_subgradient(m: MetricModel, ds: Dataset) -> np.ndarray:
     """Subgradient of the mean pair hinge loss with respect to M, from pair_eval."""
     F, Q = features(m, ds.X)
-    return pair_eval(F, ds.label_indices(), m.kind)(Q)[1]
+    return pair_eval(F, ds.label_indices(), m.kind)(Q).grad
+
+
+def _dual_norm(G: np.ndarray, reg: str) -> float:
+    """||G||_* in the dual of the regularizer's norm: the Frobenius norm for
+    fro, max |G_ij| for l1 and the largest column norm for l21."""
+    if reg == "fro":
+        return float(np.linalg.norm(G))
+    if reg == "l1":
+        return float(np.abs(G).max())
+    return float(np.linalg.norm(G, axis=0).max())
+
+
+class _LowerBound:
+    """The best lower bound D <= P* of one solve, from the linear minorants
+    v + <M', G> of the loss (Evaluation.slope) it is offered.
+
+    A minorant gives D = t*v with t = min(1, c/||G_-||_*): on the PSD cone
+    <M', G> >= <M', G_-> >= -||M'|| ||G_-||_* for the negative eigen-part
+    G_- of G, and off it (bilinear) G_- is G itself.  Scaling the active
+    set by t scales the minorant's other-label part, and the part it keeps
+    (S/n^2 of the distance pairs) is PSD, so for every M'
+    P(M') >= c||M'|| + t*v - t||M'|| ||G_-||_* >= t*v.
+
+    An eigendecomposition costs as much as a PSD projection, so offer()
+    first rules out the minorants that cannot raise D, which leaves D as
+    it would be: t*v <= v, and ||G_-||_F >= |lambda_min(G)| >= -u^T G u for
+    the unit eigenvector u of the smallest eigenvalue of the last
+    decomposition offered from the same source (an iterate's own minorant
+    and the averaged one change little from one iterate to the next).  A
+    d x d matrix has ||.||_F <= sqrt(d) times its largest column norm and
+    d times its largest |entry|, which turns that into a floor on
+    ||G_-||_* for l21 and l1.
+    """
+
+    def __init__(self, d: int, c: float, reg: str, psd: bool):
+        self.c, self.reg, self.psd = c, reg, psd
+        self._fro_ratio = {"fro": 1.0, "l1": d, "l21": math.sqrt(d)}[reg]
+        self.value = 0.0
+        self._vectors = {}
+
+    def offer(self, G: np.ndarray, v: float, source: str) -> None:
+        if v <= self.value:
+            return
+        if not self.psd:
+            self._raise(v, _dual_norm(G, self.reg))
+            return
+        u = self._vectors.get(source)
+        if u is not None:
+            floor = -float(u @ (G @ u)) / self._fro_ratio
+            if floor > self.c and v * self.c / floor <= self.value:
+                return
+        # eigh reads one triangle of G, which is symmetric up to rounding
+        w, V = np.linalg.eigh(G)
+        self._vectors[source] = V[:, 0] if w[0] < 0.0 else None
+        w = np.minimum(w, 0.0)
+        self._raise(v, math.sqrt(w @ w) if self.reg == "fro" else _dual_norm((V * w) @ V.T, self.reg))
+
+    def _raise(self, v: float, norm: float) -> None:
+        self.value = max(self.value, v * self.c / norm if norm > self.c else v)
+
+
+def _reg_subgradient(M: np.ndarray, reg: str) -> np.ndarray:
+    """A subgradient of ||.||_reg at M, zero on the parts of M that are 0."""
+    if reg == "fro":
+        nrm = np.linalg.norm(M)
+        return M / nrm if nrm > 0.0 else np.zeros_like(M)
+    if reg == "l1":
+        return np.sign(M)
+    nrm = np.linalg.norm(M, axis=0)
+    return M / np.where(nrm > 0.0, nrm, 1.0)
 
 
 def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float) -> tuple:
-    """Shared proximal subgradient loop; starts at M = 0.
+    """Proximal Polyak iterations from M = 0, stopped at a certified gap.
 
-    eval_fn(M) returns (loss, subgradient, active fraction) at M, so each
-    iterate is evaluated once: its loss scores it and its subgradient takes
-    the next step.  info["active_fraction"][t] belongs to the iterate
-    scored by info["best_history"][t] (t = 0 is M = 0), and
-    info["capacity_ratio"] is c * ||M*||_reg / g0 for the loss g0 of M = 0,
-    and info["c"] is c, the model's training weight.
+    eval_fn(M) returns an Evaluation, so each iterate is evaluated once:
+    its loss scores it, its subgradient takes the next step and its linear
+    minorant gives a lower bound on the optimum P* (_LowerBound).  Every
+    iterate offers its own minorant and the average of those since the
+    last restart (every AVERAGE_EVERY iterations); D is the best bound so
+    far.  The step is Polyak's with D as the target:
+    s = (P(M) - D)/||g||^2 with g the loss subgradient plus c times a
+    subgradient of the norm, then M <- proj_PSD(prox_{s c}(M - s grad)).
+    The iterations stop once the best objective is within GAP_TOL * D of
+    D, at a zero g (M is optimal) or after cfg.max_iters steps.
+
+    info["active_fraction"][t] belongs to the iterate scored by
+    info["best_history"][t] (t = 0 is M = 0), info["iterations"] is the
+    number of steps taken, info["dual_bound"] is D and info["gap"] the
+    objective minus D; info["capacity_ratio"] is c * ||M*||_reg / g0 for the
+    loss g0 of M = 0, and info["c"] is c, the model's training weight.
     """
+    c = cfg.c
     M = np.zeros((d, d))
-    best = np.zeros((d, d))
-    loss, grad, active = eval_fn(M)
-    best_obj = cfg.c * 0.0 + loss
-    history = [best_obj]
-    fractions = [active]
-    for t in range(1, cfg.max_iters + 1):
-        step = 1.0 / np.sqrt(t)
-        M = M - step * grad
-        M = prox(M, step * cfg.c, reg)
+    best = M
+    ev = eval_fn(M)
+    obj = best_obj = ev.loss
+    history, fractions = [best_obj], [ev.active]
+    bound = _LowerBound(d, c, reg, psd)
+    slopes, offsets, averaged = np.zeros((d, d)), 0.0, 0
+    t = 0
+    while True:
+        v = g0 * ev.other / ev.terms
+        if t % AVERAGE_EVERY == 0:
+            slopes[:], offsets, averaged = 0.0, 0.0, 0
+        slopes += ev.slope
+        offsets += v
+        averaged += 1
+        bound.offer(ev.slope, v, "iterate")
+        if averaged > 1:
+            bound.offer(slopes / averaged, offsets / averaged, "average")
+        dual = bound.value
+        if best_obj - dual <= GAP_TOL * dual or t == cfg.max_iters:
+            break
+        g = ev.grad + c * _reg_subgradient(M, reg)
+        gg = float(np.vdot(g, g))
+        if gg == 0.0:
+            break
+        step = (obj - dual) / gg
+        M = prox(M - step * ev.grad, step * c, reg)
         if psd and reg == "l21":
             # prox zeroes whole columns; projecting only the block of the
             # kept ones keeps each zero column and its row exactly zero
@@ -166,22 +272,25 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
             M = P
         elif psd:
             M = psd_project(M)
+        t += 1
         if not np.all(np.isfinite(M)):
             raise ArithmeticError(f"non-finite iterate at iteration {t}")
-        loss, grad, active = eval_fn(M)
-        obj = cfg.c * reg_norm(M, reg) + loss
+        ev = eval_fn(M)
+        obj = c * reg_norm(M, reg) + ev.loss
         if obj < best_obj:
             best_obj = obj
             best = M.copy()
         history.append(best_obj)
-        fractions.append(active)
+        fractions.append(ev.active)
     info = {
         "objective": best_obj,
         "best_history": history,
-        "iterations": len(history) - 1,
+        "iterations": t,
         "active_fraction": fractions,
-        "capacity_ratio": cfg.c * reg_norm(best, reg) / g0,
-        "c": cfg.c,
+        "dual_bound": dual,
+        "gap": best_obj - dual,
+        "capacity_ratio": c * reg_norm(best, reg) / g0,
+        "c": c,
     }
     return best, info
 

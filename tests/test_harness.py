@@ -373,6 +373,43 @@ class TestGapCurve:
         rows = gap_curve(cfg, [20, 40])
         assert all(r["gap"] >= 0 for r in rows)
 
+    @pytest.mark.parametrize("family", ["fro", "triplet-fro"])
+    def test_fixed_samples_drawn_once_per_call(self, monkeypatch, family):
+        # every repetition's probe and Monte-Carlo samples are the same at
+        # each ladder step: the curve draws them once, with the same rows
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n=20, seed=7),
+            solver=SolverConfig(c=0.3, max_iters=30),
+            cover=CoverConfig(gamma=0.5),
+            family=family,
+            repetitions=2,
+            mc_size=300,
+            probe_size=10,
+        )
+        drawn = []
+        draw = harness.gen_synthetic
+
+        def counting(spec, seed=None):
+            drawn.append(spec.n)
+            return draw(spec, seed)
+
+        monkeypatch.setattr(harness, "gen_synthetic", counting)
+        ladder = [20, 40, 80]
+        rows = gap_curve(cfg, ladder)
+        cached = sum(drawn)
+        drawn.clear()
+        monkeypatch.setattr(harness, "_draw", lambda spec, samples: counting(spec))
+        assert gap_curve(cfg, ladder) == rows
+        mc = 3 * cfg.mc_size if family == "triplet-fro" else 2 * cfg.mc_size
+        fixed = cfg.repetitions * (cfg.probe_size + mc)
+        assert sum(drawn) - cached == (len(ladder) - 1) * fixed
+        # and nothing is kept from one call to the next
+        drawn.clear()
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "gen_synthetic", counting)
+        gap_curve(cfg, ladder)
+        assert sum(drawn) == cached
+
     def test_ladder_must_increase(self):
         cfg = ExperimentConfig()
         with pytest.raises(ValueError):

@@ -521,7 +521,7 @@ class TestCli:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "k.json"),
                      "--family", "kernel-rbf", "--c", "0.5", "--iters", "20"]) == 0
         out = capsys.readouterr().out
-        assert re.fullmatch(r"objective=\S+ rank=\d+ -> \S+\n", out)
+        assert re.fullmatch(r"objective=\S+ iterations=\d+ gap=\S+ rank=\d+ -> \S+\n", out)
 
     def test_train_rbf_sigma_square_beyond_float_range(self, tmp_path):
         # sigma^2 overflowed a Python float: exit 2 with "(34, 'Numerical

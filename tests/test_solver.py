@@ -15,7 +15,8 @@ from metricert.core import (
     kernel_gram,
 )
 from metricert import core, solver
-from metricert.harness import SyntheticSpec, gen_synthetic
+from metricert.core import FAMILIES
+from metricert.harness import SyntheticSpec, gen_synthetic, train_family
 from metricert.io import load_model, save_model
 from metricert.solver import (
     SolverConfig,
@@ -30,6 +31,9 @@ from metricert.solver import (
 )
 
 from helpers import make_ds
+
+# a 0/0 Polyak step or an overflow fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def random_ds(rng, n=12, d=2, R=1.0):
@@ -370,8 +374,9 @@ class TestSolveKernel:
 
 
 # ---------------------------------------------------------------------------
-# two-callback reference: each iterate's loss and the next step's subgradient
-# come from separate evaluations of F(M), with fresh arrays throughout
+# callback reference: each iterate's loss, the next step's subgradient and
+# the loss's linear minorant come from separate evaluations of F(M), with
+# fresh arrays throughout
 
 
 def ref_pair_F(X, M, kind):
@@ -400,7 +405,17 @@ def ref_pair_callbacks(X, Y, kind):
     def active_fn(M):
         return float((Y * (1.0 - ref_pair_F(X, M, kind)) < 1.0).mean())
 
-    return loss_fn, grad_fn, active_fn
+    def minorant_fn(M):
+        # (G, v) with loss >= v + <M', G>: alpha = the active other-label
+        # pairs; a distance minorant keeps every same-label pair, as f >= 0
+        F = ref_pair_F(X, M, kind)
+        alpha = (Y < 0) & (F < 2.0)
+        v = 2.0 * alpha.sum() / F.shape[0] ** 2
+        if kind == "bilinear":
+            return grad_fn(M), v
+        return ref_laplacian(X, (Y > 0) - alpha * 1.0) / F.shape[0] ** 2, v
+
+    return loss_fn, grad_fn, active_fn, minorant_fn
 
 
 def ref_triplet_callbacks(X, triplets):
@@ -426,19 +441,68 @@ def ref_triplet_callbacks(X, triplets):
     def active_fn(M):
         return float((args(M) > 0.0).mean())
 
-    return loss_fn, grad_fn, active_fn
+    def minorant_fn(M):
+        return grad_fn(M), active_fn(M)
+
+    return loss_fn, grad_fn, active_fn, minorant_fn
+
+
+def ref_dual_norm(G, reg):
+    if reg == "fro":
+        return np.linalg.norm(G)
+    if reg == "l1":
+        return np.abs(G).max()
+    return np.linalg.norm(G, axis=0).max()
+
+
+def ref_lower_bound(G, v, c, reg, psd):
+    # t * v, t = min(1, c / ||G_-||_*), G_- the negative eigen-part of G
+    # (G itself off the PSD cone)
+    if psd:
+        w, V = np.linalg.eigh((G + G.T) / 2.0)
+        G = V @ np.diag(np.minimum(w, 0.0)) @ V.T
+    return v * min(1.0, c / max(ref_dual_norm(G, reg), 1e-300))
+
+
+def ref_norm_subgradient(M, reg):
+    if reg == "fro":
+        return M / np.linalg.norm(M) if M.any() else M
+    if reg == "l1":
+        return np.sign(M)
+    norms = np.linalg.norm(M, axis=0)
+    return np.where(norms > 0.0, M / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
 def reference_iterate(d, callbacks, reg, cfg, psd):
-    loss_fn, grad_fn, active_fn = callbacks
+    """The proximal Polyak rule: D is the best t * v over every iterate's
+    minorant and the mean of those since the last restart (every
+    solver.AVERAGE_EVERY iterations); the step is (P(M) - D)/||g||^2; the
+    iterations stop at a gap within solver.GAP_TOL * D, a zero g or
+    cfg.max_iters.  Returns the best M, the best history, the active
+    fractions, D and the number of steps."""
+    loss_fn, grad_fn, active_fn, minorant_fn = callbacks
     M = np.zeros((d, d))
     best = np.zeros((d, d))
-    best_obj = cfg.c * 0.0 + loss_fn(M)
+    obj = best_obj = loss_fn(M)
     history, fractions = [best_obj], [active_fn(M)]
-    for t in range(1, cfg.max_iters + 1):
-        step = 1.0 / np.sqrt(t)
-        M = M - step * grad_fn(M)
-        M = prox(M, step * cfg.c, reg)
+    dual, window, t = 0.0, [], 0
+    while True:
+        if t % solver.AVERAGE_EVERY == 0:
+            window = []
+        window.append(minorant_fn(M))
+        G, v = window[-1]
+        dual = max(dual, ref_lower_bound(G, v, cfg.c, reg, psd))
+        G_avg = sum(G for G, _ in window) / len(window)
+        v_avg = sum(v for _, v in window) / len(window)
+        dual = max(dual, ref_lower_bound(G_avg, v_avg, cfg.c, reg, psd))
+        if best_obj - dual <= solver.GAP_TOL * dual or t == cfg.max_iters:
+            break
+        grad = grad_fn(M)
+        g = grad + cfg.c * ref_norm_subgradient(M, reg)
+        if not g.any():
+            break
+        step = (obj - dual) / (g * g).sum()
+        M = prox(M - step * grad, step * cfg.c, reg)
         if psd and reg == "l21":
             # project the block of the columns prox kept; the rest stays 0
             kept = np.linalg.norm(M, axis=0) != 0.0
@@ -447,13 +511,14 @@ def reference_iterate(d, callbacks, reg, cfg, psd):
             M = P
         elif psd:
             M = psd_project(M)
+        t += 1
         obj = cfg.c * reg_norm(M, reg) + loss_fn(M)
         if obj < best_obj:
             best_obj = obj
             best = M.copy()
         history.append(best_obj)
         fractions.append(active_fn(M))
-    return best, history, fractions
+    return best, history, fractions, dual, t
 
 
 def pair_signs(ds):
@@ -485,10 +550,12 @@ class TestSingleEvaluationMatchesReference:
                 ds, c = random_ds(rng, n=n, d=d), 0.1
             cfg = SolverConfig(c=c, max_iters=60)
             m = solve(ds, reg, cfg, kind=kind)
-            M, history, fractions = reference_iterate(
+            M, history, fractions, dual, iterations = reference_iterate(
                 d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
                 psd=(kind == "mahalanobis"),
             )
+            assert m.info["iterations"] == iterations
+            assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
             if kind == "bilinear":
                 assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
@@ -506,9 +573,11 @@ class TestSingleEvaluationMatchesReference:
             ds = Dataset(ds.X, y, ds.R)
             cfg = SolverConfig(c=0.1, max_iters=60)
             m = solve_triplet(ds, reg, cfg)
-            M, history, fractions = reference_iterate(
+            M, history, fractions, dual, iterations = reference_iterate(
                 2, ref_triplet_callbacks(ds.X, build_triplets(ds)), reg, cfg, psd=True
             )
+            assert m.info["iterations"] == iterations
+            assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
@@ -541,9 +610,10 @@ class TestDistanceEvalMatchesReference:
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [f"c{i % n_labels}" for i in range(n)], 1.0)
         eval_fn = core.pair_eval(ds.X, ds.label_indices(), "mahalanobis")
-        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "mahalanobis")
+        loss_fn, grad_fn, active_fn, _ = ref_pair_callbacks(ds.X, pair_signs(ds), "mahalanobis")
         for M in psd_matrices(rng, d):
-            loss, grad, active = eval_fn(M)
+            ev = eval_fn(M)
+            loss, grad, active = ev.loss, ev.grad, ev.active
             ref_grad = grad_fn(M)
             assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -558,9 +628,10 @@ class TestDistanceEvalMatchesReference:
         n = ds.n
         eval_fn = core.pair_eval(ds.X, ds.label_indices(), "mahalanobis")
         Y = pair_signs(ds)
-        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, Y, "mahalanobis")
+        loss_fn, grad_fn, active_fn, _ = ref_pair_callbacks(ds.X, Y, "mahalanobis")
         for M in psd_matrices(rng, 2):
-            loss, grad, active = eval_fn(M)
+            ev = eval_fn(M)
+            loss, grad, active = ev.loss, ev.grad, ev.active
             ref_grad = grad_fn(M)
             assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -587,13 +658,14 @@ class TestBilinearEvalInTiles:
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
         eval_fn = core.pair_eval(ds.X, ds.label_indices(), "bilinear")
-        loss_fn, grad_fn, active_fn = ref_pair_callbacks(ds.X, pair_signs(ds), "bilinear")
+        loss_fn, grad_fn, active_fn, _ = ref_pair_callbacks(ds.X, pair_signs(ds), "bilinear")
         # M = 0, a symmetric M and a non-symmetric one (a bilinear l21
         # iterate is not symmetric), each small and large enough to put
         # pairs on both sides of the margin
         A = rng.standard_normal((d, d))
         for M in (np.zeros((d, d)), A + A.T, 3.0 * (A + A.T), A, 3.0 * A):
-            loss, grad, active = eval_fn(M)
+            ev = eval_fn(M)
+            loss, grad, active = ev.loss, ev.grad, ev.active
             ref_grad = grad_fn(M)
             assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -679,9 +751,10 @@ class TestTripletEvalInBlocks:
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
         ds = Dataset(X, [("a", "b", "c")[i % 3] for i in range(n)], 1.0)
         eval_fn = core.triplet_eval(ds.X, ds.label_indices())
-        loss_fn, grad_fn, active_fn = ref_triplet_callbacks(ds.X, build_triplets(ds))
+        loss_fn, grad_fn, active_fn, _ = ref_triplet_callbacks(ds.X, build_triplets(ds))
         for M in psd_matrices(rng, d):
-            loss, grad, active = eval_fn(M)
+            ev = eval_fn(M)
+            loss, grad, active = ev.loss, ev.grad, ev.active
             ref_grad = grad_fn(M)
             assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -739,15 +812,15 @@ class TestL21KeepsZeroColumns:
 def reference_solve_kernel(ds, ks, cfg):
     """The full-coordinate kernel solve: the n x n problem on S = K^{1/2}.
     Returns the learned feature-space Gram matrix S H S (the metric on the
-    training points is its squared-distance form), the best history and the
-    active fractions."""
+    training points is its squared-distance form), the best history, the
+    active fractions and the number of steps."""
     K = kernel_gram(ks, ds.X)
     w, V = np.linalg.eigh((K + K.T) / 2.0)
     S = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
-    H, history, fractions = reference_iterate(
+    H, history, fractions, _, iterations = reference_iterate(
         ds.n, ref_pair_callbacks(S, pair_signs(ds), "mahalanobis"), "fro", cfg, psd=True
     )
-    return S @ H @ S, history, fractions
+    return S @ H @ S, history, fractions, iterations
 
 
 def bench_feature_norm(ds, sigma, M):
@@ -773,7 +846,8 @@ class TestLowRankKernelSolve:
     def test_matches_full_reference(self):
         for ds, ks in self.problems():
             m = solve_kernel(ds, ks, self.CFG)
-            SHS, history, fractions = reference_solve_kernel(ds, ks, self.CFG)
+            SHS, history, fractions, iterations = reference_solve_kernel(ds, ks, self.CFG)
+            assert m.info["iterations"] == iterations
             assert m.info["best_history"] == pytest.approx(history, rel=1e-8)
             # a pair of duplicated points sits exactly on the hinge kink in
             # one coordinate system and a rounding error off it in the other
@@ -853,3 +927,112 @@ def test_pair_solve_reuses_its_buffers():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     solve(ds, "fro", cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40_000
+
+
+class TestDualBound:
+    """The solver's lower bound D <= P* (info["dual_bound"]), its gap stop
+    and the proximal Polyak step that aims at D."""
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(70)
+        for _ in range(3):
+            yield random_ds(rng, n=16, d=3)
+        yield gen_synthetic(SyntheticSpec(n=24, d=3, classes=3, seed=71))
+
+    @staticmethod
+    def random_models(rng, family, p):
+        # M = 0, random PSD matrices (any matrix for bilinear) on a range
+        # of scales, for the family's model kind
+        yield np.zeros((p, p))
+        for scale in (0.1, 1.0, 10.0):
+            A = scale * rng.standard_normal((p, p))
+            yield A if FAMILIES[family].kind == "bilinear" else A @ A.T
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_bound_below_every_iterate_and_random_models(self, family, monkeypatch):
+        # every value D takes during a solve is at most the objective of
+        # every iterate (best_history holds their running minimum) and of
+        # random models of the family
+        values = []
+        raise_ = solver._LowerBound._raise
+
+        def spy(self, v, norm):
+            raise_(self, v, norm)
+            values.append(self.value)
+
+        monkeypatch.setattr(solver._LowerBound, "_raise", spy)
+        rng = np.random.default_rng(72)
+        fam = FAMILIES[family]
+        for ds in self.problems():
+            values.clear()
+            m = train_family(ds, family, SolverConfig(c=0.05, max_iters=40), sigma=0.7)
+            assert values and max(values) == m.info["dual_bound"]
+            assert m.info["gap"] == m.info["objective"] - m.info["dual_bound"]
+            assert m.info["dual_bound"] <= min(m.info["best_history"]) + 1e-12
+            p = m.M.shape[0]
+            for M in self.random_models(rng, family, p):
+                probe = MetricModel(m.kind, M=M, kernel=m.kernel, anchors=m.anchors,
+                                    regularizer=m.regularizer, info={"c": 0.05})
+                if fam.triplet:
+                    obj = 0.05 * reg_norm(M, fam.reg) + empirical_triplet_loss(probe, ds)
+                else:
+                    obj = objective(probe, ds)
+                assert m.info["dual_bound"] <= obj + 1e-12
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_bound_below_a_long_reference_run(self, family, monkeypatch):
+        ds = gen_synthetic(SyntheticSpec(n=20, d=2, seed=73))
+        cfg = SolverConfig(c=0.05, max_iters=300)
+        m = train_family(ds, family, cfg, sigma=0.7)
+        tol = solver.GAP_TOL
+        # no gap stop: the reference runs all 3000 iterations unless g = 0
+        monkeypatch.setattr(solver, "GAP_TOL", -1.0)
+        ref = train_family(ds, family, SolverConfig(c=0.05, max_iters=3000), sigma=0.7)
+        assert m.info["dual_bound"] <= ref.info["objective"] + 1e-12
+        assert ref.info["dual_bound"] <= ref.info["objective"] + 1e-12
+        if m.info["iterations"] < cfg.max_iters:
+            # an early stop is certified within GAP_TOL
+            assert m.info["gap"] <= tol * m.info["dual_bound"]
+            assert m.info["objective"] <= (1.0 + tol) * ref.info["objective"] + 1e-12
+
+    def test_fro_gap_goes_to_zero(self, monkeypatch):
+        # a problem whose optimum the active-set minorants certify exactly:
+        # the gap shrinks towards 0 as the iterations grow
+        monkeypatch.setattr(solver, "GAP_TOL", 0.0)
+        ds = make_ds([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5]], "abab", R=2.0)
+        gaps = []
+        for iters in (5, 20, 100, 1000):
+            m = solve(ds, "fro", SolverConfig(c=0.01, max_iters=iters))
+            assert m.info["iterations"] == iters
+            gaps.append(m.info["gap"])
+        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+        assert 0.0 <= gaps[-1] <= 1e-12 * m.info["dual_bound"] and gaps[0] > 1e-6
+
+    def test_zero_subgradient_stops_without_nan(self, monkeypatch):
+        # the two labels share one point: the loss subgradient at M = 0 is 0,
+        # so g = 0 and M = 0 is optimal; the Polyak step would be 0/0
+        monkeypatch.setattr(solver, "GAP_TOL", -1.0)
+        ds = make_ds([[0.5, 0.0], [0.5, 0.0]], "ab")
+        for m in (solve(ds, "fro", SolverConfig(c=0.1)),
+                  solve(ds, "l1", SolverConfig(c=0.1)),
+                  solve_kernel(ds, KernelSpec("rbf"), SolverConfig(c=0.1))):
+            assert m.info["iterations"] == 0
+            assert not m.M.any()
+            assert m.info["objective"] == m.info["dual_bound"] == 1.0
+            assert m.info["gap"] == 0.0
+
+    def test_linear_kernel_stops_at_the_plain_iterate(self):
+        # the step, the bound and the stop test are invariant under the
+        # KPCA coordinates Psi = XQ of a linear kernel
+        rng = np.random.default_rng(74)
+        moved = 0
+        for _ in range(5):
+            ds = random_ds(rng, n=30, d=2)
+            cfg = SolverConfig(c=0.02, max_iters=200)
+            plain = solve(ds, "fro", cfg)
+            kern = solve_kernel(ds, KernelSpec("linear"), cfg)
+            assert kern.info["iterations"] == plain.info["iterations"]
+            assert kern.info["objective"] == pytest.approx(plain.info["objective"], rel=1e-9)
+            moved += plain.info["iterations"] > 0
+        assert moved
