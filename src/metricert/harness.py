@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -111,32 +112,26 @@ def gen_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     return Dataset(X, [names[j] for j in k.tolist()], spec.R, names)
 
 
-def _draw(spec: SyntheticSpec, samples: dict | None) -> Dataset:
-    """gen_synthetic(spec), kept in `samples` under its spec when a dict is
-    given, so a caller that draws one spec (its n and seed included) many
-    times draws it once.  Datasets are never modified after the draw."""
-    if samples is None:
-        return gen_synthetic(spec)
-    if spec not in samples:
-        samples[spec] = gen_synthetic(spec)
-    return samples[spec]
-
-
-def _sample_points(spec: SyntheticSpec, count: int, rng, samples=None) -> tuple[np.ndarray, list]:
-    ds = _draw(replace(spec, n=count, seed=int(rng.integers(2**32))), samples)
+def _sample_points(spec: SyntheticSpec, count: int, rng, draw) -> tuple[np.ndarray, list]:
+    ds = draw(replace(spec, n=count, seed=int(rng.integers(2**32))))
     return ds.X, ds.y
 
 
 def true_loss_estimate(
-    m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0, samples: dict | None = None
+    m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Monte-Carlo mean pair loss over independent draws, with its SE;
-    `samples` as in _draw."""
+    """Monte-Carlo mean pair loss over independent draws, with its SE."""
+    return _true_loss_estimate(m, spec, M_mc, seed, gen_synthetic)
+
+
+def _true_loss_estimate(m, spec, M_mc, seed, draw):
+    """true_loss_estimate with its samples drawn by draw(spec), which is
+    gen_synthetic or a cache of it (gap_curve)."""
     if M_mc < 2:
         raise ValueError("M_mc must be at least 2")
     rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, M_mc, rng, samples)
-    X2, y2 = _sample_points(spec, M_mc, rng, samples)
+    X1, y1 = _sample_points(spec, M_mc, rng, draw)
+    X2, y2 = _sample_points(spec, M_mc, rng, draw)
     f = metric_rowwise(m, X1, X2)
     same = np.asarray(y1) == np.asarray(y2)
     ysign = np.where(same, 1.0, -1.0)
@@ -144,12 +139,12 @@ def true_loss_estimate(
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
 
 
-def _true_triplet_loss_estimate(m, spec, M_mc, seed, samples=None):
+def _true_triplet_loss_estimate(m, spec, M_mc, seed, draw):
     """Monte-Carlo mean triplet hinge over the admissible triples
     (y_a = y_b != y_c) among M_mc independent draws, with its SE over those
     triples: the quantity empirical_triplet_loss averages over a sample."""
     rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, 3 * M_mc, rng, samples)
+    X1, y1 = _sample_points(spec, 3 * M_mc, rng, draw)
     a, b, c = X1[:M_mc], X1[M_mc : 2 * M_mc], X1[2 * M_mc :]
     y1 = np.asarray(y1)
     ya, yb, yc = y1[:M_mc], y1[M_mc : 2 * M_mc], y1[2 * M_mc :]
@@ -264,20 +259,21 @@ def certify(
     )
 
 
-def run_repetition(cfg: ExperimentConfig, rep_seed: int, samples: dict | None = None) -> BoundReport:
-    """One train/certify/measure run; its probe and Monte-Carlo draws do not
-    depend on cfg.synthetic.n, and go through `samples` as in _draw."""
+def _run_repetition(cfg: ExperimentConfig, rep_seed: int, draw) -> BoundReport:
+    """One train/certify/measure run; its probe and Monte-Carlo samples do
+    not depend on cfg.synthetic.n, and are drawn by draw(spec), which is
+    gen_synthetic or a cache of it (gap_curve)."""
     spec = replace(cfg.synthetic, seed=rep_seed)
     ds = gen_synthetic(spec)
     model = train_family(ds, cfg.family, cfg.solver)
-    probe = _draw(replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000), samples)
+    probe = draw(replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000))
     mc_seed = rep_seed + 20_000
     if FAMILIES[cfg.family].triplet:
         l_emp = empirical_triplet_loss(model, ds)
-        true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, mc_seed, samples)
+        true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, mc_seed, draw)
     else:
         l_emp = empirical_loss(model, ds)
-        true_est, _se = true_loss_estimate(model, spec, cfg.mc_size, mc_seed, samples)
+        true_est, _se = _true_loss_estimate(model, spec, cfg.mc_size, mc_seed, draw)
     gap = abs(true_est - l_emp)
     report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, seed=rep_seed, gap=gap)
     report.extra["empirical_loss"] = l_emp
@@ -286,13 +282,15 @@ def run_repetition(cfg: ExperimentConfig, rep_seed: int, samples: dict | None = 
     return report
 
 
-def run_experiment(cfg: ExperimentConfig, samples: dict | None = None) -> tuple[list[BoundReport], dict]:
+def run_experiment(cfg: ExperimentConfig, draw=None) -> tuple[list[BoundReport], dict]:
     """Per-repetition reports plus a summary with the holds fraction and
-    the mean certified bound (bound_triplet for a triplet family);
-    `samples` as in run_repetition."""
+    the mean certified bound (bound_triplet for a triplet family).  draw
+    draws the probe and Monte-Carlo samples, gen_synthetic when None;
+    gap_curve passes a cache of it."""
+    draw = gen_synthetic if draw is None else draw
     reports = []
     for rep in range(cfg.repetitions):
-        reports.append(run_repetition(cfg, cfg.synthetic.seed + rep, samples))
+        reports.append(_run_repetition(cfg, cfg.synthetic.seed + rep, draw))
     frac = sum(r.holds for r in reports) / len(reports)
     triplet = FAMILIES[cfg.family].triplet
     certified = [r.bound_triplet if triplet else r.bound_pair for r in reports]
@@ -311,15 +309,18 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
     closed-form rate check.
 
     A repetition's probe and Monte-Carlo samples are the same at every
-    ladder step, so they are drawn once per call and kept until it returns.
+    ladder step, so they are drawn once per call, through a cache of
+    gen_synthetic that is dropped when the call returns.
     """
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError("n ladder must be strictly increasing")
     mode = "triplet" if FAMILIES[cfg.family].triplet else "pair"
-    rows, samples = [], {}
+    rows = []
+    # keyed by the spec with its n and seed; datasets are never modified
+    draw = functools.cache(gen_synthetic)
     for n in n_ladder:
         sub = replace(cfg, synthetic=replace(cfg.synthetic, n=n))
-        reports, summary = run_experiment(sub, samples)
+        reports, summary = run_experiment(sub, draw)
         r0 = reports[0]
         concentration = BoundQuery(0.0, r0.B, r0.K_theoretical, n, cfg.delta, mode)
         rows.append(

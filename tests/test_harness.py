@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestTrueTripletLossEstimate:
         spec = SyntheticSpec(n=40, seed=0)
         m = harness.train_family(gen_synthetic(spec), "triplet-fro", SolverConfig(c=0.1))
         fresh = core.empirical_triplet_loss(m, gen_synthetic(SyntheticSpec(n=600, seed=1)))
-        est, se = harness._true_triplet_loss_estimate(m, spec, 20_000, 7)
+        est, se = harness._true_triplet_loss_estimate(m, spec, 20_000, 7, gen_synthetic)
         assert 0.0 < se < 0.02
         assert est == pytest.approx(fresh, abs=4 * se + 0.02)
 
@@ -197,7 +198,7 @@ class TestTrueTripletLossEstimate:
         spec = SyntheticSpec(n=10, classes=1, seed=2)
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="admissible"):
-            harness._true_triplet_loss_estimate(zero, spec, 100, 0)
+            harness._true_triplet_loss_estimate(zero, spec, 100, 0, gen_synthetic)
 
 
 class TestRunExperiment:
@@ -397,17 +398,17 @@ class TestGapCurve:
         ladder = [20, 40, 80]
         rows = gap_curve(cfg, ladder)
         cached = sum(drawn)
+        # run_experiment draws every sample afresh; its summaries are the rows'
         drawn.clear()
-        monkeypatch.setattr(harness, "_draw", lambda spec, samples: counting(spec))
-        assert gap_curve(cfg, ladder) == rows
+        for n, row in zip(ladder, rows):
+            _, summary = run_experiment(replace(cfg, synthetic=replace(cfg.synthetic, n=n)))
+            assert (row["gap"], row["bound"]) == (summary["mean_gap"], summary["mean_bound"])
         mc = 3 * cfg.mc_size if family == "triplet-fro" else 2 * cfg.mc_size
         fixed = cfg.repetitions * (cfg.probe_size + mc)
         assert sum(drawn) - cached == (len(ladder) - 1) * fixed
         # and nothing is kept from one call to the next
         drawn.clear()
-        monkeypatch.undo()
-        monkeypatch.setattr(harness, "gen_synthetic", counting)
-        gap_curve(cfg, ladder)
+        assert gap_curve(cfg, ladder) == rows
         assert sum(drawn) == cached
 
     def test_ladder_must_increase(self):

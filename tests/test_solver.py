@@ -527,6 +527,20 @@ def pair_signs(ds):
 
 
 class TestSingleEvaluationMatchesReference:
+    """The solver against reference_iterate, on two-class mixtures where
+    every solve leaves M = 0.  "gap" runs at solver.GAP_TOL, so the two stop
+    at the same certified iterate; "cap" turns the gap stop off, so both run
+    all max_iters steps of the prox, PSD and l21 block path."""
+
+    @staticmethod
+    def stop_rule(monkeypatch, stop, cfg):
+        # the least number of steps each solve must take under the rule
+        if stop == "cap":
+            monkeypatch.setattr(solver, "GAP_TOL", -1.0)
+            return cfg.max_iters
+        return 1
+
+    @pytest.mark.parametrize("stop", ["gap", "cap"])
     @pytest.mark.parametrize(
         "kind,reg",
         [
@@ -536,48 +550,44 @@ class TestSingleEvaluationMatchesReference:
             ("bilinear", "fro"),
         ],
     )
-    def test_pair_solve_bitwise(self, kind, reg):
+    def test_pair_solve_bitwise(self, monkeypatch, kind, reg, stop):
         # the distance solve sums the same-label pairs as <M, S> and the
         # other-label pairs in another order, and the bilinear solve sums
         # its label-run tiles in another order, so both agree to rounding.
-        # Uniform points with random labels keep the bilinear solve at M = 0,
-        # so it runs on a two-class mixture at a smaller c
-        rng = np.random.default_rng(40)
+        # The bilinear solve leaves M = 0 only at a smaller c
+        c = 0.01 if kind == "bilinear" else 0.1
+        cfg = SolverConfig(c=c, max_iters=60)
+        floor = self.stop_rule(monkeypatch, stop, cfg)
         for n, d in ((30, 3), (9, 2)):
-            if kind == "bilinear":
-                ds, c = gen_synthetic(SyntheticSpec(n=n, d=d, seed=0)), 0.01
-            else:
-                ds, c = random_ds(rng, n=n, d=d), 0.1
-            cfg = SolverConfig(c=c, max_iters=60)
+            ds = gen_synthetic(SyntheticSpec(n=n, d=d, seed=0))
             m = solve(ds, reg, cfg, kind=kind)
             M, history, fractions, dual, iterations = reference_iterate(
                 d, ref_pair_callbacks(ds.X, pair_signs(ds), kind), reg, cfg,
                 psd=(kind == "mahalanobis"),
             )
-            assert m.info["iterations"] == iterations
+            assert m.info["iterations"] == iterations >= floor
             assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
-            if kind == "bilinear":
-                assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
+            assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
 
+    @pytest.mark.parametrize("stop", ["gap", "cap"])
     @pytest.mark.parametrize("reg", ["fro", "l21"])
-    def test_triplet_solve_within_rounding(self, reg):
+    def test_triplet_solve_within_rounding(self, monkeypatch, reg, stop):
         # the sorted counts sum the loss in another order, so the iterates
         # agree to rounding, not bit for bit
-        rng = np.random.default_rng(42)
-        for labels in ("ab", "abc"):
-            ds = random_ds(rng, n=18, d=2)
-            y = list(labels) + list(rng.choice(list(labels), size=18 - len(labels)))
-            ds = Dataset(ds.X, y, ds.R)
-            cfg = SolverConfig(c=0.1, max_iters=60)
+        cfg = SolverConfig(c=0.1, max_iters=60)
+        floor = self.stop_rule(monkeypatch, stop, cfg)
+        for classes in (2, 3):
+            ds = gen_synthetic(SyntheticSpec(n=18, classes=classes, seed=0))
             m = solve_triplet(ds, reg, cfg)
             M, history, fractions, dual, iterations = reference_iterate(
                 2, ref_triplet_callbacks(ds.X, build_triplets(ds)), reg, cfg, psd=True
             )
-            assert m.info["iterations"] == iterations
+            assert m.info["iterations"] == iterations >= floor
             assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
+            assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
             assert m.info["active_fraction"] == fractions
@@ -883,11 +893,12 @@ class TestLowRankKernelSolve:
 
 
 class TestSolverInfo:
+    # two-class mixtures, on which each solve moves off M = 0
     def test_pair_fields(self):
-        rng = np.random.default_rng(43)
-        ds = random_ds(rng, n=12, d=2)
+        ds = gen_synthetic(SyntheticSpec(n=12, seed=43))
         c = 0.2
         m = solve(ds, "l21", SolverConfig(c=c, max_iters=40))
+        assert m.info["iterations"] > 0
         fractions = m.info["active_fraction"]
         assert len(fractions) == len(m.info["best_history"]) == m.info["iterations"] + 1
         # at M = 0 exactly the different-label pairs are active
@@ -897,36 +908,38 @@ class TestSolverInfo:
         assert m.info["capacity_ratio"] <= 1.0
 
     def test_triplet_fields(self):
-        rng = np.random.default_rng(44)
-        ds = random_ds(rng, n=10, d=2)
+        ds = gen_synthetic(SyntheticSpec(n=10, seed=44))
         c = 0.2
         m = solve_triplet(ds, "fro", SolverConfig(c=c, max_iters=40))
+        assert m.info["iterations"] > 0
         assert m.info["active_fraction"][0] == 1.0  # every hinge is 1 at M = 0
         assert len(m.info["active_fraction"]) == m.info["iterations"] + 1
         assert m.info["capacity_ratio"] == c * reg_norm(m.M, "fro") / 1.0
         assert m.info["capacity_ratio"] <= 1.0
 
     def test_kernel_capacity_in_feature_norm(self):
-        rng = np.random.default_rng(45)
-        ds = random_ds(rng, n=10, d=2)
-        cfg = SolverConfig(c=0.3, max_iters=30)
+        ds = gen_synthetic(SyntheticSpec(n=20, seed=45))
+        cfg = SolverConfig(c=0.05, max_iters=30)
         m = solve_kernel(ds, KernelSpec("rbf", 1.0), cfg)
-        assert m.info["capacity_ratio"] == 0.3 * m.info["feature_norm"] / PAIR_G0
+        assert m.info["feature_norm"] > 0.0
+        assert m.info["capacity_ratio"] == 0.05 * m.info["feature_norm"] / PAIR_G0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
-def test_pair_solve_reuses_its_buffers():
+def test_pair_solve_reuses_its_buffers(monkeypatch):
     # a solve that allocated fresh n x n temporaries every iteration would
-    # fault in every page of each one again, about 400 000 faults here
+    # fault in every page of each one again, about 400 000 faults here; the
+    # gap stop is off, so all 300 iterations run
     import resource
 
-    rng = np.random.default_rng(46)
-    ds = random_ds(rng, n=300, d=2)
+    monkeypatch.setattr(solver, "GAP_TOL", -1.0)
+    ds = gen_synthetic(SyntheticSpec(n=300, seed=46))
     cfg = SolverConfig(c=0.1, max_iters=300)
     solve(ds, "fro", cfg)  # the first solve may grow the heap
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    solve(ds, "fro", cfg)
+    m = solve(ds, "fro", cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40_000
+    assert m.info["iterations"] == cfg.max_iters
 
 
 class TestDualBound:
@@ -935,9 +948,10 @@ class TestDualBound:
 
     @staticmethod
     def problems():
-        rng = np.random.default_rng(70)
-        for _ in range(3):
-            yield random_ds(rng, n=16, d=3)
+        # random labels, where M = 0 is often certified optimal, and two
+        # mixtures, on which every family moves off M = 0 at c = 0.02
+        yield random_ds(np.random.default_rng(70), n=16, d=3)
+        yield gen_synthetic(SyntheticSpec(n=16, d=3, seed=70))
         yield gen_synthetic(SyntheticSpec(n=24, d=3, classes=3, seed=71))
 
     @staticmethod
@@ -964,21 +978,25 @@ class TestDualBound:
         monkeypatch.setattr(solver._LowerBound, "_raise", spy)
         rng = np.random.default_rng(72)
         fam = FAMILIES[family]
+        c = 0.02
+        iterations = []
         for ds in self.problems():
             values.clear()
-            m = train_family(ds, family, SolverConfig(c=0.05, max_iters=40), sigma=0.7)
+            m = train_family(ds, family, SolverConfig(c=c, max_iters=40), sigma=0.7)
+            iterations.append(m.info["iterations"])
             assert values and max(values) == m.info["dual_bound"]
             assert m.info["gap"] == m.info["objective"] - m.info["dual_bound"]
             assert m.info["dual_bound"] <= min(m.info["best_history"]) + 1e-12
             p = m.M.shape[0]
             for M in self.random_models(rng, family, p):
                 probe = MetricModel(m.kind, M=M, kernel=m.kernel, anchors=m.anchors,
-                                    regularizer=m.regularizer, info={"c": 0.05})
+                                    regularizer=m.regularizer, info={"c": c})
                 if fam.triplet:
-                    obj = 0.05 * reg_norm(M, fam.reg) + empirical_triplet_loss(probe, ds)
+                    obj = c * reg_norm(M, fam.reg) + empirical_triplet_loss(probe, ds)
                 else:
                     obj = objective(probe, ds)
                 assert m.info["dual_bound"] <= obj + 1e-12
+        assert min(iterations[1:]) > 0
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_bound_below_a_long_reference_run(self, family, monkeypatch):
