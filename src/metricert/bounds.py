@@ -1,7 +1,8 @@
-"""Empirical robustness estimation and the generalization bounds (pair,
-triplet and pseudo-robust variants), plus a Monte-Carlo check of the
-multinomial concentration inequality.  The closed-form robustness constant
-of each family is core.Family.epsilon."""
+"""Empirical robustness estimation (cell_stats for pairs,
+empirical_epsilon_triplet for triplets) and the generalization bounds (pair
+and triplet, which differ only in their core.Loss order, and pseudo-robust),
+plus a Monte-Carlo check of the multinomial concentration inequality.  The
+closed-form robustness constant of each family is core.Family.epsilon."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs, tile_rows
+from .core import (
+    PAIR_LOSS, TRIPLET_LOSS, Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs, tile_rows
+)
 from .cover import Partition, assign_cells
 
 
@@ -56,12 +59,11 @@ def concentration_root(K: int, n: int, delta: float) -> float:
 def bound_value(q: BoundQuery) -> float:
     """Generalization bound on |true loss - empirical loss|."""
     root = concentration_root(q.K, q.n, q.delta)
-    if q.mode == "pair":
-        return q.epsilon + 2.0 * q.B * root
-    if q.mode == "triplet":
-        return q.epsilon + 3.0 * q.B * root
-    n2 = q.n**2
-    return (q.p_hat / n2) * q.epsilon + q.B * ((n2 - q.p_hat) / n2 + 2.0 * root)
+    if q.mode == "pseudo":
+        n2 = q.n**2
+        return (q.p_hat / n2) * q.epsilon + q.B * ((n2 - q.p_hat) / n2 + 2.0 * root)
+    order = PAIR_LOSS.order if q.mode == "pair" else TRIPLET_LOSS.order
+    return q.epsilon + order * q.B * root
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Domain types, the model-family table, pair/triplet enumeration and the hinge loss.
+"""Domain types, the model-family table, pair/triplet enumeration and the losses.
 
 The learned metric is either a d x d matrix (Mahalanobis distance or bilinear
 similarity) or an n x n coefficient matrix over kernel coordinates.  The loss
-is the hinge g(t) = max(0, 1 - t) applied to y_ij * (1 - f(M, x_i, x_j)),
-which gives Lipschitz constant U = 1 and zero-matrix loss g0 = 2.  The mean
-pair and triplet losses of a sample have one implementation each, pair_eval
-and triplet_eval, which the solvers and the empirical losses share.
+is the hinge g(t) = max(0, 1 - t), with Lipschitz constant U = 1, over pairs
+or triplets.  Each is one Loss record, PAIR_LOSS or TRIPLET_LOSS, held by its
+families: its bound's name and order, its zero-matrix loss g0, its evaluator
+(pair_eval or triplet_eval, shared by the solver and the empirical loss) and
+its Monte-Carlo true loss.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,12 +162,8 @@ class MetricModel:
         return self.M.shape[0]
 
 
-# the hinge g(t) = max(0, 1 - t): Lipschitz constant U, and the loss of the
-# zero matrix over pairs (g(-1) on every other-label pair) and over
-# triplets (1 - 0 + 0 on every admissible triplet)
+# the hinge g(t) = max(0, 1 - t): Lipschitz constant U
 HINGE_U = 1.0
-PAIR_G0 = 2.0
-TRIPLET_G0 = 1.0
 
 
 def hinge(t):
@@ -195,19 +193,19 @@ class Family:
     a loss-deviation bound times the capacity g0/c.
 
     epsilon = eps_coef * radius * scale * U g0/c and
-    B = g0 + f_coef * radius^2 * g0/c.  Data only: harness.train_family
-    picks the solver from these fields.
+    B = g0 + f_coef * radius^2 * g0/c, with g0 the loss's.  Data only:
+    harness.train_family fits the model from kind, reg and loss.
     """
 
     kind: str          # MetricModel kind
     reg: str           # regularizer
-    triplet: bool      # triplet loss (g0 = TRIPLET_G0) instead of pair loss
+    loss: Loss         # PAIR_LOSS or TRIPLET_LOSS
     eps_coef: float
     f_coef: float
 
     @property
     def g0(self) -> float:
-        return TRIPLET_G0 if self.triplet else PAIR_G0
+        return self.loss.g0
 
     def radius(self, R: float) -> float:
         """Radius of the feature space: R, or 1 for the rbf kernel, whose
@@ -232,19 +230,6 @@ class Family:
             raise ValueError(f"gamma must be nonnegative and finite, not {gamma!r}")
         scale = math.sqrt(rbf_fH(gamma, sigma)) if self.kind == "kernelized" else gamma
         return self.eps_coef * self.radius(R) * scale * (HINGE_U * self.g0 / c)
-
-
-# squared distances |f| <= 4 R^2 ||M|| (||x - x'|| <= 2R), the bilinear
-# similarity |f| <= R^2 ||M||; triplet deviations add two pair deviations
-FAMILIES = {
-    "fro": Family("mahalanobis", "fro", False, 8.0, 4.0),
-    "l1": Family("mahalanobis", "l1", False, 8.0, 4.0),
-    "l21": Family("mahalanobis", "l21", False, 8.0, 4.0),
-    "bilinear": Family("bilinear", "fro", False, 2.0, 1.0),
-    "kernel-rbf": Family("kernelized", "fro", False, 8.0, 4.0),
-    "triplet-fro": Family("mahalanobis", "fro", True, 16.0, 4.0),
-    "triplet-l21": Family("mahalanobis", "l21", True, 16.0, 4.0),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +597,16 @@ def pair_eval(X: np.ndarray, labels: np.ndarray, kind: str):
     return eval_fn
 
 
-def triplet_eval(X: np.ndarray, labels: np.ndarray):
+def triplet_eval(X: np.ndarray, labels: np.ndarray, kind: str = "mahalanobis"):
     """eval_fn(M) -> Evaluation of the mean
     triplet hinge over every admissible triplet, from the exact sorted
     active-set counts of triplet_hinge.  The points are sorted into
     label runs once, and each tile of run_tiles passes the rows of one
     run against all n points, its f written into buffers allocated once
-    per evaluator; memory is O(tile_rows(n) * n)."""
+    per evaluator; memory is O(tile_rows(n) * n).  The triplet loss
+    compares distances, so a bilinear `kind` is refused."""
+    if kind == "bilinear":
+        raise ValueError("the triplet loss needs a distance metric, not a bilinear model")
     n, d = X.shape
     order, _, starts, _ = sorted_runs(labels)
     X = X[order]
@@ -643,16 +631,76 @@ def triplet_eval(X: np.ndarray, labels: np.ndarray):
     return eval_fn
 
 
-def empirical_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean pair loss over all n^2 ordered pairs, from pair_eval."""
-    F, Q = features(m, ds.X)
-    return pair_eval(F, ds.label_indices(), m.kind)(Q).loss
+def _draws(draw, seed: int, *counts: int) -> list:
+    """draw(count, s) per count, each s drawn in turn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return [draw(count, int(rng.integers(2**32))) for count in counts]
 
 
-def empirical_triplet_loss(m: MetricModel, ds: Dataset) -> float:
-    """Mean triplet hinge loss over all admissible triplets, from
-    triplet_eval; the triplet loss compares distances, not similarities."""
-    if m.kind == "bilinear":
-        raise ValueError("the triplet loss needs a distance metric, not a bilinear model")
-    F, Q = features(m, ds.X)
-    return triplet_eval(F, ds.label_indices())(Q).loss
+def _mean_se(losses: np.ndarray) -> tuple[float, float]:
+    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(len(losses)))
+
+
+def _pair_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, float]:
+    """Mean pair loss over `size` pairs of independent draws, and its SE."""
+    if size < 2:
+        raise ValueError("M_mc must be at least 2")
+    a, b = _draws(draw, seed, size, size)
+    f = metric_rowwise(m, a.X, b.X)
+    ysign = np.where(np.asarray(a.y) == np.asarray(b.y), 1.0, -1.0)
+    return _mean_se(hinge(ysign * (1.0 - f)))
+
+
+def _triplet_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, float]:
+    """Mean triplet hinge over the admissible triples (y_a = y_b != y_c)
+    among `size` triples of independent draws, and its SE over them."""
+    (s,) = _draws(draw, seed, 3 * size)
+    (a, b, c), (ya, yb, yc) = np.split(s.X, 3), np.split(np.asarray(s.y), 3)
+    admissible = (ya == yb) & (ya != yc)
+    if admissible.sum() < 2:
+        raise ValueError("fewer than two admissible triples; increase mc_size")
+    f13 = metric_rowwise(m, a[admissible], c[admissible])
+    f12 = metric_rowwise(m, a[admissible], b[admissible])
+    return _mean_se(np.maximum(0.0, 1.0 - f13 + f12))
+
+
+@dataclass(frozen=True)
+class Loss:
+    """The pair or the triplet loss.  `name` is the BoundQuery mode of its
+    bound and the report field bound_<name>; `order` is its tuple size, so
+    the bound is epsilon + order * B * root; `g0` is the zero matrix's
+    loss.  evaluator(X, labels, kind) gives the eval_fn(M) -> Evaluation
+    the solver runs, and truth(m, draw, size, seed) the Monte-Carlo loss
+    and its SE on samples draw(count, seed) -> Dataset."""
+
+    name: str
+    order: int
+    g0: float
+    evaluator: Callable
+    truth: Callable
+
+    def empirical(self, m: MetricModel, ds: Dataset) -> float:
+        """Mean loss of the model over the sample, from the evaluator."""
+        F, Q = features(m, ds.X)
+        return self.evaluator(F, ds.label_indices(), m.kind)(Q).loss
+
+
+# g0: g(-1) = 2 on every other-label pair, 1 - 0 + 0 on every triplet
+PAIR_LOSS = Loss("pair", 2, 2.0, pair_eval, _pair_truth)
+TRIPLET_LOSS = Loss("triplet", 3, 1.0, triplet_eval, _triplet_truth)
+PAIR_G0 = PAIR_LOSS.g0
+empirical_loss = PAIR_LOSS.empirical
+empirical_triplet_loss = TRIPLET_LOSS.empirical
+
+
+# squared distances |f| <= 4 R^2 ||M|| (||x - x'|| <= 2R), the bilinear
+# similarity |f| <= R^2 ||M||; triplet deviations add two pair deviations
+FAMILIES = {
+    "fro": Family("mahalanobis", "fro", PAIR_LOSS, 8.0, 4.0),
+    "l1": Family("mahalanobis", "l1", PAIR_LOSS, 8.0, 4.0),
+    "l21": Family("mahalanobis", "l21", PAIR_LOSS, 8.0, 4.0),
+    "bilinear": Family("bilinear", "fro", PAIR_LOSS, 2.0, 1.0),
+    "kernel-rbf": Family("kernelized", "fro", PAIR_LOSS, 8.0, 4.0),
+    "triplet-fro": Family("mahalanobis", "fro", TRIPLET_LOSS, 16.0, 4.0),
+    "triplet-l21": Family("mahalanobis", "l21", TRIPLET_LOSS, 16.0, 4.0),
+}

@@ -16,20 +16,9 @@ from .bounds import (
     cell_stats,
     empirical_epsilon_triplet,
 )
-from .core import (
-    FAMILIES,
-    HINGE_U,
-    Dataset,
-    KernelSpec,
-    MetricModel,
-    empirical_loss,
-    empirical_triplet_loss,
-    hinge,
-    metric_blocks,
-    metric_rowwise,
-)
+from .core import FAMILIES, HINGE_U, PAIR_LOSS, Dataset, KernelSpec, MetricModel, metric_blocks
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
-from .solver import SolverConfig, model_norm, solve, solve_kernel, solve_triplet, training_c
+from .solver import SolverConfig, model_norm, solve, solve_kernel, training_c
 
 # the pseudo-robust bound's epsilon as a fraction of the certified one
 PSEUDO_EPS_SCALE = 0.5
@@ -112,49 +101,17 @@ def gen_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     return Dataset(X, [names[j] for j in k.tolist()], spec.R, names)
 
 
-def _sample_points(spec: SyntheticSpec, count: int, rng, draw) -> tuple[np.ndarray, list]:
-    ds = draw(replace(spec, n=count, seed=int(rng.integers(2**32))))
-    return ds.X, ds.y
+def _sampler(spec: SyntheticSpec, draw):
+    """The (count, seed) -> Dataset sampler of Loss.truth: draw(spec) at
+    that n and seed, with draw gen_synthetic or a cache of it (gap_curve)."""
+    return lambda count, seed: draw(replace(spec, n=count, seed=seed))
 
 
 def true_loss_estimate(
     m: MetricModel, spec: SyntheticSpec, M_mc: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte-Carlo mean pair loss over independent draws, with its SE."""
-    return _true_loss_estimate(m, spec, M_mc, seed, gen_synthetic)
-
-
-def _true_loss_estimate(m, spec, M_mc, seed, draw):
-    """true_loss_estimate with its samples drawn by draw(spec), which is
-    gen_synthetic or a cache of it (gap_curve)."""
-    if M_mc < 2:
-        raise ValueError("M_mc must be at least 2")
-    rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, M_mc, rng, draw)
-    X2, y2 = _sample_points(spec, M_mc, rng, draw)
-    f = metric_rowwise(m, X1, X2)
-    same = np.asarray(y1) == np.asarray(y2)
-    ysign = np.where(same, 1.0, -1.0)
-    losses = hinge(ysign * (1.0 - f))
-    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(M_mc))
-
-
-def _true_triplet_loss_estimate(m, spec, M_mc, seed, draw):
-    """Monte-Carlo mean triplet hinge over the admissible triples
-    (y_a = y_b != y_c) among M_mc independent draws, with its SE over those
-    triples: the quantity empirical_triplet_loss averages over a sample."""
-    rng = np.random.default_rng(seed)
-    X1, y1 = _sample_points(spec, 3 * M_mc, rng, draw)
-    a, b, c = X1[:M_mc], X1[M_mc : 2 * M_mc], X1[2 * M_mc :]
-    y1 = np.asarray(y1)
-    ya, yb, yc = y1[:M_mc], y1[M_mc : 2 * M_mc], y1[2 * M_mc :]
-    admissible = (ya == yb) & (ya != yc)
-    if admissible.sum() < 2:
-        raise ValueError("fewer than two admissible triples; increase mc_size")
-    f13 = metric_rowwise(m, a[admissible], c[admissible])
-    f12 = metric_rowwise(m, a[admissible], b[admissible])
-    losses = np.maximum(0.0, 1.0 - f13 + f12)
-    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(len(losses)))
+    return PAIR_LOSS.truth(m, _sampler(spec, gen_synthetic), M_mc, seed)
 
 
 @dataclass(frozen=True)
@@ -180,11 +137,9 @@ class ExperimentConfig:
 def train_family(ds: Dataset, family: str, cfg: SolverConfig, sigma: float = 1.0) -> MetricModel:
     """Fit the model of a FAMILIES entry; sigma is the rbf bandwidth."""
     fam = FAMILIES[family]
-    if fam.triplet:
-        return solve_triplet(ds, fam.reg, cfg)
     if fam.kind == "kernelized":
         return solve_kernel(ds, KernelSpec("rbf", sigma), cfg)
-    return solve(ds, fam.reg, cfg, kind=fam.kind)
+    return solve(ds, fam.reg, cfg, kind=fam.kind, loss=fam.loss)
 
 
 def certify(
@@ -223,19 +178,19 @@ def certify(
     sigma = model.kernel.sigma if fam.kind == "kernelized" else 0.0
     eps_theo = fam.epsilon(ds.R, cover_cfg.gamma, c, sigma)
     pseudo_eps = PSEUDO_EPS_SCALE * eps_theo
-    if fam.triplet:
-        est = empirical_epsilon_triplet(model, part, ds, probe)
-    else:
-        est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
     B = fam.loss_bound(ds.R, c)
     K_theo = len(ds.labels) * covering_number_upper_bound(ds.R, cover_cfg.gamma / 2.0, ds.d)
 
     def bound(mode: str, epsilon: float = eps_theo, p_hat: int = 0) -> float:
         return bound_value(BoundQuery(epsilon, B, K_theo, ds.n, delta, mode, p_hat))
 
-    bound_pair = bound("pair")
-    bound_triplet = bound("triplet") if fam.triplet else None
-    certified = bound_triplet if fam.triplet else bound_pair
+    # the loss picks the epsilon estimator and the bound only it reports
+    if fam.loss is PAIR_LOSS:
+        est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
+        own_bound = {"bound_pseudo": bound("pseudo", pseudo_eps, p_hat)}
+    else:
+        est = empirical_epsilon_triplet(model, part, ds, probe)
+        own_bound = {"bound_triplet": bound("triplet")}
     return BoundReport(
         family=family,
         U=HINGE_U,
@@ -248,14 +203,13 @@ def certify(
         B=B,
         epsilon_theoretical=eps_theo,
         epsilon_empirical=est.value,
-        bound_pair=bound_pair,
-        bound_pseudo=None if fam.triplet else bound("pseudo", pseudo_eps, p_hat),
-        bound_triplet=bound_triplet,
+        bound_pair=bound("pair"),
         empirical_gap=None if gap is None else float(gap),
-        holds=None if gap is None else bool(gap <= certified),
+        holds=None if gap is None else bool(gap <= bound(fam.loss.name)),
         sound=bool(est.value <= eps_theo),
         excluded_probes=est.excluded_probes,
         seed=seed,
+        **own_bound,
     )
 
 
@@ -267,33 +221,28 @@ def _run_repetition(cfg: ExperimentConfig, rep_seed: int, draw) -> BoundReport:
     ds = gen_synthetic(spec)
     model = train_family(ds, cfg.family, cfg.solver)
     probe = draw(replace(spec, n=cfg.probe_size, seed=rep_seed + 10_000))
-    mc_seed = rep_seed + 20_000
-    if FAMILIES[cfg.family].triplet:
-        l_emp = empirical_triplet_loss(model, ds)
-        true_est, _se = _true_triplet_loss_estimate(model, spec, cfg.mc_size, mc_seed, draw)
-    else:
-        l_emp = empirical_loss(model, ds)
-        true_est, _se = _true_loss_estimate(model, spec, cfg.mc_size, mc_seed, draw)
+    loss = FAMILIES[cfg.family].loss
+    l_emp = loss.empirical(model, ds)
+    true_est, se = loss.truth(model, _sampler(spec, draw), cfg.mc_size, rep_seed + 20_000)
     gap = abs(true_est - l_emp)
     report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, seed=rep_seed, gap=gap)
     report.extra["empirical_loss"] = l_emp
     report.extra["true_loss_estimate"] = true_est
-    report.extra["true_loss_se"] = _se
+    report.extra["true_loss_se"] = se
     return report
 
 
 def run_experiment(cfg: ExperimentConfig, draw=None) -> tuple[list[BoundReport], dict]:
     """Per-repetition reports plus a summary with the holds fraction and
-    the mean certified bound (bound_triplet for a triplet family).  draw
+    the mean certified bound (the report's bound_<loss name>).  draw
     draws the probe and Monte-Carlo samples, gen_synthetic when None;
     gap_curve passes a cache of it."""
     draw = gen_synthetic if draw is None else draw
-    reports = []
-    for rep in range(cfg.repetitions):
-        reports.append(_run_repetition(cfg, cfg.synthetic.seed + rep, draw))
+    seeds = range(cfg.synthetic.seed, cfg.synthetic.seed + cfg.repetitions)
+    reports = [_run_repetition(cfg, seed, draw) for seed in seeds]
     frac = sum(r.holds for r in reports) / len(reports)
-    triplet = FAMILIES[cfg.family].triplet
-    certified = [r.bound_triplet if triplet else r.bound_pair for r in reports]
+    key = "bound_" + FAMILIES[cfg.family].loss.name
+    certified = [getattr(r, key) for r in reports]
     summary = {
         "repetitions": cfg.repetitions,
         "holds_fraction": frac,
@@ -314,7 +263,7 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
     """
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError("n ladder must be strictly increasing")
-    mode = "triplet" if FAMILIES[cfg.family].triplet else "pair"
+    mode = FAMILIES[cfg.family].loss.name
     rows = []
     # keyed by the spec with its n and seed; datasets are never modified
     draw = functools.cache(gen_synthetic)

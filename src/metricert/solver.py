@@ -3,8 +3,8 @@
 Minimizes c*||M|| + mean hinge loss over the pair (or triplet) sample,
 with M constrained to the PSD cone for distance metrics.  Each iteration
 takes a subgradient step on the loss, applies the prox of the chosen norm,
-then projects onto the PSD cone.  Each iterate is evaluated once, by
-core.pair_eval or core.triplet_eval (the code of the empirical losses):
+then projects onto the PSD cone.  Each iterate is evaluated once, by the
+evaluator of the loss's core.Loss record (the code of its empirical loss):
 one evaluation gives its loss and the subgradient of the next step.  The
 best iterate by objective is kept and the zero matrix is always a
 fallback, which guarantees the capacity bound ||M*|| <= g0/c used by the
@@ -19,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PAIR_G0,
-    TRIPLET_G0,
+    PAIR_LOSS,
+    TRIPLET_LOSS,
     Dataset,
     KernelSpec,
+    Loss,
     MetricModel,
     empirical_loss,
     features,
     kernel_gram,
     pair_eval,
-    triplet_eval,
 )
 
 REGULARIZERS = ("fro", "l1", "l21")
@@ -295,8 +295,10 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
     return best, info
 
 
-def solve(ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis") -> MetricModel:
-    """Minimize the pair objective; returns the best iterate (or M = 0).
+def solve(
+    ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis", loss: Loss = PAIR_LOSS
+) -> MetricModel:
+    """Minimize c*||M||_reg + `loss` (pairs by default); returns the best iterate (or M = 0).
 
     The returned model always satisfies objective <= loss at the zero
     matrix <= g0, hence ||M*||_reg <= g0/c; info["capacity_ratio"] is
@@ -306,20 +308,16 @@ def solve(ds: Dataset, reg: str, cfg: SolverConfig, kind: str = "mahalanobis") -
         raise ValueError(f"unknown regularizer {reg!r}")
     if kind not in ("mahalanobis", "bilinear"):
         raise ValueError(f"solve handles mahalanobis/bilinear, got {kind!r}")
-    eval_fn = pair_eval(ds.X, ds.label_indices(), kind)
-    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"), g0=PAIR_G0)
+    eval_fn = loss.evaluator(ds.X, ds.label_indices(), kind)
+    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=(kind == "mahalanobis"), g0=loss.g0)
     return MetricModel(kind=kind, M=best, regularizer=reg, info=info)
 
 
 def solve_triplet(ds: Dataset, reg: str, cfg: SolverConfig) -> MetricModel:
-    """Triplet variant: mean hinge over the admissible triplets of the
-    labels (y_i == y_j != y_k), regs fro/l21; single-label data is
-    rejected."""
+    """solve on the triplet loss, regs fro/l21; single-label data is rejected."""
     if reg not in ("fro", "l21"):
         raise ValueError("triplet solver supports regularizers 'fro' and 'l21'")
-    eval_fn = triplet_eval(ds.X, ds.label_indices())
-    best, info = _iterate(ds.d, eval_fn, reg, cfg, psd=True, g0=TRIPLET_G0)
-    return MetricModel(kind="mahalanobis", M=best, regularizer=reg, info=info)
+    return solve(ds, reg, cfg, loss=TRIPLET_LOSS)
 
 
 def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
@@ -344,7 +342,7 @@ def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
     w, U = w[keep], U[:, keep]
     Psi = U * np.sqrt(w)
     eval_fn = pair_eval(Psi, ds.label_indices(), "mahalanobis")
-    H, info = _iterate(len(w), eval_fn, "fro", cfg, psd=True, g0=PAIR_G0)
+    H, info = _iterate(len(w), eval_fn, "fro", cfg, psd=True, g0=PAIR_LOSS.g0)
     B = U / np.sqrt(w)
     M = B @ H @ B.T
     M = (M + M.T) / 2.0

@@ -81,7 +81,7 @@ class TestEpsilonTheoretical:
                     scale = math.sqrt(2.0 * (1.0 - math.exp(-(gamma**2) / (2.0 * sigma**2))))
                 else:
                     radius, scale = R, gamma
-                g0 = 1.0 if fam.triplet else 2.0
+                g0 = 1.0 if name.startswith("triplet-") else 2.0
                 want = fam.eps_coef * radius * scale * (HINGE_U * g0 / c)
                 assert fam.epsilon(R, gamma, c, sigma) == want, (name, R, gamma, c, sigma)
 

@@ -190,7 +190,7 @@ class TestTrueTripletLossEstimate:
         spec = SyntheticSpec(n=40, seed=0)
         m = harness.train_family(gen_synthetic(spec), "triplet-fro", SolverConfig(c=0.1))
         fresh = core.empirical_triplet_loss(m, gen_synthetic(SyntheticSpec(n=600, seed=1)))
-        est, se = harness._true_triplet_loss_estimate(m, spec, 20_000, 7, gen_synthetic)
+        est, se = core.TRIPLET_LOSS.truth(m, harness._sampler(spec, gen_synthetic), 20_000, 7)
         assert 0.0 < se < 0.02
         assert est == pytest.approx(fresh, abs=4 * se + 0.02)
 
@@ -198,7 +198,7 @@ class TestTrueTripletLossEstimate:
         spec = SyntheticSpec(n=10, classes=1, seed=2)
         zero = MetricModel("mahalanobis", M=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="admissible"):
-            harness._true_triplet_loss_estimate(zero, spec, 100, 0, gen_synthetic)
+            core.TRIPLET_LOSS.truth(zero, harness._sampler(spec, gen_synthetic), 100, 0)
 
 
 class TestRunExperiment:
@@ -416,10 +416,20 @@ class TestGapCurve:
         with pytest.raises(ValueError):
             gap_curve(cfg, [100, 50])
 
-    @pytest.mark.parametrize("family, coef", [("fro", 2.0), ("triplet-fro", 3.0)])
-    def test_reports_the_certified_bound_of_the_family(self, family, coef):
+    # the concentration coefficient of each family's certified bound, the
+    # tuple order of its loss: 3 for triplets, 2 for pairs
+    COEF = {"fro": 2.0, "l1": 2.0, "l21": 2.0, "bilinear": 2.0, "kernel-rbf": 2.0,
+            "triplet-fro": 3.0, "triplet-l21": 3.0}
+
+    def test_every_family_has_a_coefficient(self):
+        assert set(self.COEF) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_reports_the_certified_bound_of_the_family(self, family):
         # a triplet family is certified by bound_triplet = eps + 3 B root;
         # the curve printed bound_pair and 2 B root for every family
+        coef = self.COEF[family]
+        triplet = coef == 3.0
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(n=20, seed=6),
             solver=SolverConfig(c=0.5, max_iters=20),
@@ -431,7 +441,15 @@ class TestGapCurve:
         )
         (row,) = gap_curve(cfg, [20])
         reports, _ = run_experiment(cfg)
-        certified = [r.bound_triplet if family == "triplet-fro" else r.bound_pair for r in reports]
+        for r in reports:
+            # bound_pseudo belongs to pairs, bound_triplet to triplets
+            keys = r.to_json_dict()
+            assert ("bound_pseudo" in keys) == (r.bound_pseudo is not None) == (not triplet)
+            assert ("bound_triplet" in keys) == (r.bound_triplet is not None) == triplet
+        certified = [r.bound_triplet if triplet else r.bound_pair for r in reports]
+        assert [r.holds for r in reports] == [
+            r.empirical_gap <= b for r, b in zip(reports, certified)
+        ]
         assert row["bound"] == float(np.mean(certified))
         r0 = reports[0]
         root = concentration_root(r0.K_theoretical, 20, cfg.delta)

@@ -991,7 +991,7 @@ class TestDualBound:
             for M in self.random_models(rng, family, p):
                 probe = MetricModel(m.kind, M=M, kernel=m.kernel, anchors=m.anchors,
                                     regularizer=m.regularizer, info={"c": c})
-                if fam.triplet:
+                if family.startswith("triplet-"):
                     obj = c * reg_norm(M, fam.reg) + empirical_triplet_loss(probe, ds)
                 else:
                     obj = objective(probe, ds)
