@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import (
-    PAIR_LOSS, TRIPLET_LOSS, Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs, tile_rows
+    PAIR_LOSS, TRIPLET_LOSS, Dataset, MetricModel, metric_blocks, pair_hinge, sorted_runs
 )
 from .cover import Partition, assign_cells
 
@@ -26,7 +26,7 @@ class BoundQuery:
     n: int
     delta: float
     mode: str = "pair"        # "pair", "triplet" or "pseudo"
-    p_hat: int = 0            # pseudo mode only, in [0, n^2]
+    p_hat: int = 0            # pseudo mode only, in [0, n^2]; 0 in the others
 
     def __post_init__(self):
         for name, value in (("epsilon", self.epsilon), ("B", self.B)):
@@ -45,6 +45,8 @@ class BoundQuery:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "pseudo" and not 0 <= self.p_hat <= self.n**2:
             raise ValueError("p_hat must lie in [0, n^2]")
+        if self.mode != "pseudo" and self.p_hat != 0:
+            raise ValueError(f"p_hat is a pseudo-mode input; {self.mode} mode takes none")
 
 
 def concentration_root(K: int, n: int, delta: float) -> float:
@@ -104,63 +106,69 @@ def _run_extrema(F: np.ndarray, start: int, starts: np.ndarray, sizes: np.ndarra
     )
 
 
-def _loss_extrema(lo_f: np.ndarray, hi_f: np.ndarray, row_labels: np.ndarray, labels: np.ndarray):
-    """Min and max pair loss of cell-pair tables of f extrema.
+def _loss_extrema(lo_f: np.ndarray, hi_f: np.ndarray, same: np.ndarray):
+    """Min and max pair loss of cell-pair tables of f extrema, where `same`
+    marks the cell pairs of one label.
 
     Labels are constant within a cell, and fl(1 - f) is monotone in f, so
     the pair loss hinge(y (1 - f)) is non-decreasing in f when y = +1 and
     non-increasing when y = -1: its extrema are the losses of the f extrema,
-    bit for bit.  pair_hinge's steps run in place (y = -1 is an exact negation)."""
-    same = row_labels[:, None] == labels[None, :]
-    out = []
-    for a, b in ((lo_f, hi_f), (hi_f, lo_f)):
-        t = np.where(same, a, b)
-        np.subtract(1.0, t, out=t)
-        np.negative(t, out=t, where=~same)
-        np.subtract(1.0, t, out=t)
-        out.append(np.maximum(0.0, t, out=t))
-    return tuple(out)
+    bit for bit."""
+    return tuple(
+        pair_hinge(t, same, out=t) for t in (np.where(same, lo_f, hi_f), np.where(same, hi_f, lo_f))
+    )
 
 
-def _assign(p: Partition, ds: Dataset, probe: Dataset):
-    """Training cell ids, then the covered probe points, their ids and the excluded count."""
+def _common_cells(p: Partition, ds: Dataset, probe: Dataset):
+    """The ascending ids of the C cells that both samples occupy (no other
+    cell can match), the number of probe points outside the cover (a
+    training point there is an error), and per sample (training first)
+    its points in those cells, sorted stably by cell, with the first row
+    and the size of each cell's run."""
     ids_tr = assign_cells(p, ds.X, ds.y)
     if (ids_tr < 0).any():
         raise ValueError("training points outside the cover")
     ids_pr = assign_cells(p, probe.X, probe.y)
     keep = ids_pr >= 0
-    return ids_tr, probe.X[keep], ids_pr[keep], int((~keep).sum())
+    runs_tr, runs_pr = sorted_runs(ids_tr), sorted_runs(ids_pr[keep])
+    # the runs' cell ids are unique; numpy 2.4's plain np.unique (also inside
+    # intersect1d) imports numpy.ma, 0.5 MB, on its first call
+    cells, at_tr, at_pr = np.intersect1d(
+        runs_tr[1], runs_pr[1], assume_unique=True, return_indices=True
+    )
+    out = []
+    for X, (order, _, _, sizes), at in ((ds.X, runs_tr, at_tr), (probe.X[keep], runs_pr, at_pr)):
+        take = np.zeros(len(sizes), dtype=bool)
+        take[at] = True
+        rows = order[np.repeat(take, sizes)]
+        sizes = sizes[at]
+        out.append((X[rows], np.cumsum(sizes) - sizes, sizes))
+    return cells, int((~keep).sum()), *out
 
 
-def _probe_extrema(m: MetricModel, p: Partition, X: np.ndarray, ids: np.ndarray):
-    """Per-cell-pair min and max of the probe pair loss.
+def _pair_loss_runs(m: MetricModel, labels: np.ndarray, X: np.ndarray, starts, sizes):
+    """Per row block of f over the cell-sorted points X (runs at `starts` of
+    `sizes` points, of cells with label indices `labels`): the block, the
+    slice of cells whose runs it holds, their run lengths, the (runs x
+    cells) same-label mask, and the min and max pair loss over each run x
+    column cell, from `_run_extrema` and `_loss_extrema` without building
+    the block's losses.  The block is a view that the next one overwrites."""
+    for start, F in metric_blocks(m, X):
+        at, runs, lo_f, hi_f = _run_extrema(F, start, starts, sizes)
+        same = labels[at, None] == labels[None, :]
+        yield F, at, runs, same, *_loss_extrema(lo_f, hi_f, same)
 
-    Returns the C occupied cell ids (ascending) and two (C + 1) x (C + 1)
-    tables indexed by their positions, whose last row and column are the
-    empty extrema (+inf, -inf) of a cell the probe does not occupy.  Points
-    are sorted by cell, so every cell is a run of rows and columns; each
-    row block of f reduces through `_run_extrema`, a cell whose run
-    straddles two blocks is merged into the f tables, and `_loss_extrema`
-    maps the finished tables to losses in place, a chunk of rows at a time,
-    so no C x C temporary is made.
-    """
-    order, cells, starts, sizes = sorted_runs(ids)
-    C = len(cells)
-    lo = np.full((C + 1, C + 1), np.inf)
-    hi = np.full((C + 1, C + 1), -np.inf)
-    for start, F in metric_blocks(m, X[order]):
-        at, _, lo_run, hi_run = _run_extrema(F, start, starts, sizes)
-        np.minimum(lo[at, :C], lo_run, out=lo[at, :C])
-        np.maximum(hi[at, :C], hi_run, out=hi[at, :C])
-    # the last block is a view of the sweep's buffer: drop it before the
-    # chunk temporaries
-    F = None
-    labels = p.cell_labels(cells)
-    chunk = tile_rows(C)
-    for s in range(0, C, chunk):
-        r = slice(s, min(s + chunk, C))
-        lo[r, :C], hi[r, :C] = _loss_extrema(lo[r, :C], hi[r, :C], labels[r], labels)
-    return cells, lo, hi
+
+def _probe_extrema(m: MetricModel, labels: np.ndarray, X: np.ndarray, starts, sizes):
+    """Per-cell-pair min and max of the probe pair loss: two C x C tables
+    over the C cells of `labels` into which each row block's loss extrema
+    are folded.  Every cell holds a point, so every entry is finite."""
+    C = len(labels)
+    lo, hi = np.full((C, C), np.inf), np.full((C, C), -np.inf)
+    for _, at, _, _, lo_run, hi_run in _pair_loss_runs(m, labels, X, starts, sizes):
+        np.minimum(lo[at], lo_run, out=lo[at])
+        np.maximum(hi[at], hi_run, out=hi[at])
+    return lo, hi
 
 
 def cell_stats(
@@ -180,37 +188,28 @@ def cell_stats(
     `epsilon`.  Probe points outside the cover are excluded and counted;
     training points outside it are an error.
 
-    Both sides are sorted by cell, so the pairs of one run of block rows
-    and one column cell form a sub-block with one pair of probe extrema
-    (lo, hi).  fl(a - c) is monotone in a, so the sub-block's largest
-    deviation is max(fl(hi_run - lo), fl(hi - lo_run)) exactly, from the
-    run extrema of f (`_run_extrema`) mapped to losses (`_loss_extrema`);
-    every pair of the sub-block is within `epsilon` when both terms are,
-    and none is when fl(lo_run - lo) or fl(hi - hi_run) exceeds it.  Only
-    a block with an undecided sub-block builds its n-column block of losses
-    and tests its pairs one by one, masked to those sub-blocks.  Cells the
-    probe does not occupy have extrema (+inf, -inf): their pairs count and
-    deviate by -inf.  f is evaluated in row blocks, so memory is
-    O(block * n) plus the cell-pair tables of the probe.
+    Only pairs of the cells both samples occupy (`_common_cells`) can
+    match, so the n^2 - n_c^2 pairs with a point outside them count
+    without a test, and both sides sweep only their n_c points there,
+    sorted by cell.  The pairs of one run of block rows and one column cell
+    form a sub-block with one pair of probe extrema (lo, hi), a row of the
+    C x C probe tables.  fl(a - c) is monotone in a, so the sub-block's
+    largest deviation is max(fl(hi_run - lo), fl(hi - lo_run)) exactly,
+    from its loss extrema (`_pair_loss_runs`); every pair of the sub-block
+    is within `epsilon` when both terms are, and none is when
+    fl(lo_run - lo) or fl(hi - hi_run) exceeds it.  Only a block with an
+    undecided sub-block builds its losses and tests its pairs one by one,
+    masked to those sub-blocks.  f is evaluated in row blocks, so memory is
+    O(block * n) plus the C x C probe tables.
     """
-    ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
-    if not len(ids_pr):
-        return EpsilonEstimate(0.0, excluded), ds.n**2
-    cells, lo_p, hi_p = _probe_extrema(m, p, X_pr, ids_pr)
-    order, cells_t, starts, sizes = sorted_runs(ids_tr)
-    # each training cell's position among the probe cells; a cell the probe
-    # does not occupy points at the tables' last row and column
-    pos = np.searchsorted(cells, cells_t)
-    pos[cells[np.minimum(pos, len(cells) - 1)] != cells_t] = len(cells)
+    cells, excluded, (X, starts, sizes), probe_runs = _common_cells(p, ds, probe)
+    count = ds.n**2 - len(X) ** 2
+    labels = p.cell_labels(cells)
+    lo_p, hi_p = _probe_extrema(m, labels, *probe_runs)
     tol = epsilon + 1e-12
-    worst, count = 0.0, 0
-    labels = p.cell_labels(ids_tr[order])
-    cell_labels = p.cell_labels(cells_t)
-    for start, F in metric_blocks(m, ds.X[order]):
-        at, runs, lo_f, hi_f = _run_extrema(F, start, starts, sizes)
-        lo_run, hi_run = _loss_extrema(lo_f, hi_f, cell_labels[at], cell_labels)
-        cell_pairs = np.ix_(pos[at], pos)
-        lo, hi = lo_p[cell_pairs], hi_p[cell_pairs]
+    worst = 0.0
+    for F, at, runs, same, lo_run, hi_run in _pair_loss_runs(m, labels, X, starts, sizes):
+        lo, hi = lo_p[at], hi_p[at]
         up, down = hi_run - lo, hi - lo_run
         worst = max(worst, float(up.max()), float(down.max()))
         good = (up <= tol) & (down <= tol)
@@ -219,9 +218,11 @@ def cell_stats(
         if undecided.any():
             # the per-pair test, on the undecided sub-blocks only: the
             # others get NaN extrema, which no comparison passes
-            L = pair_hinge(F, labels[start : start + len(F)], labels)
-            lo = np.repeat(np.repeat(np.where(undecided, lo, np.nan), runs, axis=0), sizes, axis=1)
-            hi = np.repeat(np.repeat(np.where(undecided, hi, np.nan), runs, axis=0), sizes, axis=1)
+            same, lo, hi = (
+                np.repeat(np.repeat(t, runs, axis=0), sizes, axis=1)
+                for t in (same, np.where(undecided, lo, np.nan), np.where(undecided, hi, np.nan))
+            )
+            L = pair_hinge(F, same, out=F)
             count += int(((L - lo <= tol) & (hi - L <= tol)).sum())
     return EpsilonEstimate(worst, excluded), count
 
@@ -254,25 +255,18 @@ def pseudo_robust_count(
     return cell_stats(m, p, ds, probe, epsilon)[1]
 
 
-def _triplet_cell_extrema(m: MetricModel, X: np.ndarray, runs: tuple, cells: np.ndarray):
-    """Each point's min and max of f over each of `cells`, the ascending
-    ids of cells that the sample occupies.
-
-    `runs` is sorted_runs of the sample's cell ids.  Each row block of f,
-    over the points sorted by cell, reduces over the sample's own cell runs
-    with `reduceat` and keeps the columns of `cells`.  Returns the two
-    n x len(cells) tables, rows in the sorted order, and the first row and
-    row count of each of `cells`.  Memory is O(block * n + n * len(cells)).
-    """
-    order, own, starts, sizes = runs
-    keep = np.isin(own, cells)
-    fmin = np.empty((len(order), len(cells)))
+def _triplet_cell_extrema(m: MetricModel, X: np.ndarray, starts: np.ndarray):
+    """Each point's min and max of f over each cell, for points X sorted by
+    cell into runs at `starts`: each row block of f reduces over the column
+    runs with `reduceat`.  Returns the two len(X) x len(starts) tables;
+    memory is O(block * n + n * C)."""
+    fmin = np.empty((len(X), len(starts)))
     fmax = np.empty_like(fmin)
-    for start, F in metric_blocks(m, X[order]):
-        fmin[start : start + len(F)] = np.minimum.reduceat(F, starts, axis=1)[:, keep]
-        fmax[start : start + len(F)] = np.maximum.reduceat(F, starts, axis=1)[:, keep]
-    F = None  # as in _probe_extrema
-    return fmin, fmax, starts[keep], sizes[keep]
+    for start, F in metric_blocks(m, X):
+        rows = slice(start, start + len(F))
+        np.minimum.reduceat(F, starts, axis=1, out=fmin[rows])
+        np.maximum.reduceat(F, starts, axis=1, out=fmax[rows])
+    return fmin, fmax
 
 
 def empirical_epsilon_triplet(
@@ -285,31 +279,27 @@ def empirical_epsilon_triplet(
     triplets and cell-matched admissible probe triplets.
 
     Only a cell triple whose cells both samples occupy can match, so each
-    sample reduces f to per-point extrema over those common cells
-    (`_triplet_cell_extrema`), and the samples are compared one anchor cell
-    at a time.  For one anchor i, the hinge max(0, fl(1 - F_ik) + F_ij) is
-    monotone in F_ij and in fl(1 - F_ik), and fl(1 - x) is monotone in x,
-    so its minimum over j in cell b and k in cell c is the hinge of
-    fl(1 - max_c F_ik) and min_b F_ij (likewise for the maximum), bit for
-    bit, without enumerating the triplets.  Time is O(n^2 + n C^2) for C
-    common cells, not O(n^3); memory is O(block * n + n * C) plus one
-    anchor cell's rows x same-label x other-label cells.
+    sample's points there (`_common_cells`) reduce f to per-point extrema
+    over those cells (`_triplet_cell_extrema`), and the samples are compared
+    one anchor cell at a time.  For one anchor i, the hinge
+    max(0, fl(1 - F_ik) + F_ij) is monotone in F_ij and in fl(1 - F_ik),
+    and fl(1 - x) is monotone in x, so its minimum over j in cell b and k
+    in cell c is the hinge of fl(1 - max_c F_ik) and min_b F_ij (likewise
+    for the maximum), bit for bit, without enumerating the triplets.  Time
+    is O(n^2 + n C^2) for C common cells, not O(n^3); memory is
+    O(block * n + n * C) plus one anchor cell's rows x same-label x
+    other-label cells.
     """
-    ids_tr, X_pr, ids_pr, excluded = _assign(p, ds, probe)
-    # the runs' cell ids are unique; numpy 2.4's plain np.unique (also inside
-    # intersect1d) imports numpy.ma, 0.5 MB, on its first call
-    runs_tr, runs_pr = sorted_runs(ids_tr), sorted_runs(ids_pr)
-    cells = np.intersect1d(runs_tr[1], runs_pr[1], assume_unique=True)
+    cells, excluded, *samples = _common_cells(p, ds, probe)
     labels = p.cell_labels(cells)
-    if len(set(labels.tolist())) < 2:  # no covered probe point, or no triplet matches
+    if len(set(labels.tolist())) < 2:  # no common cell, or no triplet matches
         return EpsilonEstimate(0.0, excluded)
-    tr = _triplet_cell_extrema(m, ds.X, runs_tr, cells)
-    pr = _triplet_cell_extrema(m, X_pr, runs_pr, cells)
+    tables = [(*_triplet_cell_extrema(m, X, starts), starts, sizes) for X, starts, sizes in samples]
     dev = 0.0
     for a, label in enumerate(labels):
         same, other = labels == label, labels != label  # both nonempty
         ranges = []
-        for fmin, fmax, starts, sizes in (tr, pr):
+        for fmin, fmax, starts, sizes in tables:
             rows = slice(starts[a], starts[a] + sizes[a])
             lo = (1.0 - fmax[rows][:, None, other]) + fmin[rows][:, same, None]
             hi = (1.0 - fmin[rows][:, None, other]) + fmax[rows][:, same, None]

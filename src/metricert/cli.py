@@ -53,7 +53,6 @@ def _add_audit(sub):
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--sigma", type=float, help="a kernelized model's bandwidth; defaults to it")
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_bound(sub):
@@ -137,8 +136,7 @@ def _cmd_audit(args) -> int:
             f"model was trained at sigma={model.kernel.sigma!r}, not --sigma {args.sigma!r}"
         )
     report = certify(
-        model, ds, probe, args.family, CoverConfig(gamma=args.gamma),
-        delta=args.delta, c=args.c, seed=args.seed,
+        model, ds, probe, args.family, CoverConfig(gamma=args.gamma), delta=args.delta, c=args.c
     )
     io.write_json(report.to_json_dict(), args.out)
     print(

@@ -267,13 +267,17 @@ def build_triplets(ds: Dataset) -> list:
 
 
 def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix k(x1_i, x2_j); X2 defaults to X1."""
+    """Gram matrix k(x1_i, x2_j); X2 defaults to X1, and then the rbf
+    diagonal k(x, x) is exactly 1 at any sigma."""
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    X2 = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+    square = X2 is None
+    X2 = X1 if square else np.atleast_2d(np.asarray(X2, dtype=float))
     if ks.kind == "linear":
         return X1 @ X2.T
     eye = np.eye(X1.shape[1])
     sq = sq_dists(X1, eye, X2, quad_rows(X2, eye, X2))
+    if square:  # a self-distance is 0, not the expansion's rounding residue
+        np.fill_diagonal(sq, 0.0)
     np.maximum(sq, 0.0, out=sq)
     try:
         s2 = ks.sigma**2
@@ -405,11 +409,15 @@ def metric_matrix(m: MetricModel, X1: np.ndarray, X2: np.ndarray | None = None) 
 # losses
 
 
-def pair_hinge(F: np.ndarray, row_labels: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Pair losses hinge(y (1 - f)) of a block F of f values, with y = +1
-    where the row's and the column's label indices agree and -1 elsewhere."""
-    Y = np.where(row_labels[:, None] == labels[None, :], 1.0, -1.0)
-    return hinge(Y * (1.0 - F))
+def pair_hinge(F: np.ndarray, same: np.ndarray, out=None) -> np.ndarray:
+    """Pair losses hinge(y (1 - f)) of f values F, with y = +1 where the
+    boolean mask `same` (of F's shape) is set and -1 elsewhere; written
+    into `out` when it is given (F itself is allowed).  Negating is exact,
+    so this is hinge(y * (1 - f)) bit for bit."""
+    t = np.subtract(1.0, F, out=out)
+    np.negative(t, out=t, where=~same)
+    np.subtract(1.0, t, out=t)
+    return np.maximum(0.0, t, out=t)
 
 
 def triplet_hinge(F: np.ndarray, a0: int, a1: int) -> tuple:
@@ -647,8 +655,7 @@ def _pair_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, floa
         raise ValueError("M_mc must be at least 2")
     a, b = _draws(draw, seed, size, size)
     f = metric_rowwise(m, a.X, b.X)
-    ysign = np.where(np.asarray(a.y) == np.asarray(b.y), 1.0, -1.0)
-    return _mean_se(hinge(ysign * (1.0 - f)))
+    return _mean_se(pair_hinge(f, np.asarray(a.y) == np.asarray(b.y), out=f))
 
 
 def _triplet_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, float]:

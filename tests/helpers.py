@@ -21,3 +21,9 @@ def oracle_pair_loss(m, a, i, b, j):
     and point j of dataset b, from metric_eval."""
     y = 1.0 if a.y[i] == b.y[j] else -1.0
     return float(hinge(y * (1.0 - metric_eval(m, a.X[i], b.X[j]))))
+
+
+def sign_hinge(F, same):
+    """The pair losses as core.pair_hinge once wrote them, hinge(y * (1 - f))
+    with y = +1 where `same` holds and -1 elsewhere; kept as its oracle."""
+    return hinge(np.where(same, 1.0, -1.0) * (1.0 - F))

@@ -30,7 +30,7 @@ from metricert.cover import CoverConfig, assign_cells, build_partition
 from metricert.harness import SyntheticSpec, gen_synthetic
 from metricert.solver import SolverConfig, solve
 
-from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss
+from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss, sign_hinge
 
 
 class TestEpsilonTheoretical:
@@ -292,7 +292,7 @@ def pair_loss_blocks(m, X, labels):
     """(start, pair losses of a row block of X against all of X), in the
     row blocks of core.metric_blocks; `labels` holds label indices."""
     for start, F in core.metric_blocks(m, X):
-        yield start, core.pair_hinge(F, labels[start : start + len(F)], labels)
+        yield start, core.pair_hinge(F, labels[start : start + len(F), None] == labels[None, :])
 
 
 def reference_deviations(m, part, ds, probe):
@@ -406,7 +406,7 @@ class TestLossFromFExtrema:
     the hinge; only a block with an undecided sub-block builds its losses."""
 
     def test_loss_tables_are_pair_hinge_bitwise(self):
-        # the in-place tables against pair_hinge of the selected extrema, on
+        # the tables against hinge(y * (1 - f)) of the selected extrema, on
         # values at and around the kinks f = 1 (y = +1) and f = 2 (y = -1)
         rng = np.random.default_rng(32)
         values = np.array([-0.5, 0.0, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0, 2.0 + 2**-51, 3.0])
@@ -414,11 +414,8 @@ class TestLossFromFExtrema:
         hi = lo + rng.choice([0.0, 2**-52, 0.5], size=(6, 9))
         row_labels, labels = rng.integers(0, 3, size=6), rng.integers(0, 3, size=9)
         same = row_labels[:, None] == labels[None, :]
-        got = bounds._loss_extrema(lo, hi, row_labels, labels)
-        expected = (
-            core.pair_hinge(np.where(same, lo, hi), row_labels, labels),
-            core.pair_hinge(np.where(same, hi, lo), row_labels, labels),
-        )
+        got = bounds._loss_extrema(lo, hi, same)
+        expected = sign_hinge(np.where(same, lo, hi), same), sign_hinge(np.where(same, hi, lo), same)
         for g, e in zip(got, expected):
             assert np.array_equal(g.view(np.int64), e.view(np.int64))
 
@@ -432,20 +429,23 @@ class TestLossFromFExtrema:
         model.M = model.M * (0.1 if kind == "kernelized" else 1.0)
         F = metric_matrix(model, ds.X)
         labels = ds.label_indices()
-        other = labels[:, None] != labels[None, :]
-        assert len(np.unique(core.pair_hinge(F, labels, labels)[other])) > 1
+        same = labels[:, None] == labels[None, :]
+        assert len(np.unique(core.pair_hinge(F, same)[~same])) > 1
         assert kind != "bilinear" or (F < -0.1).any()
-        # cell runs straddle blocks of 5 on both sides
-        for X, y in ((ds.X, ds.y), (probe.X, probe.y)):
-            _, counts = np.unique(assign_cells(part, X, y), return_counts=True)
-            starts = np.cumsum(counts) - counts
-            assert (starts // 5 != (starts + counts - 1) // 5).any()
+        # the runs of the common cells straddle blocks of 5 on both sides
+        cells, _, *samples = bounds._common_cells(part, ds, probe)
+        for _, starts, sizes in samples:
+            assert (starts // 5 != (starts + sizes - 1) // 5).any()
+        # the per-pair test's blocks have a column per training point in the
+        # common cells, the loss tables one per common cell
+        n_c = len(samples[0][0])
+        assert len(cells) < n_c < ds.n
         loss_blocks = []
 
-        def spy(F, row_labels, labels):
-            if F.shape[1] == ds.n:
+        def spy(F, same, out=None):
+            if F.shape[1] == n_c:
                 loss_blocks.append(len(F))
-            return core.pair_hinge(F, row_labels, labels)
+            return core.pair_hinge(F, same, out)
 
         monkeypatch.setattr(bounds, "pair_hinge", spy)
         worst = reference_cell_stats(model, part, ds, probe, 0.0)[0]
@@ -458,10 +458,11 @@ class TestLossFromFExtrema:
 
 
 def padded_probe_tables(m, part, X, ids):
-    """_probe_extrema as it was, kept as the oracle of its in-place tables:
-    C x C tables of f extrema, mapped to losses by _loss_extrema on the
-    whole tables, then padded with the row and column of empty extrema
-    that cell_stats appended."""
+    """_probe_extrema as it was before it kept only the common cells, kept
+    as the oracle of its tables: C x C tables of f extrema over every cell
+    the probe occupies, mapped to losses by _loss_extrema on the whole
+    tables, then padded with the row and column of empty extrema (+inf,
+    -inf) that cell_stats read for training cells the probe lacks."""
     order, cells, starts, sizes = core.sorted_runs(ids)
     lo = np.full((len(cells), len(cells)), np.inf)
     hi = np.full((len(cells), len(cells)), -np.inf)
@@ -470,7 +471,7 @@ def padded_probe_tables(m, part, X, ids):
         np.minimum(lo[at], lo_run, out=lo[at])
         np.maximum(hi[at], hi_run, out=hi[at])
     labels = part.cell_labels(cells)
-    lo, hi = bounds._loss_extrema(lo, hi, labels, labels)
+    lo, hi = bounds._loss_extrema(lo, hi, labels[:, None] == labels[None, :])
     return (
         cells,
         np.pad(lo, (0, 1), constant_values=np.inf),
@@ -481,21 +482,60 @@ def padded_probe_tables(m, part, X, ids):
 class TestProbeTables:
     @pytest.mark.parametrize("rows", [2, 5, 256])
     def test_in_place_tables_equal_the_padded_path_bitwise(self, monkeypatch, rows):
-        # blocks and loss chunks of 2 and 5 rows leave a short last chunk
-        # of the probe cells; 256 rows map every table in one chunk
+        # runs straddle blocks of 2 and 5 rows; 256 rows sweep in one block
         monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        # the oracle sweeps the same points, the probe's in the common cells:
+        # the last bits of a BLAS product can depend on its row count
         models, part, ds, probe = sweep_cases(np.random.default_rng(33), 40, 60)
+        cells, _, _, runs = bounds._common_cells(part, ds, probe)
         ids = assign_cells(part, probe.X, probe.y)
-        X, ids = probe.X[ids >= 0], ids[ids >= 0]
-        C = len(np.unique(ids))
-        assert C > 5 and C % 5
+        # the probe occupies cells the training sample lacks
+        assert 5 < len(cells) < len(np.unique(ids[ids >= 0]))
+        common = np.isin(ids, assign_cells(part, ds.X, ds.y))
+        C = len(cells)
         for model in models:
-            got = bounds._probe_extrema(model, part, X, ids)
-            expected = padded_probe_tables(model, part, X, ids)
-            assert np.array_equal(got[0], expected[0])
-            for g, e in zip(got[1:], expected[1:]):
-                assert g.shape == (C + 1, C + 1)
-                assert np.array_equal(g.view(np.int64), e.view(np.int64))
+            got = bounds._probe_extrema(model, part.cell_labels(cells), *runs)
+            probe_cells, *expected = padded_probe_tables(model, part, probe.X[common], ids[common])
+            assert np.array_equal(probe_cells, cells)
+            for g, e in zip(got, expected):
+                assert g.shape == (C, C)
+                assert np.array_equal(g.view(np.int64), e[:C, :C].view(np.int64))
+
+
+class TestEachSampleHasCellsTheOtherLacks:
+    """Training points fill the left of the disc and probe points the right,
+    so each sample occupies cells the other lacks, and the runs of the
+    common cells straddle row blocks on both sides."""
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_pair_and_triplet_estimates_match_the_references(self, monkeypatch, rows):
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(37)
+        for labels in (["a", "b"], ["a", "b", "c"]):
+            Xtr = rng.uniform(-1.0, 0.5, size=(36, 2))
+            Xpr = rng.uniform(-0.5, 1.0, size=(30, 2))
+            R = float(max(np.linalg.norm(Xtr, axis=1).max(), np.linalg.norm(Xpr, axis=1).max()))
+            ds = make_ds(Xtr, labels * (36 // len(labels)), R=R)
+            probe = make_ds(Xpr, labels * (30 // len(labels)), R=R)
+            part = build_partition(ds, CoverConfig(gamma=1.0), probe=probe)
+            ids_tr = set(assign_cells(part, ds.X, ds.y))
+            ids_pr = set(assign_cells(part, probe.X, probe.y))
+            assert ids_tr - ids_pr and ids_pr - ids_tr
+            _, _, *samples = bounds._common_cells(part, ds, probe)
+            for _, starts, sizes in samples:
+                assert (starts // rows != (starts + sizes - 1) // rows).any()
+            A = rng.standard_normal((2, 2))
+            for model in (MetricModel("mahalanobis", M=A @ A.T), MetricModel("bilinear", M=A)):
+                eps = reference_cell_stats(model, part, ds, probe, 0.0)[0]
+                assert eps > 0.0
+                for epsilon in (0.0, 0.4 * eps, eps, math.inf):
+                    est, p_hat = cell_stats(model, part, ds, probe, epsilon)
+                    got = (est.value, est.excluded_probes, p_hat)
+                    assert got == reference_cell_stats(model, part, ds, probe, epsilon)
+            est = empirical_epsilon_triplet(model, part, ds, probe)
+            oracle = dict_loop_epsilon_triplet(model, part, ds, probe)
+            assert oracle[0] > 0.0
+            assert (est.value, est.excluded_probes) == oracle
 
 
 def budget_cases(rng):
@@ -686,6 +726,13 @@ class TestEmpiricalEpsilonTriplet:
 
 
 class TestBoundValue:
+    @pytest.mark.parametrize("mode", ["pair", "triplet"])
+    def test_p_hat_only_in_pseudo_mode(self, mode):
+        for p_hat in (7, -1, 100):
+            with pytest.raises(ValueError, match=f"^p_hat is a pseudo-mode input; {mode} mode"):
+                BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, mode=mode, p_hat=p_hat)
+        BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, mode="pseudo", p_hat=7)
+
     def test_zero_everything(self):
         for mode in ("pair", "triplet"):
             q = BoundQuery(epsilon=0.0, B=0.0, K=1, n=10, delta=0.5, mode=mode)

@@ -58,13 +58,11 @@ def _base_commands(tmp_path, rng):
              "--iters": "3", "--sigma": "0.5", "--radius": "1"}, out_json,
             ["--c", "--iters", "--sigma", "--radius"])
         audit = {"--model": str(model), "--data": str(data), "--out": out_json,
-                 "--family": family, "--gamma": "0.5", "--delta": "0.05", "--radius": "1",
-                 "--seed": "0"}
-        commands[f"audit {family}"] = (
-            audit, out_json, ["--gamma", "--delta", "--radius", "--seed"])
+                 "--family": family, "--gamma": "0.5", "--delta": "0.05", "--radius": "1"}
+        commands[f"audit {family}"] = (audit, out_json, ["--gamma", "--delta", "--radius"])
         commands[f"audit {family} --c --sigma"] = (
             {**audit, "--c": "0.5", "--sigma": "0.5"}, out_json,
-            ["--c", "--sigma", "--gamma", "--delta", "--radius", "--seed"])
+            ["--c", "--sigma", "--gamma", "--delta", "--radius"])
         commands[f"knn {family}"] = (
             {"--model": str(model), "--train": str(data), "--test": str(data), "--k": "3",
              "--radius": "1"}, None, ["--k", "--radius"])

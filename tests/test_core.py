@@ -26,14 +26,32 @@ from metricert.core import (
     quad_rows,
     triplet_hinge,
 )
+from metricert.harness import SyntheticSpec, gen_synthetic
+from metricert.solver import SolverConfig, solve_kernel
 
-from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss
+from helpers import TILE_BUDGETS, make_ds, oracle_pair_loss, sign_hinge
 
 
 def pair_losses(m, ds):
     """The n x n pair losses of ds, from the full metric matrix."""
     li = ds.label_indices()
-    return pair_hinge(metric_matrix(m, ds.X), li, li)
+    return pair_hinge(metric_matrix(m, ds.X), li[:, None] == li[None, :])
+
+
+class TestPairHinge:
+    def test_mask_form_equals_the_sign_product_bitwise(self):
+        # f at and around the kinks f = 1 (y = +1) and f = 2 (y = -1), and
+        # signed zeros; in a new array, in place, and on 1-D draws
+        rng = np.random.default_rng(36)
+        values = [-0.5, -0.0, 0.0, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0 - 2**-51, 2.0, 3.0]
+        F = rng.choice(values, size=(7, 9)) + rng.choice([0.0, 1e-3], size=(7, 9))
+        same = rng.random((7, 9)) < 0.5
+        expected = sign_hinge(F, same).view(np.int64)
+        assert np.array_equal(pair_hinge(F, same).view(np.int64), expected)
+        G = F.copy()
+        assert pair_hinge(G, same, out=G) is G
+        assert np.array_equal(G.view(np.int64), expected)
+        assert np.array_equal(pair_hinge(F[0], same[0]).view(np.int64), expected[0])
 
 
 def enumerate_pairs(n):
@@ -522,6 +540,21 @@ class TestKernelGram:
             warnings.simplefilter("error")
             for sigma in (1e-160, 1e-200, 5e-324):
                 assert np.array_equal(kernel_gram(KernelSpec("rbf", sigma), X), np.eye(4))
+
+    def test_square_gram_has_a_unit_diagonal_at_any_sigma(self):
+        # the expansion q_i + q_i - 2 x_i.x_i left self-distances of order
+        # 1e-17, so at sigma = 1e-9 one k(x, x) was 7.8e-25 on these points
+        # (metricert gen --n 20 --seed 1), and at 1e-200 two were 0, which
+        # dropped the kernel solver's rank from 20 to 18
+        ds = gen_synthetic(SyntheticSpec(n=20, seed=1))
+        for sigma in (1e-200, 1e-9, 0.3, 1.0):
+            ks = KernelSpec("rbf", sigma)
+            K = kernel_gram(ks, ds.X)
+            assert np.array_equal(np.diag(K), np.ones(20))
+            off = ~np.eye(20, dtype=bool)
+            assert np.array_equal(K[off], kernel_gram(ks, ds.X, ds.X.copy())[off])
+        model = solve_kernel(ds, KernelSpec("rbf", 1e-200), SolverConfig(c=0.1, max_iters=5))
+        assert model.info["rank"] == 20
 
     def test_sigma_square_beyond_float_range(self):
         # sigma^2 overflows from sigma = 1.35e154 on: the Gram tends to all

@@ -465,6 +465,17 @@ class TestCli:
             BoundQuery(epsilon=0.1, B=3.0, K=4, n=100, delta=0.05, mode="pair")
         )
 
+    @pytest.mark.parametrize("mode", ["pair", "triplet"])
+    def test_bound_p_hat_outside_pseudo_mode_exits_1(self, capsys, mode):
+        # the value was ignored, and the pair or triplet bound printed
+        argv = ["bound", "--mode", mode, "--epsilon", "0.1", "--B", "3", "--K", "4",
+                "--n", "100", "--delta", "0.05", "--p-hat", "7"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: p_hat is a pseudo-mode input")
+        assert main(argv[:-2] + ["--p-hat", "0"]) == 0
+
     def test_bhc_runs(self, capsys):
         assert main(
             ["bhc", "--K", "2", "--mu", "0.5,0.5", "--n", "50", "--lam", "0.3",
@@ -783,6 +794,9 @@ class TestUsageErrors:
              "--norm", "l2"],
             # the step is 1/sqrt(t), so train has no --step0 to scale it
             ["train", "--data", "d.csv", "--out", "m.json", "--step0", "1"],
+            # certify draws nothing, so audit has no --seed to echo
+            ["audit", "--model", "m.json", "--data", "d.csv", "--out", "r.json",
+             "--seed", "7"],
         ],
     )
     def test_exit_1(self, capsys, argv):

@@ -118,7 +118,7 @@ CLI_FLAGS = {
     "gen": ["--out", "--n", "--d", "--classes", "--cov-scale", "--radius", "--seed"],
     "train": ["--data", "--out", "--family", "--c", "--iters", "--sigma", "--radius"],
     "audit": ["--model", "--data", "--probe", "--out", "--family", "--c", "--gamma", "--delta",
-              "--sigma", "--radius", "--seed"],
+              "--sigma", "--radius"],
     "bound": ["--mode", "--epsilon", "--B", "--K", "--n", "--delta", "--p-hat"],
     "bhc": ["--K", "--mu", "--n", "--lam", "--trials", "--seed"],
     "curve": ["--config", "--n-ladder", "--out"],
