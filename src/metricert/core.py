@@ -12,6 +12,7 @@ its Monte-Carlo true loss.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -128,6 +129,12 @@ class MetricModel:
     kind "bilinear":    f(x, x') = x^T M x', no PSD constraint.
     kind "kernelized":  f(x, x') = (k(x) - k(x'))^T M (k(x) - k(x')) where
     k(x) is the kernel vector against the anchor points and M is PSD.
+
+    A kernelized model's `support` is derived once, here: the indices of
+    the anchors whose row or column of M is not all zero.  Its kernel
+    vectors, its checks and its norm need only those anchors and the
+    block of M on them (kernel_form), so a model supported on landmarks
+    (solver.solve_kernel) costs O(n * landmarks) to evaluate, not O(n^2).
     """
 
     kind: str
@@ -136,6 +143,7 @@ class MetricModel:
     anchors: "Dataset | None" = None
     regularizer: str = "fro"
     info: dict = field(default_factory=dict)
+    support: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("mahalanobis", "bilinear", "kernelized"):
@@ -145,15 +153,30 @@ class MetricModel:
         self.M = np.asarray(self.M, dtype=float)
         if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
             raise ValueError("M must be square")
+        M = self.M
+        if self.kind == "kernelized":
+            if len(M) != self.anchors.n:
+                raise ValueError(f"M must be {self.anchors.n} x {self.anchors.n}, one row per anchor")
+            self.support = np.flatnonzero(M.any(axis=1) | M.any(axis=0))
+            # M is exactly 0 off the block, so the checks decide on it alone
+            M = self.kernel_form()[1]
         if self.kind != "bilinear":
-            if not np.allclose(self.M, self.M.T, atol=1e-7):
+            if not np.allclose(M, M.T, atol=1e-7):
                 raise ValueError("M must be symmetric")
-            w = np.linalg.eigvalsh((self.M + self.M.T) / 2.0)
+            w = np.linalg.eigvalsh((M + M.T) / 2.0)
             # a rounding margin relative to max|w|: solver models reach
             # -5e-16 of it, and a same-label f >= -1e-12 max|w| ||x - x'||^2
             # stays at rounding level (README, "Memory")
-            if w.min() < -1e-12 * np.abs(w).max():
+            if len(w) and w.min() < -1e-12 * np.abs(w).max():
                 raise ValueError(f"M has negative eigenvalue {w.min():.3g}")
+
+    def kernel_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """A kernelized model's anchor rows and the block of M on its
+        support: the anchors' X and M itself when it holds every anchor."""
+        S = self.support
+        if len(S) == len(self.M):
+            return self.anchors.X, self.M
+        return self.anchors.X[S], self.M[np.ix_(S, S)]
 
     @property
     def d(self) -> int:
@@ -266,9 +289,30 @@ def build_triplets(ds: Dataset) -> list:
 # metric evaluation
 
 
+def _equal_rows(X1: np.ndarray, X2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with X1[i] == X2[j] in every coordinate,
+    found by hashing the rows of X2: a row's hash is a wrapping integer sum
+    of its coordinates' bit patterns (of x + 0.0, which maps -0.0 to 0.0)
+    times odd constants, and only rows of equal hash are compared."""
+    weights = np.arange(1, 2 * X1.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h1, h2 = (
+        (np.ascontiguousarray(X + 0.0).view(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+        for X in (X1, X2)
+    )
+    order = np.argsort(h2, kind="stable")
+    lo = np.searchsorted(h2[order], h1, side="left")
+    counts = np.searchsorted(h2[order], h1, side="right") - lo
+    i = np.repeat(np.arange(len(X1)), counts)
+    # the k-th row of X2 with row i's hash sits at lo[i] + k in that order
+    j = order[np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)]
+    same = (X1[i] == X2[j]).all(axis=1)
+    return i[same], j[same]
+
+
 def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix k(x1_i, x2_j); X2 defaults to X1, and then the rbf
-    diagonal k(x, x) is exactly 1 at any sigma."""
+    """Gram matrix k(x1_i, x2_j); X2 defaults to X1.  The rbf k(x, x') is
+    exactly 1 at any sigma for equal x and x': on the diagonal when X2 is
+    X1, and for every pair of equal rows (_equal_rows) when X2 is given."""
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     square = X2 is None
     X2 = X1 if square else np.atleast_2d(np.asarray(X2, dtype=float))
@@ -276,8 +320,11 @@ def kernel_gram(ks: KernelSpec, X1: np.ndarray, X2: np.ndarray | None = None) ->
         return X1 @ X2.T
     eye = np.eye(X1.shape[1])
     sq = sq_dists(X1, eye, X2, quad_rows(X2, eye, X2))
-    if square:  # a self-distance is 0, not the expansion's rounding residue
+    # a self-distance is 0, not the expansion's rounding residue
+    if square:
         np.fill_diagonal(sq, 0.0)
+    else:
+        sq[_equal_rows(X1, X2)] = 0.0
     np.maximum(sq, 0.0, out=sq)
     try:
         s2 = ks.sigma**2
@@ -300,10 +347,12 @@ def features(m: MetricModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows and form matrix (F, Q) of a model, with f(x, x') =
     (phi(x) - phi(x'))^T Q (phi(x) - phi(x')), or phi(x)^T Q phi(x') for a
     bilinear model: the rows of X for mahalanobis and bilinear models and
-    their kernel vectors k(anchor_i, x) for kernelized ones, with M."""
+    their kernel vectors k(anchor_i, x) against the anchors of the model's
+    support for kernelized ones, with M on that support (kernel_form)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if m.kind == "kernelized":
-        X = kernel_gram(m.kernel, X, m.anchors.X)
+        anchors, M = m.kernel_form()
+        return kernel_gram(m.kernel, X, anchors), M
     return X, m.M
 
 
@@ -655,7 +704,8 @@ def _pair_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, floa
         raise ValueError("M_mc must be at least 2")
     a, b = _draws(draw, seed, size, size)
     f = metric_rowwise(m, a.X, b.X)
-    return _mean_se(pair_hinge(f, np.asarray(a.y) == np.asarray(b.y), out=f))
+    same = np.fromiter(map(operator.eq, a.y, b.y), dtype=bool, count=size)
+    return _mean_se(pair_hinge(f, same, out=f))
 
 
 def _triplet_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, float]:

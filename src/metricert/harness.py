@@ -283,15 +283,45 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
     return rows
 
 
+def _nearest(F: np.ndarray, k: int, starts: np.ndarray, mins: np.ndarray, mask: np.ndarray):
+    """(row, column) of the k smallest f of each row of F, ties to the lowest
+    column, as flat arrays sorted by row.
+
+    mins and mask are buffers of F's rows: one value per column group that
+    begins at `starts` (at least k groups), and one flag per entry.  The
+    group minima are values of F in k distinct columns, so the k-th
+    smallest minimum tau is at least the row's k-th smallest f, and the k
+    neighbours lie among the entries F <= tau, which are then ordered by
+    (value, column).  NaN is never a neighbour: a row whose tau is NaN
+    (fewer than k groups free of NaN) takes all its other values as
+    candidates, and has no neighbours when they are fewer than k.
+    """
+    lo = np.minimum.reduceat(F, starts, axis=1, out=mins)
+    lo.partition(k - 1, axis=1)
+    tau = lo[:, k - 1 : k]
+    chosen = np.less_equal(F, tau, out=mask)
+    for i in np.flatnonzero(np.isnan(tau[:, 0])):
+        np.logical_not(np.isnan(F[i]), out=chosen[i])
+        chosen[i] &= chosen[i].sum() >= k
+    r, j = np.divmod(np.flatnonzero(chosen), F.shape[1])
+    # flatnonzero is row-major, and lexsort is stable: by row, then value,
+    # then column
+    order = np.lexsort((F[chosen], r))
+    r, j = r[order], j[order]
+    counts = np.bincount(r, minlength=len(F))
+    rank = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return r[rank < k], j[rank < k]
+
+
 def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     """k-nearest-neighbor accuracy under the learned metric.
 
     Every family ranks neighbors by smallest f: training pushes f down for
     same-label pairs, bilinear similarities included.  Neighbor ties go to
     the lowest training index, vote ties to the smallest label in sort
-    order.  Test points go in row blocks, and the partition copy and the
-    chosen mask are buffers reused for every block, so memory is
-    O(block * n).
+    order.  Test points go in row blocks, and each block's neighbours come
+    from the minima of about sqrt(n) column groups (_nearest), whose
+    buffers are reused for every block, so memory is O(block * n).
     """
     if k < 1 or k > train.n:
         raise ValueError("k must satisfy 1 <= k <= train size")
@@ -301,26 +331,13 @@ def knn_eval(m: MetricModel, train: Dataset, test: Dataset, k: int) -> float:
     lookup = {lab: i for i, lab in enumerate(label_order)}
     train_lab = np.array([lookup[lab] for lab in train.y])
     test_lab = np.array([lookup.get(lab, -1) for lab in test.y])
+    groups = min(train.n, max(k, math.isqrt(train.n)))
+    starts = np.arange(groups) * train.n // groups
     correct = 0
     rows = min(core.tile_rows(train.n), test.n)
-    part, mask = np.empty((rows, train.n)), np.empty((rows, train.n), dtype=bool)
+    mins, mask = np.empty((rows, groups)), np.empty((rows, train.n), dtype=bool)
     for start, F in metric_blocks(m, test.X, train.X):
-        # the k smallest under a stable sort: every value below the k-th,
-        # then the lowest-index ties at the k-th value; only rows with more
-        # than k values at or below the k-th have ties left out
-        P, chosen = part[: len(F)], mask[: len(F)]
-        np.copyto(P, F)
-        P.partition(k - 1, axis=1)
-        kth = P[:, k - 1 : k]
-        np.less_equal(F, kth, out=chosen)
-        over = np.flatnonzero(chosen.sum(axis=1) > k)
-        if len(over):
-            Fo, ko = F[over], kth[over]
-            below, ties = Fo < ko, Fo == ko
-            need = k - below.sum(axis=1, keepdims=True)
-            chosen[over] = below | (ties & (np.cumsum(ties, axis=1) <= need))
-        # flat indices of the C-ordered mask: np.nonzero's (r, j), faster
-        r, j = np.divmod(np.flatnonzero(chosen), train.n)
+        r, j = _nearest(F, k, starts, mins[: len(F)], mask[: len(F)])
         votes = np.bincount(
             r * len(label_order) + train_lab[j], minlength=len(F) * len(label_order)
         ).reshape(len(F), len(label_order))

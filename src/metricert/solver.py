@@ -33,9 +33,11 @@ from .core import (
 
 REGULARIZERS = ("fro", "l1", "l21")
 
-# solve_kernel keeps the Gram eigenvalues above this fraction of the largest;
-# the rest, numerically zero for an rbf kernel, are dropped with their
-# eigenvectors (the KPCA truncation)
+# solve_kernel's one tolerance (_landmark_basis): landmarks are added until
+# no residual diagonal of the Gram matrix exceeds this fraction of its largest
+# diagonal, and the landmark Gram keeps the eigenvalues above this fraction
+# of its largest; the rest, numerically zero for an rbf kernel, are dropped
+# with their eigenvectors
 KPCA_RANK_TOL = 1e-10
 
 # a solve stops once its best objective P is certified within this fraction
@@ -74,10 +76,13 @@ def model_norm(m: MetricModel) -> float:
 
     For kernelized models it is the feature-space Frobenius norm
     ||K^{1/2} M K^{1/2}||_F over the anchor Gram matrix K, computed as
-    sqrt(tr(MKMK)) = sqrt(sum (MK) * (MK)^T) without a square root of K.
+    sqrt(tr(MKMK)) = sqrt(sum (MK) * (MK)^T) without a square root of K,
+    on the model's support: M is 0 off it, so only the block of M and the
+    Gram matrix of the anchors there enter (MetricModel.kernel_form).
     """
     if m.kind == "kernelized":
-        MK = m.M @ kernel_gram(m.kernel, m.anchors.X)
+        anchors, M = m.kernel_form()
+        MK = M @ kernel_gram(m.kernel, anchors)
         return float(np.sqrt(max((MK * MK.T).sum(), 0.0)))
     return reg_norm(m.M, m.regularizer)
 
@@ -320,33 +325,73 @@ def solve_triplet(ds: Dataset, reg: str, cfg: SolverConfig) -> MetricModel:
     return solve(ds, reg, cfg, loss=TRIPLET_LOSS)
 
 
-def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
-    """Kernelized solve with feature-space Frobenius regularization.
+def _landmark_basis(ks: KernelSpec, X: np.ndarray) -> tuple:
+    """Nystrom coordinates of X on landmarks picked by pivoted incomplete
+    Cholesky: (landmarks, C, B) with the landmark indices (ascending),
+    their kernel columns C = k(X, X_L) and B, so that Phi = C B.
 
-    Works in the top-r KPCA coordinates Psi = U_r Lambda_r^{1/2} of the Gram
-    matrix K = U Lambda U^T, keeping the eigenvalues above
-    KPCA_RANK_TOL * lambda_max.  Psi Psi^T reproduces K up to the discarded
-    spectrum, so the pair objective reduces to a plain r x r Mahalanobis
-    problem on the rows of Psi.  The learned H maps back to the anchor
-    parameterization M = B H B^T with B = U_r Lambda_r^{-1/2}, so that
-    f = (k_1 - k_2)^T M (k_1 - k_2) and K M K = Psi H Psi^T; the feature
-    norm ||K^{1/2} M K^{1/2}||_F equals ||H||_F.  info["rank"] is r.
+    Each pivot is the point of the largest residual diagonal: k(x, x) (1
+    for rbf, ||x||^2 for linear) minus what the landmarks so far explain.
+    The pivots stop once that is at most KPCA_RANK_TOL times the largest
+    k(x, x).  The landmark Gram K_LL = U Lambda U^T keeps its eigenvalues
+    above KPCA_RANK_TOL * lambda_max, and B = U_r Lambda_r^{-1/2}, so
+    B^T K_LL B = I and Phi Phi^T = C K_LL^+ C^T reproduces K up to the
+    residual.  Phi's rows are the orthogonal projections of the kernel
+    features onto the landmarks' span, so ||phi_L(x)||^2 <= k(x, x) and
+    the projection only shrinks distances.  K is never formed: time
+    O(n m^2) and memory O(n m) for m landmarks.  A residual below 0
+    beyond rounding means K is not PSD.
     """
-    K = kernel_gram(ks, ds.X)
-    if not np.all(np.isfinite(K)):
+    n = len(X)
+    diag = np.ones(n) if ks.kind == "rbf" else (X * X).sum(axis=1)
+    if not np.all(np.isfinite(diag)):
         raise ValueError("kernel Gram matrix has non-finite entries")
+    resid, stop = diag.copy(), KPCA_RANK_TOL * diag.max()
+    pivots, C, G = [], np.empty((n, 8)), np.empty((n, 8))
+    while len(pivots) < n:
+        p = int(resid.argmax())
+        if resid[p] <= stop:
+            break
+        j = len(pivots)
+        if j == C.shape[1]:
+            C, G = (np.concatenate([A, np.empty_like(A)], axis=1) for A in (C, G))
+        C[:, j] = kernel_gram(ks, X, X[p : p + 1])[:, 0]
+        if not np.all(np.isfinite(C[:, j])):
+            raise ValueError("kernel Gram matrix has non-finite entries")
+        G[:, j] = (C[:, j] - G[:, :j] @ G[p, :j]) / math.sqrt(resid[p])
+        resid -= G[:, j] ** 2
+        pivots.append(p)
+    if resid.min() < -1e-8 * max(1.0, diag.max()):
+        raise ValueError(f"Gram matrix not PSD: residual diagonal {resid.min():.3g}")
+    order = np.argsort(pivots)
+    landmarks, C = np.array(pivots, dtype=int)[order], C[:, order]
+    K = C[landmarks]
     w, U = np.linalg.eigh((K + K.T) / 2.0)
     if w.min() < -1e-8 * max(1.0, w.max()):
         raise ValueError(f"Gram matrix not PSD: min eigenvalue {w.min():.3g}")
     keep = w > KPCA_RANK_TOL * w.max()
-    w, U = w[keep], U[:, keep]
-    Psi = U * np.sqrt(w)
-    eval_fn = pair_eval(Psi, ds.label_indices(), "mahalanobis")
-    H, info = _iterate(len(w), eval_fn, "fro", cfg, psd=True, g0=PAIR_LOSS.g0)
-    B = U / np.sqrt(w)
-    M = B @ H @ B.T
-    M = (M + M.T) / 2.0
-    info["rank"] = len(w)
+    return landmarks, C, U[:, keep] / np.sqrt(w[keep])
+
+
+def solve_kernel(ds: Dataset, ks: KernelSpec, cfg: SolverConfig) -> MetricModel:
+    """Kernelized solve with feature-space Frobenius regularization, on the
+    Nystrom coordinates Phi = C B of _landmark_basis.
+
+    The pair objective is a plain r x r Mahalanobis problem on the rows of
+    Phi.  The learned H maps back to the block M_LL = B H B^T on the
+    landmarks' rows and columns of an otherwise zero n x n M, so
+    f = (k_1 - k_2)^T M (k_1 - k_2) is the Mahalanobis f of H on Phi, and
+    the feature norm ||K^{1/2} M K^{1/2}||_F = sqrt(tr(M_LL K_LL M_LL K_LL))
+    equals ||H||_F, because B^T K_LL B = I.  No n x n array is formed
+    before M.  info["rank"] is r, the kept rank of the landmark Gram.
+    """
+    landmarks, C, B = _landmark_basis(ks, ds.X)
+    eval_fn = pair_eval(C @ B, ds.label_indices(), "mahalanobis")
+    H, info = _iterate(B.shape[1], eval_fn, "fro", cfg, psd=True, g0=PAIR_LOSS.g0)
+    M_LL = B @ H @ B.T
+    M = np.zeros((ds.n, ds.n))
+    M[np.ix_(landmarks, landmarks)] = (M_LL + M_LL.T) / 2.0
+    info["rank"] = B.shape[1]
     info["rank_tol"] = KPCA_RANK_TOL
     info["feature_norm"] = reg_norm(H, "fro")
     return MetricModel(

@@ -516,6 +516,30 @@ class TestBlockedEmpiricalLoss:
 
 
 class TestKernelGram:
+    def test_anchor_features_have_a_unit_diagonal_at_small_sigma(self):
+        # features() evaluates points against the anchors with X2 given;
+        # the expansion's residue left k(x, x) = 7.8e-25 here at sigma = 1e-9
+        ds = gen_synthetic(SyntheticSpec(n=20, seed=1))
+        m = MetricModel("kernelized", M=np.eye(20), kernel=KernelSpec("rbf", 1e-9), anchors=ds)
+        assert np.diag(features(m, ds.X.copy())[0]).min() == 1.0
+
+    def test_equal_rows_match_a_brute_force_search(self):
+        # a grid with repeated rows on both sides and signed zeros
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            X1, X2 = (
+                0.5 * rng.integers(-1, 2, size=(int(rng.integers(1, 25)), d))
+                * rng.choice([-1.0, 1.0], size=d)
+                for _ in range(2)
+            )
+            i, j = core._equal_rows(X1, X2)
+            expected = [(a, b) for a in range(len(X1)) for b in range(len(X2))
+                        if (X1[a] == X2[b]).all()]
+            assert sorted(zip(i.tolist(), j.tolist())) == expected
+            K = kernel_gram(KernelSpec("rbf", 1e-9), X1, X2)
+            assert (K[i, j] == 1.0).all() and K.sum() == len(expected)
+
     def test_rbf_equals_explicit_expansion(self):
         rng = np.random.default_rng(21)
         for _ in range(50):

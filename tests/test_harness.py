@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -256,6 +257,20 @@ class TestCertify:
         probe = gen_synthetic(SyntheticSpec(n=20, seed=6))
         return ds, probe
 
+    def test_kernel_zero_fallback_certifies_and_runs_knn(self):
+        # at a large c the solve keeps its fallback M = 0, whose support is
+        # empty, so every f is 0 and every loss depends on the labels alone
+        ds, probe = self._data()
+        model = solve_kernel(ds, KernelSpec("rbf", 1.0), SolverConfig(c=1e3))
+        assert not model.M.any() and len(model.support) == 0
+        assert model_norm(model) == 0.0
+        rep = certify(model, ds, probe, "kernel-rbf", CoverConfig(gamma=0.5), delta=0.05)
+        assert rep.epsilon_empirical == 0.0 and rep.sound
+        # all neighbours tie at f = 0: every test point takes the vote of
+        # the first three training points
+        winner = max(sorted(set(ds.y[:3])), key=ds.y[:3].count)
+        assert knn_eval(model, ds, probe, 3) == probe.y.count(winner) / probe.n
+
     def test_kernel_rbf_reads_sigma_from_the_model(self):
         ds, probe = self._data()
         model = solve_kernel(ds, KernelSpec("rbf", 0.5), SolverConfig(c=0.5, max_iters=20))
@@ -500,10 +515,12 @@ class TestKnnEval:
         assert min(wins) >= 0.0
         assert np.mean(wins) > 0.0
 
-    def test_blocks_match_stable_argsort_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [1, 4, 7, 256])
+    def test_blocks_match_stable_argsort_oracle(self, monkeypatch, block_rows):
         # integer grid under the identity metric: squared distances are
-        # exact integers, so many training points tie at the k-th distance
-        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+        # exact integers, so many training points tie at the k-th distance,
+        # inside and across knn_eval's column groups
+        monkeypatch.setattr(core, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(12)
         labels = ["a", "b", "c"]
         train = Dataset(
@@ -598,15 +615,44 @@ class TestKnnEval:
             )
             assert knn_eval(m, train, test, k) == correct / test.n
 
+    def test_non_finite_rows_keep_the_full_row_answer(self):
+        # the neighbours of the full-row partition that knn_eval replaced:
+        # NaN is never one, a row with fewer than k other values has none,
+        # and +-inf rank like any value
+        def full_row_neighbours(F, k):
+            P = np.partition(F, k - 1, axis=1)
+            kth = P[:, k - 1 : k]
+            chosen = F <= kth
+            below, ties = F < kth, F == kth
+            need = k - below.sum(axis=1, keepdims=True)
+            over = chosen.sum(axis=1) > k
+            chosen[over] = (below | (ties & (np.cumsum(ties, axis=1) <= need)))[over]
+            return np.nonzero(chosen)
+
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            F = rng.integers(0, 4, size=(rows, n)).astype(float)
+            for value in (np.nan, np.inf, -np.inf):
+                F[rng.random((rows, n)) < rng.uniform(0.0, 0.6)] = value
+            k = int(rng.integers(1, n + 1))
+            groups = min(n, max(k, math.isqrt(n)))
+            starts = np.arange(groups) * n // groups
+            mins, mask = np.empty((rows, groups)), np.empty((rows, n), dtype=bool)
+            r, j = harness._nearest(F, k, starts, mins, mask)
+            assert np.all(np.diff(r) >= 0)
+            assert sorted(zip(r.tolist(), j.tolist())) == list(
+                zip(*(v.tolist() for v in full_row_neighbours(F, k))))
+
     @pytest.mark.parametrize("budget", [None, 1 << 16])
     def test_memory(self, monkeypatch, budget):
         # knn_eval peaked at 4.76 tiles when it partitioned a fresh copy of
-        # each tile and took a fresh mask; the sweep's buffers, the
-        # partition copy and the mask are now allocated once.  At n = 4000
-        # a tile is 65 rows at the default 2 MiB budget (peak 2.45 tiles,
-        # 2.43 budgets) and the 16-row floor, 8 budgets, at a 64 KiB budget
-        # (peak 3.45 tiles: the sweep's 512 KB chunk of sums is one more
-        # tile there)
+        # each tile and took a fresh mask, and at 2.45 tiles with a reused
+        # partition copy; the sweep's buffers, the group minima and the mask
+        # are now allocated once.  At n = 4000 a tile is 65 rows at the
+        # default 2 MiB budget (peak 1.47 tiles) and the 16-row floor, 8
+        # budgets, at a 64 KiB budget (peak 2.46 tiles: the sweep's 512 KB
+        # chunk of sums is one more tile there)
         if budget is not None:
             monkeypatch.setattr(core, "TILE_BYTES", budget)
         rng = np.random.default_rng(42)

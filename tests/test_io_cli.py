@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,39 @@ class TestModelJson:
         wrong = gen_synthetic(SyntheticSpec(n=5, seed=4))
         with pytest.raises(ValueError):
             load_model(path, anchors=wrong)
+
+
+DENSE_KERNEL = Path(__file__).parent / "data" / "dense_kernel_rbf"
+
+
+class TestDenseKernelModelFile:
+    """A format-1 kernel-rbf model with every anchor in its support, written
+    before kernel-rbf trained on landmarks (commit 6985c96) by
+    `gen --n 30 --seed 1` (train.csv), `gen --n 30 --seed 2` (probe.csv),
+    `train --family kernel-rbf --c 0.1 --sigma 1.0` (model.json) and
+    `audit --family kernel-rbf --gamma 0.5 --probe probe.csv` (report.json).
+    Such files keep loading, and take the dense code path."""
+
+    def test_audit_reproduces_the_report_bytes(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["audit", "--model", str(DENSE_KERNEL / "model.json"),
+                     "--data", str(DENSE_KERNEL / "train.csv"),
+                     "--probe", str(DENSE_KERNEL / "probe.csv"), "--out", str(report),
+                     "--family", "kernel-rbf", "--gamma", "0.5"]) == 0
+        assert report.read_bytes() == (DENSE_KERNEL / "report.json").read_bytes()
+        assert capsys.readouterr().out == (
+            "epsilon_empirical=1.09792 epsilon_theoretical=77.5639 bound_pair=515.514\n")
+
+    def test_knn_and_the_dense_support(self, capsys):
+        assert main(["knn", "--model", str(DENSE_KERNEL / "model.json"),
+                     "--train", str(DENSE_KERNEL / "train.csv"),
+                     "--test", str(DENSE_KERNEL / "probe.csv"), "--k", "3"]) == 0
+        assert capsys.readouterr().out == "accuracy=0.9\n"
+        anchors = dataset_from_csv(str(DENSE_KERNEL / "train.csv"))
+        m = load_model(str(DENSE_KERNEL / "model.json"), anchors=anchors)
+        assert np.array_equal(m.support, np.arange(30))
+        X, M = m.kernel_form()
+        assert X is anchors.X and M is m.M
 
 
 class TestConfigJson:

@@ -13,6 +13,8 @@ from metricert.core import (
     empirical_loss,
     empirical_triplet_loss,
     kernel_gram,
+    metric_matrix,
+    rbf_fH,
 )
 from metricert import core, solver
 from metricert.core import FAMILIES
@@ -867,14 +869,70 @@ class TestLowRankKernelSolve:
             assert np.abs(K @ m.M @ K - SHS).max() <= 1e-8 * np.abs(SHS).max()
 
     def test_rank_counts_kept_eigenvalues(self):
+        # the rank is counted on the Gram matrix of the landmarks, which are
+        # the model's support; duplicated points are never two landmarks
         ranks = []
         for ds, ks in self.problems():
             m = solve_kernel(ds, ks, self.CFG)
-            w = np.linalg.eigvalsh(kernel_gram(ks, ds.X))
+            w = np.linalg.eigvalsh(kernel_gram(ks, ds.X[m.support]))
             assert m.info["rank"] == np.count_nonzero(w > solver.KPCA_RANK_TOL * w.max())
             assert m.info["rank_tol"] == solver.KPCA_RANK_TOL
             ranks.append(m.info["rank"])
         assert ranks[0] < 200 and ranks[1] <= 12
+
+    def test_landmark_features_reproduce_the_gram(self):
+        # the pivots stop once no residual diagonal k(x, x) - ||phi_L(x)||^2
+        # exceeds KPCA_RANK_TOL (the largest diagonal is 1 for rbf), and the
+        # residual is PSD, so no entry of the Gram matrix is off by more;
+        # dropping the landmark Gram's smallest eigenvalues adds rounding
+        for ds, ks in self.problems():
+            landmarks, C, B = solver._landmark_basis(ks, ds.X)
+            assert len(np.unique(ds.X[landmarks], axis=0)) == len(landmarks)
+            Phi = C @ B
+            assert np.abs(Phi @ Phi.T - kernel_gram(ks, ds.X)).max() <= 100 * solver.KPCA_RANK_TOL
+            # B whitens the landmark Gram: the feature norm ||H||_F
+            assert np.allclose(B.T @ C[landmarks] @ B, np.eye(B.shape[1]), rtol=0.0, atol=1e-6)
+
+    def test_landmark_projection_keeps_the_feature_constants(self):
+        # phi_L(x) = B^T k(X_L, x) is the projection of the rbf feature onto
+        # the landmarks' span: ||phi_L(x)|| <= 1 = sqrt(k(x, x)), and it only
+        # shrinks distances, ||phi_L(x) - phi_L(x')||^2 <= f_H(||x - x'||),
+        # so the certificate's feature radius and epsilon hold for the model
+        rng = np.random.default_rng(48)
+        for ds, ks in self.problems():
+            landmarks, _, B = solver._landmark_basis(ks, ds.X)
+            P, Q = rng.uniform(-1, 1, size=(2, 400, 2))
+            fp, fq = (kernel_gram(ks, Z, ds.X[landmarks]) @ B for Z in (P, Q))
+            assert np.sqrt((fp * fp).sum(axis=1)).max() <= 1.0 + 1e-12
+            dist = np.linalg.norm(P - Q, axis=1)
+            f_H = np.array([rbf_fH(float(v), ks.sigma) for v in dist])
+            assert (((fp - fq) ** 2).sum(axis=1) <= f_H + 1e-12).all()
+
+    def test_model_is_zero_off_the_landmarks(self, tmp_path):
+        for ds, ks in self.problems():
+            m = solve_kernel(ds, ks, self.CFG)
+            landmarks = solver._landmark_basis(ks, ds.X)[0]
+            assert np.array_equal(m.support, landmarks)
+            off = np.setdiff1d(np.arange(ds.n), landmarks)
+            assert not m.M[off].any() and not m.M[:, off].any()
+            save_model(m, tmp_path / "m.json")
+            saved = load_model(tmp_path / "m.json", anchors=ds)
+            assert np.array_equal(saved.support, m.support)
+            assert np.array_equal(metric_matrix(saved, ds.X), metric_matrix(m, ds.X))
+
+    def test_memory_stays_below_two_square_arrays(self):
+        # the one n x n array is the returned M: no Gram matrix, no n x n
+        # eigendecomposition or product, and the model's checks run on the
+        # landmark block
+        ds = gen_synthetic(SyntheticSpec(n=1200, seed=3))
+        tracemalloc.start()
+        try:
+            m = solve_kernel(ds, KernelSpec("rbf", 1.0), SolverConfig(c=0.1, max_iters=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m.support) < 100
+        assert peak < 2 * 8 * ds.n * ds.n
 
     def test_saved_model_objective_equals_printed(self, tmp_path):
         for ds, ks in self.problems():
