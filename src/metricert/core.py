@@ -543,45 +543,85 @@ def _laplacian(X: np.ndarray, deg: np.ndarray, P: np.ndarray) -> np.ndarray:
     return X.T @ (deg[:, None] * X) - P - P.T
 
 
+def _bilinear_all_pairs(X, XM, tiles, H, W) -> tuple:
+    """The bilinear hinge sums over all n^2 ordered pairs, for any M: per
+    tile of run_tiles, the rows s..e-1 of one label run [a0, a1) against
+    all n label-sorted columns, with h = f on [a0, a1) and h = 2 - f on
+    the others.  A pair is active where h > 0, the kink itself taking the
+    0-side subgradient.  Returns (hinge sum, active same-label pairs,
+    active other-label pairs, the subgradient sum), the subgradient
+    sum_ij y_ij [h_ij > 0] x_i x_j^T getting X_s^T (2 w_same X_same - w X)
+    from a tile with active mask w."""
+    n, d = X.shape
+    grad = np.zeros((d, d))
+    hinge, same, count = 0.0, 0.0, 0.0
+    for s, e, a0, a1 in tiles:
+        h, w = H[: (e - s) * n].reshape(e - s, n), W[: (e - s) * n].reshape(e - s, n)
+        np.matmul(XM[s:e], X.T, out=h)
+        np.subtract(2.0, h[:, :a0], out=h[:, :a0])
+        np.subtract(2.0, h[:, a1:], out=h[:, a1:])
+        np.greater(h, 0.0, out=w)
+        hinge += float(h.ravel() @ w.ravel())
+        same += w[:, a0:a1].sum()
+        count += w.sum()
+        grad += X[s:e].T @ (2.0 * (w[:, a0:a1] @ X[a0:a1]) - w @ X)
+    return hinge, same, count - same, grad
+
+
+def _bilinear_pairs_once(X, XM, tiles, H, W) -> tuple:
+    """_bilinear_all_pairs for an exactly symmetric M, where f_ij = f_ji:
+    each tile takes its run's square [a0, a1) once, with weight 1, and the
+    later labels' columns [a1, n) once, with weight 2 for the two ordered
+    pairs, so each other-label pair is evaluated once.  The subgradient
+    P_same - P_cross - P_cross^T (P_same symmetric) is formed as
+    (T + T^T)/2 from T = P_same - 2 P_cross, so it is exactly symmetric and
+    a symmetric iterate stays exactly symmetric."""
+    n, d = X.shape
+    T = np.zeros((d, d))
+    hinge, same, other = 0.0, 0.0, 0.0
+    for s, e, a0, a1 in tiles:
+        size, split = (e - s) * (n - a0), (e - s) * (a1 - a0)
+        hs, ws = (B[:split].reshape(e - s, a1 - a0) for B in (H, W))
+        hc, wc = (B[split:size].reshape(e - s, n - a1) for B in (H, W))
+        np.matmul(XM[s:e], X[a0:a1].T, out=hs)
+        np.matmul(XM[s:e], X[a1:].T, out=hc)
+        np.subtract(2.0, hc, out=hc)
+        np.greater(hs, 0.0, out=ws)
+        np.greater(hc, 0.0, out=wc)
+        hinge += float(hs.ravel() @ ws.ravel()) + 2.0 * float(hc.ravel() @ wc.ravel())
+        same += ws.sum()
+        other += 2.0 * wc.sum()
+        T += X[s:e].T @ (ws @ X[a0:a1] - 2.0 * (wc @ X[a1:]))
+    return hinge, same, other, (T + T.T) / 2.0
+
+
 def _bilinear_eval(X: np.ndarray, labels: np.ndarray):
     """eval_fn(M) for the bilinear similarity f = x_i^T M x_j: the mean hinge
     over all n^2 ordered pairs, max(0, f) for a same-label pair and
     max(0, 2 - f) for the others.
 
-    Off the PSD cone f can be negative, so every pair is evaluated.  Each
-    tile of run_tiles holds the rows s..e-1 of one label run [a0, a1)
-    against all n label-sorted columns, with h = f on the same-label
-    columns [a0, a1) and h = 2 - f on the others; a pair is active where
-    h > 0, the kink itself taking the 0-side subgradient.  The subgradient
-    sum_ij y_ij [h_ij > 0] x_i x_j^T gets X_s^T (2 w_same X_same - w X) from
-    a tile with active mask w.  The tile buffers are allocated here, once
-    per evaluator, so the evaluator holds O(tile_rows(n) * n) memory, not
-    n x n; its sums run in another order than a full n x n evaluation, so
-    it agrees with one to rounding.
+    Off the PSD cone f can be negative, so every pair is evaluated, in the
+    label-run tiles of run_tiles: each other-label pair once when M is
+    exactly symmetric (_bilinear_pairs_once, which every bilinear-fro
+    iterate takes from M = 0), and every ordered pair otherwise
+    (_bilinear_all_pairs: a bilinear-l21 iterate, or a stored model).  The
+    tile buffers are allocated here, once per evaluator, so the evaluator
+    holds O(tile_rows(n) * n) memory, not n x n; its sums run in another
+    order than a full n x n evaluation, so it agrees with one to rounding.
     """
     n, d = X.shape
     order, _, starts, _ = sorted_runs(labels)
     X = X[order]
     tiles = run_tiles(starts, n)
     rows = max(e - s for s, e, _, _ in tiles)
-    XM, H, W = np.empty((n, d)), np.empty((rows, n)), np.empty((rows, n))
+    XM, H, W = np.empty((n, d)), np.empty(rows * n), np.empty(rows * n)
 
     def eval_fn(M):
         np.matmul(X, M, out=XM)
-        grad = np.zeros((d, d))
-        hinge, same, count = 0.0, 0.0, 0.0
-        for s, e, a0, a1 in tiles:
-            h, w = H[: e - s], W[: e - s]
-            np.matmul(XM[s:e], X.T, out=h)
-            np.subtract(2.0, h[:, :a0], out=h[:, :a0])
-            np.subtract(2.0, h[:, a1:], out=h[:, a1:])
-            np.greater(h, 0.0, out=w)
-            hinge += float(h.ravel() @ w.ravel())
-            same += w[:, a0:a1].sum()
-            count += w.sum()
-            grad += X[s:e].T @ (2.0 * (w[:, a0:a1] @ X[a0:a1]) - w @ X)
+        sweep = _bilinear_pairs_once if np.array_equal(M, M.T) else _bilinear_all_pairs
+        hinge, same, other, grad = sweep(X, XM, tiles, H, W)
         grad /= n * n
-        return Evaluation(hinge / (n * n), grad, int(same), int(count - same), n * n, grad)
+        return Evaluation(hinge / (n * n), grad, int(same), int(other), n * n, grad)
 
     return eval_fn
 

@@ -159,6 +159,12 @@ def _dual_norm(G: np.ndarray, reg: str) -> float:
     return float(np.linalg.norm(G, axis=0).max())
 
 
+def _scaled(v: float, norm: float, c: float) -> float:
+    """The bound t*v of a minorant with offset v and slope dual norm
+    `norm`, t = min(1, c/norm) (_LowerBound)."""
+    return v * c / norm if norm > c else v
+
+
 class _LowerBound:
     """The best lower bound D <= P* of one solve, from the linear minorants
     v + <M', G> of the loss (Evaluation.slope) it is offered.
@@ -168,12 +174,21 @@ class _LowerBound:
     G_- of G, and off it (bilinear) G_- is G itself.  Scaling the active
     set by t scales the minorant's other-label part, and the part it keeps
     (S/n^2 of the distance pairs) is PSD, so for every M'
-    P(M') >= c||M'|| + t*v - t||M'|| ||G_-||_* >= t*v.
+    P(M') >= c||M'|| + t*v - t||M'|| ||G_-||_* >= t*v.  `target` is the
+    best such bound of a single minorant offered, the Polyak step's target.
+
+    `value`, the certified D, is at least `target`.  Off the PSD cone with
+    the Frobenius norm it also holds the bound of an aggregate (v, G):
+    a convex combination of minorants is a minorant, as max(0, f) >= a f
+    for every a in [0, 1].  Each offer replaces the aggregate by the point
+    of the segment to the offered minorant with the largest bound
+    (_mix_in), so the aggregate's bound never falls below the offered
+    minorant's, nor below its own before.
 
     An eigendecomposition costs as much as a PSD projection, so offer()
-    first rules out the minorants that cannot raise D, which leaves D as
-    it would be: t*v <= v, and ||G_-||_F >= |lambda_min(G)| >= -u^T G u for
-    the unit eigenvector u of the smallest eigenvalue of the last
+    first rules out the minorants that cannot raise `target`, which leaves
+    it as it would be: t*v <= v, and ||G_-||_F >= |lambda_min(G)| >=
+    -u^T G u for the unit eigenvector u of the smallest eigenvalue of the last
     decomposition offered from the same source (an iterate's own minorant
     and the averaged one change little from one iterate to the next).  A
     d x d matrix has ||.||_F <= sqrt(d) times its largest column norm and
@@ -184,11 +199,14 @@ class _LowerBound:
     def __init__(self, d: int, c: float, reg: str, psd: bool):
         self.c, self.reg, self.psd = c, reg, psd
         self._fro_ratio = {"fro": 1.0, "l1": d, "l21": math.sqrt(d)}[reg]
-        self.value = 0.0
+        self.value = self.target = 0.0
         self._vectors = {}
+        self._aggregate = None
 
     def offer(self, G: np.ndarray, v: float, source: str) -> None:
-        if v <= self.value:
+        if not self.psd and self.reg == "fro":
+            self._mix_in(G, v)
+        if v <= self.target:
             return
         if not self.psd:
             self._raise(v, _dual_norm(G, self.reg))
@@ -196,16 +214,52 @@ class _LowerBound:
         u = self._vectors.get(source)
         if u is not None:
             floor = -float(u @ (G @ u)) / self._fro_ratio
-            if floor > self.c and v * self.c / floor <= self.value:
+            if floor > self.c and v * self.c / floor <= self.target:
                 return
         # eigh reads one triangle of G, which is symmetric up to rounding
         w, V = np.linalg.eigh(G)
-        self._vectors[source] = V[:, 0] if w[0] < 0.0 else None
+        self._vectors[source] = V[:, 0] if w.size and w[0] < 0.0 else None
         w = np.minimum(w, 0.0)
         self._raise(v, math.sqrt(w @ w) if self.reg == "fro" else _dual_norm((V * w) @ V.T, self.reg))
 
     def _raise(self, v: float, norm: float) -> None:
-        self.value = max(self.value, v * self.c / norm if norm > self.c else v)
+        self.target = max(self.target, _scaled(v, norm, self.c))
+        self.value = max(self.value, self.target)
+
+    def _mix_in(self, G: np.ndarray, v: float) -> None:
+        """Move the aggregate (a, A) to the best point of the segment
+        (a + th*b, A + th*B), th in [0, 1], towards the minorant (v, G).
+
+        Its bound is D(th) = v(th) min(1, c/N(th)), N(th)^2 = AA + 2 th AB
+        + th^2 BB from three inner products.  D is linear where N <= c and
+        c v/N where N > c, whose one stationary point solves a linear
+        equation, so its maximum lies at th = 0 or 1, at that point, or at
+        a root of N(th) = c.  The chosen point is formed and its bound
+        computed from the formed G, so rounding in the search cannot make
+        the bound unsound."""
+        if self._aggregate is None:
+            a, A = v, G
+        else:
+            a, A = self._aggregate
+            b, B = v - a, G - A
+            AA, AB, BB = (float(np.vdot(P, Q)) for P, Q in ((A, A), (A, B), (B, B)))
+            thetas = [1.0]
+            if b * AB != a * BB:
+                thetas.append((a * AB - b * AA) / (b * AB - a * BB))
+            disc = AB * AB - BB * (AA - self.c * self.c)
+            if BB > 0.0 and disc >= 0.0:
+                thetas += [(-AB + r) / BB for r in (math.sqrt(disc), -math.sqrt(disc))]
+
+            def bound(th):
+                norm = math.sqrt(max(AA + th * (2.0 * AB + th * BB), 0.0))
+                return _scaled(a + th * b, norm, self.c)
+
+            th = max((t for t in thetas if 0.0 < t <= 1.0), key=bound, default=0.0)
+            if bound(th) <= bound(0.0):
+                return
+            a, A = a + th * b, A + th * B
+        self._aggregate = (a, A)
+        self.value = max(self.value, _scaled(a, float(np.linalg.norm(A)), self.c))
 
 
 def _reg_subgradient(M: np.ndarray, reg: str) -> np.ndarray:
@@ -226,9 +280,11 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
     its loss scores it, its subgradient takes the next step and its linear
     minorant gives a lower bound on the optimum P* (_LowerBound).  Every
     iterate offers its own minorant and the average of those since the
-    last restart (every AVERAGE_EVERY iterations); D is the best bound so
-    far.  The step is Polyak's with D as the target:
-    s = (P(M) - D)/||g||^2 with g the loss subgradient plus c times a
+    last restart (every AVERAGE_EVERY iterations); D is the certified
+    bound so far (_LowerBound.value, which off the PSD cone includes the
+    aggregate of the minorants).  The step is Polyak's with the best
+    single-minorant bound D1 <= D (_LowerBound.target) as the target:
+    s = (P(M) - D1)/||g||^2 with g the loss subgradient plus c times a
     subgradient of the norm, then M <- proj_PSD(prox_{s c}(M - s grad)).
     The iterations stop once the best objective is within GAP_TOL * D of
     D, at a zero g (M is optimal) or after cfg.max_iters steps.
@@ -265,7 +321,7 @@ def _iterate(d: int, eval_fn, reg: str, cfg: SolverConfig, psd: bool, g0: float)
         gg = float(np.vdot(g, g))
         if gg == 0.0:
             break
-        step = (obj - dual) / gg
+        step = (obj - bound.target) / gg
         M = prox(M - step * ev.grad, step * c, reg)
         if psd and reg == "l21":
             # prox zeroes whole columns; projecting only the block of the
@@ -363,6 +419,10 @@ def _landmark_basis(ks: KernelSpec, X: np.ndarray) -> tuple:
         pivots.append(p)
     if resid.min() < -1e-8 * max(1.0, diag.max()):
         raise ValueError(f"Gram matrix not PSD: residual diagonal {resid.min():.3g}")
+    if not pivots:
+        # a zero Gram matrix (a linear kernel on zero points): no landmark,
+        # and a 0-dimensional problem whose one model is M = 0
+        return np.zeros(0, dtype=int), C[:, :0], np.zeros((0, 0))
     order = np.argsort(pivots)
     landmarks, C = np.array(pivots, dtype=int)[order], C[:, order]
     K = C[landmarks]

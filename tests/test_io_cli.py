@@ -334,6 +334,32 @@ class TestCli:
         assert obj["epsilon_empirical"] <= obj["epsilon_theoretical"] + 1e-12
         assert obj["bound_pair"] > 0
 
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        # train, audit, a usage error and --help through the one cached
+        # parser give the exit codes and outputs of fresh-parser runs
+        data = self._gen(tmp_path)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        calls = [
+            ["train", "--data", str(data), "--out", str(model), "--c", "0.5", "--iters", "20"],
+            ["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+             "--gamma", "0.5"],
+            ["train", "--data", str(data), "--out", str(model), "--step0", "1"],
+            ["--help"],
+        ]
+
+        def run(argv, fresh):
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        cli.build_parser.cache_clear()
+        cached = [run(argv, fresh=False) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in cached] == [0, 0, 1, 0]
+        assert cached == [run(argv, fresh=True) for argv in calls]
+
     def test_audit_reads_each_csv_once(self, tmp_path, monkeypatch):
         # the probe has the larger radius, so both datasets take its R
         from metricert import io

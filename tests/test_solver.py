@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 
@@ -349,6 +350,16 @@ class TestSolveKernel:
         )
         assert objective(zero, ds, 1.0) == empirical_loss(zero, ds)
 
+    def test_zero_gram_gives_the_zero_model(self):
+        # a linear kernel on zero points has no landmark: the problem is
+        # 0-dimensional, and M = 0 is its one model, certified at once
+        ds = Dataset(np.zeros((4, 2)), list("abab"), 1.0)
+        m = solve_kernel(ds, KernelSpec("linear"), SolverConfig(c=0.1))
+        assert m.M.shape == (4, 4) and not m.M.any()
+        assert m.info["iterations"] == 0 and m.info["rank"] == 0
+        assert m.info["objective"] == m.info["dual_bound"] == empirical_loss(m, ds) == 1.0
+        assert m.info["gap"] == 0.0
+
     def test_rbf_single_label_optimal_zero(self):
         ds = make_ds([[0.0, 0.1], [0.1, 0.0], [0.2, 0.1]], "aaa")
         m = solve_kernel(ds, KernelSpec("rbf", 1.0), SolverConfig(c=1.0, max_iters=40))
@@ -568,7 +579,12 @@ class TestSingleEvaluationMatchesReference:
                 psd=(kind == "mahalanobis"),
             )
             assert m.info["iterations"] == iterations >= floor
-            assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
+            if kind == "bilinear":
+                # the reference's D is the best single minorant's, the
+                # step's target; the solver certifies its aggregate's too
+                assert dual * (1.0 - 1e-12) <= m.info["dual_bound"] <= m.info["objective"]
+            else:
+                assert m.info["dual_bound"] == pytest.approx(dual, rel=1e-12)
             assert np.abs(M).max() > 0.0 and np.abs(m.M).max() > 0.0
             assert np.abs(m.M - M).max() <= 1e-12 * np.abs(M).max()
             assert m.info["best_history"] == pytest.approx(history, rel=1e-12, abs=1e-15)
@@ -656,15 +672,22 @@ class TestDistanceEvalMatchesReference:
 
 
 class TestBilinearEvalInTiles:
-    """The bilinear evaluator visits every ordered pair once, in tiles of
-    one label run against all columns, so it agrees with the n x n
-    reference to rounding and holds no n x n array."""
+    """The bilinear evaluator visits, in tiles of one label run, each
+    other-label pair once when M is exactly symmetric and every ordered
+    pair otherwise, so it agrees with the n x n reference to rounding and
+    holds no n x n array."""
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
     def test_matches_full_reference(self, monkeypatch, rows):
         # 30 points with three interleaved labels: tiles of 7 rows leave a
         # short last tile in every run
         monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        sweeps = []
+        for name in ("_bilinear_pairs_once", "_bilinear_all_pairs"):
+            sweep = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda *a, name=name, sweep=sweep: sweeps.append(name) or sweep(*a)
+            )
         rng = np.random.default_rng(62)
         n, d = 30, 3
         X = rng.uniform(-1, 1, size=(n, d)) / np.sqrt(d)
@@ -676,12 +699,34 @@ class TestBilinearEvalInTiles:
         # pairs on both sides of the margin
         A = rng.standard_normal((d, d))
         for M in (np.zeros((d, d)), A + A.T, 3.0 * (A + A.T), A, 3.0 * A):
+            sweeps.clear()
             ev = eval_fn(M)
             loss, grad, active = ev.loss, ev.grad, ev.active
             ref_grad = grad_fn(M)
             assert loss == pytest.approx(loss_fn(M), rel=1e-12, abs=1e-15)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
             assert active == active_fn(M)
+            if np.array_equal(M, M.T):
+                assert sweeps == ["_bilinear_pairs_once"]
+                assert np.array_equal(grad, grad.T)
+            else:
+                assert sweeps == ["_bilinear_all_pairs"]
+
+    def test_fro_iterates_stay_exactly_symmetric(self):
+        # the pair-once subgradient is exactly symmetric, so every iterate
+        # from M = 0 is, and takes the pair-once sweep
+        iterates = []
+
+        def evaluator(X, labels, kind):
+            eval_fn = core.pair_eval(X, labels, kind)
+            return lambda M: iterates.append(M.copy()) or eval_fn(M)
+
+        loss = dataclasses.replace(core.PAIR_LOSS, evaluator=evaluator)
+        ds = gen_synthetic(SyntheticSpec(n=40, d=3, seed=64))
+        m = solve(ds, "fro", SolverConfig(c=0.01, max_iters=60), kind="bilinear", loss=loss)
+        assert len(iterates) == m.info["iterations"] + 1 > 10
+        assert all(np.array_equal(M, M.T) for M in iterates)
+        assert np.array_equal(m.M, m.M.T) and m.M.any()
 
     def test_memory_below_one_n_by_n_array(self, monkeypatch):
         # one n x n float64 array is 11.5 MB at n = 1200; the n x n path
@@ -1027,13 +1072,13 @@ class TestDualBound:
         # every iterate (best_history holds their running minimum) and of
         # random models of the family
         values = []
-        raise_ = solver._LowerBound._raise
+        offer = solver._LowerBound.offer
 
-        def spy(self, v, norm):
-            raise_(self, v, norm)
+        def spy(self, G, v, source):
+            offer(self, G, v, source)
             values.append(self.value)
 
-        monkeypatch.setattr(solver._LowerBound, "_raise", spy)
+        monkeypatch.setattr(solver._LowerBound, "offer", spy)
         rng = np.random.default_rng(72)
         fam = FAMILIES[family]
         c = 0.02
@@ -1071,6 +1116,69 @@ class TestDualBound:
             # an early stop is certified within GAP_TOL
             assert m.info["gap"] <= tol * m.info["dual_bound"]
             assert m.info["objective"] <= (1.0 + tol) * ref.info["objective"] + 1e-12
+
+    def test_aggregate_bound_below_the_objective(self, monkeypatch):
+        # minorants of scattered bilinear models, symmetric or not and on
+        # many scales, so the aggregate mixes very different active sets;
+        # the certified D never falls and never exceeds P(M') of random M'
+        # or the objective of a long solve
+        rng = np.random.default_rng(76)
+        c, d = 0.05, 3
+        ds = gen_synthetic(SyntheticSpec(n=30, d=d, seed=76))
+        eval_fn = core.pair_eval(ds.X, ds.label_indices(), "bilinear")
+        bound = solver._LowerBound(d, c, "fro", psd=False)
+        values = []
+        for scale in np.geomspace(0.01, 30.0, 40):
+            A = scale * rng.standard_normal((d, d))
+            ev = eval_fn(A + A.T if scale < 1.0 else A)
+            bound.offer(ev.slope, PAIR_G0 * ev.other / ev.terms, "iterate")
+            values.append(bound.value)
+        assert values == sorted(values) and bound.value > bound.target
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            M = scale * rng.standard_normal((d, d))
+            assert bound.value <= c * reg_norm(M, "fro") + eval_fn(M).loss + 1e-12
+        monkeypatch.setattr(solver, "GAP_TOL", -1.0)
+        ref = solve(ds, "fro", SolverConfig(c=c, max_iters=2000), kind="bilinear")
+        assert bound.value <= ref.info["objective"] + 1e-12
+
+    def test_aggregate_takes_the_best_point_of_the_segment(self):
+        # two offers: the bound is the largest v(th) min(1, c/||G(th)||_F)
+        # over th in [0, 1], checked on a grid; many optima are interior
+        rng = np.random.default_rng(77)
+        c, interior = 0.1, 0
+        grid = np.linspace(0.0, 1.0, 20001)
+        for _ in range(200):
+            G0, G1 = (s * rng.standard_normal((2, 2)) for s in rng.uniform(0.02, 0.5, 2))
+            v0, v1 = rng.uniform(0.1, 1.0, 2)
+            bound = solver._LowerBound(2, c, "fro", psd=False)
+            bound.offer(G0, v0, "iterate")
+            bound.offer(G1, v1, "iterate")
+            th = grid[:, None, None]
+            N = np.linalg.norm((1.0 - th) * G0 + th * G1, axis=(1, 2))
+            D = ((1.0 - grid) * v0 + grid * v1) * np.minimum(1.0, c / N)
+            # a grid point lies within 2.5e-5 of the optimum, where |dD/dth| < 16
+            assert D.max() - 1e-12 <= bound.value <= D.max() + 4e-4
+            assert bound.target == pytest.approx(max(D[0], D[-1]), rel=1e-12)
+            interior += bound.value > bound.target * (1.0 + 1e-6)
+        assert interior > 20
+
+    def test_no_more_steps_than_the_single_minorant_stop(self):
+        # reference_iterate stops on the best single minorant's D, which the
+        # solver's step still aims at: the aggregate's D only stops the same
+        # path sooner
+        cfg = SolverConfig(c=0.01, max_iters=300)
+        sooner = 0
+        for seed in range(4):
+            ds = gen_synthetic(SyntheticSpec(n=60, d=2, seed=seed))
+            m = solve(ds, "fro", cfg, kind="bilinear")
+            _, history, _, _, steps = reference_iterate(
+                2, ref_pair_callbacks(ds.X, pair_signs(ds), "bilinear"), "fro", cfg, psd=False
+            )
+            t = m.info["iterations"]
+            assert t <= steps
+            assert m.info["best_history"] == pytest.approx(history[: t + 1], rel=1e-12, abs=1e-15)
+            sooner += t < steps
+        assert sooner >= 2
 
     def test_fro_gap_goes_to_zero(self, monkeypatch):
         # a problem whose optimum the active-set minorants certify exactly:
