@@ -43,6 +43,7 @@ from .bounds import (
     bound_value,
     cell_stats,
     empirical_epsilon,
+    pseudo_bound,
     pseudo_robust_count,
 )
 from .harness import (

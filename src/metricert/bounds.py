@@ -1,6 +1,7 @@
 """Empirical robustness estimation (cell_stats for pairs,
-empirical_epsilon_triplet for triplets) and the generalization bounds (pair
-and triplet, which differ only in their core.Loss order, and pseudo-robust),
+empirical_epsilon_triplet for triplets), the generalization bound of a
+BoundQuery record, epsilon + order * B * root with the core.Loss order
+(bound_value), and the paper's pseudo-robust pair formula (pseudo_bound),
 plus a Monte-Carlo check of the multinomial concentration inequality.  The
 closed-form robustness constant of each family is core.Family.epsilon."""
 
@@ -20,13 +21,15 @@ from .cover import Partition, assign_cells
 
 @dataclass(frozen=True)
 class BoundQuery:
+    """One certificate: epsilon + order * B * root(K, n, delta) for the loss
+    of tuple size `order` (core.Loss.order)."""
+
     epsilon: float
     B: float
     K: int
     n: int
     delta: float
-    mode: str = "pair"        # "pair", "triplet" or "pseudo"
-    p_hat: int = 0            # pseudo mode only, in [0, n^2]; 0 in the others
+    order: int = PAIR_LOSS.order
 
     def __post_init__(self):
         for name, value in (("epsilon", self.epsilon), ("B", self.B)):
@@ -41,12 +44,8 @@ class BoundQuery:
                                  f"{value.bit_length()}-bit integer")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.mode not in ("pair", "triplet", "pseudo"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "pseudo" and not 0 <= self.p_hat <= self.n**2:
-            raise ValueError("p_hat must lie in [0, n^2]")
-        if self.mode != "pseudo" and self.p_hat != 0:
-            raise ValueError(f"p_hat is a pseudo-mode input; {self.mode} mode takes none")
+        if self.order not in (PAIR_LOSS.order, TRIPLET_LOSS.order):
+            raise ValueError(f"unknown loss order {self.order!r}")
 
 
 def concentration_root(K: int, n: int, delta: float) -> float:
@@ -60,12 +59,20 @@ def concentration_root(K: int, n: int, delta: float) -> float:
 
 def bound_value(q: BoundQuery) -> float:
     """Generalization bound on |true loss - empirical loss|."""
+    return q.epsilon + q.order * q.B * concentration_root(q.K, q.n, q.delta)
+
+
+def pseudo_bound(q: BoundQuery, p_hat: int) -> float:
+    """Xu and Mannor's pseudo-robust pair bound, for p_hat of the n^2
+    training pairs within q.epsilon of the probe pairs of their cell pair
+    on a fixed partition; at p_hat = n^2 it is bound_value(q) up to rounding."""
+    if q.order != PAIR_LOSS.order:
+        raise ValueError(f"the pseudo-robust bound is a pair bound, not one of order {q.order}")
+    n2 = q.n**2
+    if not 0 <= p_hat <= n2:
+        raise ValueError("p_hat must lie in [0, n^2]")
     root = concentration_root(q.K, q.n, q.delta)
-    if q.mode == "pseudo":
-        n2 = q.n**2
-        return (q.p_hat / n2) * q.epsilon + q.B * ((n2 - q.p_hat) / n2 + 2.0 * root)
-    order = PAIR_LOSS.order if q.mode == "pair" else TRIPLET_LOSS.order
-    return q.epsilon + order * q.B * root
+    return (p_hat / n2) * q.epsilon + q.B * ((n2 - p_hat) / n2 + 2.0 * root)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +455,6 @@ class BoundReport:
     holds: bool | None
     sound: bool
     excluded_probes: int
-    seed: int
-    bound_pseudo: float | None = None
     bound_triplet: float | None = None
     extra: dict = field(default_factory=dict)
 

@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import io
-from .bounds import BoundQuery, bhc_simulate, bound_value
-from .core import FAMILIES, Dataset
+from .bounds import BoundQuery, bhc_simulate, bound_value, pseudo_bound
+from .core import FAMILIES, PAIR_LOSS, TRIPLET_LOSS, Dataset
 from .cover import CoverConfig
 from .harness import SyntheticSpec, certify, gap_curve, gen_synthetic, knn_eval, train_family
 from .solver import SolverConfig
@@ -143,20 +143,23 @@ def _cmd_audit(args) -> int:
         model, ds, probe, args.family, CoverConfig(gamma=args.gamma), delta=args.delta, c=args.c
     )
     io.write_json(report.to_json_dict(), args.out)
+    # the family's own certificate: bound_triplet for a triplet family
+    certified = "bound_" + FAMILIES[args.family].loss.name
     print(
         f"epsilon_empirical={report.epsilon_empirical:.6g} "
         f"epsilon_theoretical={report.epsilon_theoretical:.6g} "
-        f"bound_pair={report.bound_pair:.6g}"
+        f"{certified}={getattr(report, certified):.6g}"
     )
     return 0
 
 
 def _cmd_bound(args) -> int:
-    q = BoundQuery(
-        epsilon=args.epsilon, B=args.B, K=args.K, n=args.n,
-        delta=args.delta, mode=args.mode, p_hat=args.p_hat,
-    )
-    print(repr(bound_value(q)))
+    # pseudo is the pair bound's pseudo-robust form
+    order = TRIPLET_LOSS.order if args.mode == "triplet" else PAIR_LOSS.order
+    q = BoundQuery(args.epsilon, args.B, args.K, args.n, args.delta, order)
+    if args.mode != "pseudo" and args.p_hat != 0:
+        raise ValueError(f"p_hat is a pseudo-mode input; {args.mode} mode takes none")
+    print(repr(pseudo_bound(q, args.p_hat) if args.mode == "pseudo" else bound_value(q)))
     return 0
 
 

@@ -763,9 +763,9 @@ def _triplet_truth(m: MetricModel, draw, size: int, seed: int) -> tuple[float, f
 
 @dataclass(frozen=True)
 class Loss:
-    """The pair or the triplet loss.  `name` is the BoundQuery mode of its
-    bound and the report field bound_<name>; `order` is its tuple size, so
-    the bound is epsilon + order * B * root; `g0` is the zero matrix's
+    """The pair or the triplet loss.  `name` names the report field
+    bound_<name> of its bound; `order` is its tuple size, the BoundQuery
+    order, so the bound is epsilon + order * B * root; `g0` is the zero matrix's
     loss.  evaluator(X, labels, kind) gives the eval_fn(M) -> Evaluation
     the solver runs, and truth(m, draw, size, seed) the Monte-Carlo loss
     and its SE on samples draw(count, seed) -> Dataset."""

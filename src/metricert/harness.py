@@ -13,15 +13,12 @@ from .bounds import (
     BoundQuery,
     BoundReport,
     bound_value,
-    cell_stats,
+    empirical_epsilon,
     empirical_epsilon_triplet,
 )
 from .core import FAMILIES, HINGE_U, PAIR_LOSS, Dataset, KernelSpec, MetricModel, metric_blocks
 from .cover import CoverConfig, build_partition, covering_number_upper_bound
 from .solver import SolverConfig, model_norm, solve, solve_kernel, training_c
-
-# the pseudo-robust bound's epsilon as a fraction of the certified one
-PSEUDO_EPS_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,6 @@ def certify(
     cover_cfg: CoverConfig,
     delta: float,
     c: float | None = None,
-    seed: int = 0,
     gap: float | None = None,
 ) -> BoundReport:
     """Build the partition and assemble all certified quantities.
@@ -177,20 +173,16 @@ def certify(
     part = build_partition(ds, cover_cfg, probe=probe)
     sigma = model.kernel.sigma if fam.kind == "kernelized" else 0.0
     eps_theo = fam.epsilon(ds.R, cover_cfg.gamma, c, sigma)
-    pseudo_eps = PSEUDO_EPS_SCALE * eps_theo
     B = fam.loss_bound(ds.R, c)
     K_theo = len(ds.labels) * covering_number_upper_bound(ds.R, cover_cfg.gamma / 2.0, ds.d)
-
-    def bound(mode: str, epsilon: float = eps_theo, p_hat: int = 0) -> float:
-        return bound_value(BoundQuery(epsilon, B, K_theo, ds.n, delta, mode, p_hat))
-
-    # the loss picks the epsilon estimator and the bound only it reports
-    if fam.loss is PAIR_LOSS:
-        est, p_hat = cell_stats(model, part, ds, probe, pseudo_eps)
-        own_bound = {"bound_pseudo": bound("pseudo", pseudo_eps, p_hat)}
-    else:
-        est = empirical_epsilon_triplet(model, part, ds, probe)
-        own_bound = {"bound_triplet": bound("triplet")}
+    # the loss picks the epsilon estimator; every report carries the pair
+    # bound and the family's own, bound_<loss name>
+    estimate = empirical_epsilon if fam.loss is PAIR_LOSS else empirical_epsilon_triplet
+    est = estimate(model, part, ds, probe)
+    bounds = {
+        "bound_" + loss.name: bound_value(BoundQuery(eps_theo, B, K_theo, ds.n, delta, loss.order))
+        for loss in (PAIR_LOSS, fam.loss)
+    }
     return BoundReport(
         family=family,
         U=HINGE_U,
@@ -203,13 +195,11 @@ def certify(
         B=B,
         epsilon_theoretical=eps_theo,
         epsilon_empirical=est.value,
-        bound_pair=bound("pair"),
         empirical_gap=None if gap is None else float(gap),
-        holds=None if gap is None else bool(gap <= bound(fam.loss.name)),
+        holds=None if gap is None else bool(gap <= bounds["bound_" + fam.loss.name]),
         sound=bool(est.value <= eps_theo),
         excluded_probes=est.excluded_probes,
-        seed=seed,
-        **own_bound,
+        **bounds,
     )
 
 
@@ -225,7 +215,8 @@ def _run_repetition(cfg: ExperimentConfig, rep_seed: int, draw) -> BoundReport:
     l_emp = loss.empirical(model, ds)
     true_est, se = loss.truth(model, _sampler(spec, draw), cfg.mc_size, rep_seed + 20_000)
     gap = abs(true_est - l_emp)
-    report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, seed=rep_seed, gap=gap)
+    report = certify(model, ds, probe, cfg.family, cfg.cover, cfg.delta, gap=gap)
+    report.extra["seed"] = rep_seed
     report.extra["empirical_loss"] = l_emp
     report.extra["true_loss_estimate"] = true_est
     report.extra["true_loss_se"] = se
@@ -263,7 +254,7 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
     """
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError("n ladder must be strictly increasing")
-    mode = FAMILIES[cfg.family].loss.name
+    order = FAMILIES[cfg.family].loss.order
     rows = []
     # keyed by the spec with its n and seed; datasets are never modified
     draw = functools.cache(gen_synthetic)
@@ -271,7 +262,7 @@ def gap_curve(cfg: ExperimentConfig, n_ladder: list[int]) -> list[dict]:
         sub = replace(cfg, synthetic=replace(cfg.synthetic, n=n))
         reports, summary = run_experiment(sub, draw)
         r0 = reports[0]
-        concentration = BoundQuery(0.0, r0.B, r0.K_theoretical, n, cfg.delta, mode)
+        concentration = BoundQuery(0.0, r0.B, r0.K_theoretical, n, cfg.delta, order)
         rows.append(
             {
                 "n": n,

@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 import numpy as np
 
 from .core import Dataset, KernelSpec, MetricModel
-from .harness import PSEUDO_EPS_SCALE, ExperimentConfig
+from .harness import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
@@ -157,28 +157,27 @@ def _read(cls, obj, where: str = ""):
 
 
 def config_from_json_dict(obj: dict) -> ExperimentConfig:
-    # older schema-1 files may hold solver.seed, which no solver read,
-    # solver.tol, 0 in every saved config (no early stop), solver.step0, 1.0
-    # in every saved config (the step is 1/sqrt(t)), cover.norm, "l2" in
-    # every saved config (the cover's one metric), and pseudo_eps_scale,
-    # which is now the constant PSEUDO_EPS_SCALE
     if not isinstance(obj, dict):
         raise ValueError("config file must be an object")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    top = {k: v for k, v in obj.items() if k != "schema_version"}
-    scale = top.pop("pseudo_eps_scale", PSEUDO_EPS_SCALE)
-    if scale != PSEUDO_EPS_SCALE:
-        raise ValueError(f"pseudo_eps_scale must be {PSEUDO_EPS_SCALE}, not {scale!r}")
-    # each retired key with the one value it may hold (None: any)
-    for section, key, only in (("solver", "seed", None), ("solver", "tol", 0.0),
-                               ("solver", "step0", 1.0), ("cover", "norm", "l2")):
-        if isinstance(top.get(section), dict) and key in top[section]:
-            top[section] = dict(top[section])
-            value = top[section].pop(key)
+    # older schema-1 files may hold retired keys, read and dropped here with
+    # the one value each may hold (None: any): solver.seed, which no solver
+    # read; solver.tol (the stop rule is solver.GAP_TOL), solver.step0 (the
+    # step is Polyak's) and cover.norm (the cover's one metric) at the value
+    # of every saved config; pseudo_eps_scale, the retired pseudo-robust
+    # epsilon fraction
+    top = {k: dict(v) if isinstance(v, dict) else v for k, v in obj.items()}
+    del top["schema_version"]
+    for name, only in (("pseudo_eps_scale", 0.5), ("solver.seed", None), ("solver.tol", 0.0),
+                       ("solver.step0", 1.0), ("cover.norm", "l2")):
+        section, _, key = name.rpartition(".")
+        holder = top.get(section) if section else top
+        if isinstance(holder, dict) and key in holder:
+            value = holder.pop(key)
             if only is not None and (value != only or isinstance(value, bool)):
-                raise ValueError(f"{section}.{key} must be {only!r}, not {value!r}")
+                raise ValueError(f"{name} must be {only!r}, not {value!r}")
     return _read(ExperimentConfig, top)
 
 

@@ -12,10 +12,12 @@ from metricert.bounds import (
     BoundQuery,
     bhc_simulate,
     bound_value,
+    pseudo_bound,
 )
 from metricert.core import (
     FAMILIES,
     PAIR_G0,
+    TRIPLET_LOSS,
     Dataset,
     KernelSpec,
     empirical_loss,
@@ -136,11 +138,10 @@ def test_criterion_04_pseudo_collapse_and_triplet_coefficient():
         (0.7, 10.0, 12, 37, 0.2),
         (0.0, 1.0, 2, 5, 0.5),
     ]:
-        pair = bound_value(BoundQuery(eps, B, K, n, delta, mode="pair"))
-        pseudo = bound_value(
-            BoundQuery(eps, B, K, n, delta, mode="pseudo", p_hat=n * n)
-        )
-        triplet = bound_value(BoundQuery(eps, B, K, n, delta, mode="triplet"))
+        q_pair = BoundQuery(eps, B, K, n, delta)
+        pair = bound_value(q_pair)
+        pseudo = pseudo_bound(q_pair, n * n)
+        triplet = bound_value(BoundQuery(eps, B, K, n, delta, TRIPLET_LOSS.order))
         ok = ok and abs(pseudo - pair) <= 1e-12
         ok = ok and (triplet - eps) / (pair - eps) == pytest.approx(1.5, abs=1e-12)
     _report(4, "pseudo collapse (abs 1e-12) and 1.5x triplet coefficient", ok)

@@ -12,13 +12,17 @@ from metricert.bounds import (
     bhc_simulate,
     bound_value,
     cell_stats,
+    concentration_root,
     empirical_epsilon,
     empirical_epsilon_triplet,
+    pseudo_bound,
     pseudo_robust_count,
 )
 from metricert.core import (
     FAMILIES,
     HINGE_U,
+    PAIR_LOSS,
+    TRIPLET_LOSS,
     Dataset,
     KernelSpec,
     MetricModel,
@@ -726,17 +730,25 @@ class TestEmpiricalEpsilonTriplet:
 
 
 class TestBoundValue:
-    @pytest.mark.parametrize("mode", ["pair", "triplet"])
-    def test_p_hat_only_in_pseudo_mode(self, mode):
+    @pytest.mark.parametrize("loss", [PAIR_LOSS, TRIPLET_LOSS], ids=["pair", "triplet"])
+    def test_p_hat_only_in_pseudo_bound(self, loss):
+        # a record of either order takes no p_hat; only pseudo_bound reads
+        # one, on a pair record
         for p_hat in (7, -1, 100):
-            with pytest.raises(ValueError, match=f"^p_hat is a pseudo-mode input; {mode} mode"):
-                BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, mode=mode, p_hat=p_hat)
-        BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, mode="pseudo", p_hat=7)
+            with pytest.raises(TypeError, match="p_hat"):
+                BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, order=loss.order,
+                           p_hat=p_hat)
+        pseudo_bound(BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05), 7)
 
     def test_zero_everything(self):
-        for mode in ("pair", "triplet"):
-            q = BoundQuery(epsilon=0.0, B=0.0, K=1, n=10, delta=0.5, mode=mode)
+        for loss in (PAIR_LOSS, TRIPLET_LOSS):
+            q = BoundQuery(epsilon=0.0, B=0.0, K=1, n=10, delta=0.5, order=loss.order)
             assert bound_value(q) == 0.0
+
+    @pytest.mark.parametrize("order", [0, 1, 4, -2])
+    def test_unknown_order_refused(self, order):
+        with pytest.raises(ValueError, match=f"^unknown loss order {order}"):
+            BoundQuery(epsilon=0.1, B=3.0, K=4, n=10, delta=0.05, order=order)
 
     def test_pair_hand_value(self):
         q = BoundQuery(epsilon=0.0, B=1.0, K=2, n=1000, delta=0.05)
@@ -746,14 +758,26 @@ class TestBoundValue:
 
     def test_pseudo_collapse(self):
         q_pair = BoundQuery(epsilon=0.3, B=2.0, K=5, n=40, delta=0.1)
-        q_pse = BoundQuery(
-            epsilon=0.3, B=2.0, K=5, n=40, delta=0.1, mode="pseudo", p_hat=1600
-        )
-        assert abs(bound_value(q_pair) - bound_value(q_pse)) <= 1e-12
+        assert abs(bound_value(q_pair) - pseudo_bound(q_pair, 1600)) <= 1e-12
+
+    def test_pseudo_bound_refuses_a_triplet_record(self):
+        q = BoundQuery(epsilon=0.3, B=2.0, K=5, n=40, delta=0.1, order=TRIPLET_LOSS.order)
+        for p_hat in (0, 7, 1600):
+            with pytest.raises(ValueError, match="^the pseudo-robust bound is a pair bound"):
+                pseudo_bound(q, p_hat)
+
+    def test_pseudo_bound_refuses_p_hat_outside_0_to_n_squared(self):
+        q = BoundQuery(epsilon=0.3, B=2.0, K=5, n=40, delta=0.1)
+        for p_hat in (-1, 1601, 10**400):
+            with pytest.raises(ValueError, match=r"^p_hat must lie in \[0, n\^2\]"):
+                pseudo_bound(q, p_hat)
+        # the ends of the range: all pairs robust, and none
+        assert pseudo_bound(q, 0) == 2.0 * (1.0 + 2.0 * concentration_root(5, 40, 0.1))
+        assert pseudo_bound(q, 1600) == 0.3 + 2.0 * (0.0 + 2.0 * concentration_root(5, 40, 0.1))
 
     def test_triplet_coefficient_ratio(self):
         q_pair = BoundQuery(epsilon=0.0, B=1.7, K=3, n=50, delta=0.05)
-        q_trip = BoundQuery(epsilon=0.0, B=1.7, K=3, n=50, delta=0.05, mode="triplet")
+        q_trip = BoundQuery(epsilon=0.0, B=1.7, K=3, n=50, delta=0.05, order=TRIPLET_LOSS.order)
         assert bound_value(q_trip) == pytest.approx(1.5 * bound_value(q_pair))
 
     def test_monotonicity_probes(self):

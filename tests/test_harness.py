@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from metricert import core, harness
-from metricert.bounds import concentration_root
+from metricert.bounds import BoundQuery, bound_value, concentration_root
 from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, metric_matrix
 from metricert.cover import CoverConfig
 from metricert.harness import (
@@ -250,12 +250,47 @@ class TestRunExperiment:
         assert r.g0 == 1.0
         assert r.holds == (r.empirical_gap <= r.bound_triplet)
 
+    def test_reports_carry_their_repetition_seed(self):
+        # certify draws nothing; the seed of a run_experiment report is the
+        # one its repetition drew its data from, as before the report field
+        # went
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n=15, seed=7),
+            solver=SolverConfig(c=0.5, max_iters=10),
+            cover=CoverConfig(gamma=0.5),
+            repetitions=3,
+            mc_size=100,
+            probe_size=10,
+        )
+        reports, _ = run_experiment(cfg)
+        assert [r.to_json_dict()["seed"] for r in reports] == [7, 8, 9]
+        assert not hasattr(reports[0], "seed")
+
 
 class TestCertify:
     def _data(self):
         ds = gen_synthetic(SyntheticSpec(n=30, seed=5))
         probe = gen_synthetic(SyntheticSpec(n=20, seed=6))
         return ds, probe
+
+    @pytest.mark.parametrize("family", ["fro", "triplet-fro"])
+    def test_bounds_are_records_rebuilt_from_the_report(self, family):
+        # each bound field is bound_value of a record of the report's own
+        # epsilon, B and K, at the data's n and the delta asked, with the
+        # order of its loss
+        ds, probe = self._data()
+        model = solve(ds, FAMILIES[family].reg, SolverConfig(c=0.5, max_iters=10),
+                      loss=FAMILIES[family].loss)
+        rep = certify(model, ds, probe, family, CoverConfig(gamma=0.5), delta=0.1)
+        out = rep.to_json_dict()
+        bounds = {key: value for key, value in out.items() if key.startswith("bound_")}
+        expected = {"bound_pair": core.PAIR_LOSS.order}
+        expected["bound_" + FAMILIES[family].loss.name] = FAMILIES[family].loss.order
+        assert set(bounds) == set(expected)
+        for key, order in expected.items():
+            q = BoundQuery(out["epsilon_theoretical"], out["B"], out["K_theoretical"], ds.n, 0.1,
+                           order)
+            assert bounds[key] == bound_value(q)
 
     def test_kernel_zero_fallback_certifies_and_runs_knn(self):
         # at a large c the solve keeps its fallback M = 0, whose support is
@@ -457,9 +492,10 @@ class TestGapCurve:
         (row,) = gap_curve(cfg, [20])
         reports, _ = run_experiment(cfg)
         for r in reports:
-            # bound_pseudo belongs to pairs, bound_triplet to triplets
+            # bound_triplet belongs to triplets; bound_pseudo, an estimate
+            # and not a certificate, is in no report
             keys = r.to_json_dict()
-            assert ("bound_pseudo" in keys) == (r.bound_pseudo is not None) == (not triplet)
+            assert "bound_pseudo" not in keys and not hasattr(r, "bound_pseudo")
             assert ("bound_triplet" in keys) == (r.bound_triplet is not None) == triplet
         certified = [r.bound_triplet if triplet else r.bound_pair for r in reports]
         assert [r.holds for r in reports] == [

@@ -10,7 +10,7 @@ import pytest
 from metricert.bounds import BoundQuery, bound_value
 from metricert import cli
 from metricert.cli import main
-from metricert.core import FAMILIES, Dataset, KernelSpec, MetricModel, rbf_fH
+from metricert.core import FAMILIES, PAIR_LOSS, Dataset, KernelSpec, MetricModel, rbf_fH
 from metricert.cover import CoverConfig
 from metricert.harness import ExperimentConfig, SyntheticSpec, gen_synthetic
 from metricert.io import (
@@ -131,7 +131,10 @@ class TestDenseKernelModelFile:
     `gen --n 30 --seed 1` (train.csv), `gen --n 30 --seed 2` (probe.csv),
     `train --family kernel-rbf --c 0.1 --sigma 1.0` (model.json) and
     `audit --family kernel-rbf --gamma 0.5 --probe probe.csv` (report.json).
-    Such files keep loading, and take the dense code path."""
+    Such files keep loading, and take the dense code path.  report.json has
+    since lost its `bound_pseudo` and `seed` entries, the one intended change
+    to its bytes: loaded as JSON, it equals the earlier report less those two
+    keys."""
 
     def test_audit_reproduces_the_report_bytes(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -334,6 +337,34 @@ class TestCli:
         assert obj["epsilon_empirical"] <= obj["epsilon_theoretical"] + 1e-12
         assert obj["bound_pair"] > 0
 
+    # every key of an audit report: the certified bounds of its loss, and no
+    # bound_pseudo (an estimate) or seed (audit draws nothing)
+    AUDIT_KEYS = {"family", "U", "R", "gamma", "g0", "c", "K_theoretical", "K_empirical", "B",
+                  "epsilon_theoretical", "epsilon_empirical", "bound_pair", "empirical_gap",
+                  "holds", "sound", "excluded_probes"}
+
+    @pytest.mark.parametrize("family", ["fro", "triplet-fro"])
+    def test_audit_report_keys_and_printed_bound(self, tmp_path, capsys, family):
+        # the printed bound is the family's certificate, bound_triplet for a
+        # triplet family; audit printed bound_pair for every family
+        data = self._gen(tmp_path, n=12)
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert main(["train", "--data", str(data), "--out", str(model), "--family", family,
+                     "--c", "0.5", "--iters", "20"]) == 0
+        capsys.readouterr()
+        assert main(["audit", "--model", str(model), "--data", str(data), "--out", str(report),
+                     "--family", family, "--gamma", "0.5"]) == 0
+        obj = json.loads(report.read_text())
+        triplet = family.startswith("triplet")
+        assert set(obj) == self.AUDIT_KEYS | ({"bound_triplet"} if triplet else set())
+        certified = "bound_triplet" if triplet else "bound_pair"
+        assert capsys.readouterr().out == (
+            f"epsilon_empirical={obj['epsilon_empirical']:.6g} "
+            f"epsilon_theoretical={obj['epsilon_theoretical']:.6g} "
+            f"{certified}={obj[certified]:.6g}\n")
+        if triplet:
+            assert obj["bound_triplet"] > obj["bound_pair"]
+
     def test_one_parser_per_process(self, tmp_path, capsys):
         # train, audit, a usage error and --help through the one cached
         # parser give the exit codes and outputs of fresh-parser runs
@@ -522,8 +553,35 @@ class TestCli:
         from metricert.bounds import BoundQuery, bound_value
 
         assert printed == bound_value(
-            BoundQuery(epsilon=0.1, B=3.0, K=4, n=100, delta=0.05, mode="pair")
+            BoundQuery(epsilon=0.1, B=3.0, K=4, n=100, delta=0.05, order=PAIR_LOSS.order)
         )
+
+    def test_bound_modes_print_the_paper_formulas(self, capsys):
+        # eps + 2 B r, eps + 3 B r and (p/n^2) eps + B ((n^2 - p)/n^2 + 2 r),
+        # bit for bit, on a grid of inputs
+        for eps, B, K, n, delta, p_hat in [(0.1, 3.0, 4, 100, 0.05, 0), (0.7, 10.0, 12, 37, 0.2, 5),
+                                           (0.0, 1.0, 2, 5, 0.5, 25), (2.5, 0.3, 9, 8, 0.01, 63)]:
+            root = math.sqrt((2.0 * K * math.log(2.0) + 2.0 * math.log(1.0 / delta)) / n)
+            n2 = n * n
+            expected = {
+                "pair": eps + 2 * B * root,
+                "triplet": eps + 3 * B * root,
+                "pseudo": (p_hat / n2) * eps + B * ((n2 - p_hat) / n2 + 2.0 * root),
+            }
+            for mode, value in expected.items():
+                argv = ["bound", "--mode", mode, "--epsilon", repr(eps), "--B", repr(B),
+                        "--K", str(K), "--n", str(n), "--delta", repr(delta)]
+                assert main(argv + (["--p-hat", str(p_hat)] if mode == "pseudo" else [])) == 0
+                assert capsys.readouterr().out == repr(value) + "\n"
+
+    @pytest.mark.parametrize("p_hat", ["-1", "10001"])
+    def test_bound_pseudo_p_hat_outside_0_to_n_squared_exits_1(self, capsys, p_hat):
+        argv = ["bound", "--mode", "pseudo", "--epsilon", "0.1", "--B", "3", "--K", "4",
+                "--n", "100", "--delta", "0.05", "--p-hat", p_hat]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: p_hat must lie in [0, n^2]")
 
     @pytest.mark.parametrize("mode", ["pair", "triplet"])
     def test_bound_p_hat_outside_pseudo_mode_exits_1(self, capsys, mode):
